@@ -218,18 +218,25 @@ def xi_star_cdf_check(
     return float(np.mean(ratios)), float(np.std(ratios) / math.sqrt(replicas))
 
 
+_STREAM_BITS = 22
+_MAX_REPLICAS = (1 << _STREAM_BITS) // 3
+
+
 def _ratio_samples(
-    alpha: float, rho: float, replicas: int, rng: Rng, indicator: bool,
-    start: int = 0
+    alpha: float, rho: float, replicas: int, rng: Rng, indicator: bool
 ) -> np.ndarray:
     if not (0.0 < rho < alpha):
         raise ValueError("need 0 < rho < alpha")
+    # Replica r uses stream ids base + 3r .. base + 3r + 2; beyond this
+    # count they would run into the next stream id's block.
+    if replicas > _MAX_REPLICAS:
+        raise ValueError(f"at most {_MAX_REPLICAS} replicas per stream id")
     from .busemann import _margin  # shared burn-in convention
 
     margin = _margin(alpha, rho)
     width = margin + 2
     out = np.empty(replicas)
-    base = (rng.stream_id << 22) + 3 * start
+    base = rng.stream_id << _STREAM_BITS
     for r in range(replicas):
         field = WeightField(alpha, rng.master_seed, stream_id=base + 3 * r)
         init = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 1)

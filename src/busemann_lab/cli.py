@@ -3,9 +3,7 @@
 Each experiment runs a set of deterministic or statistical checks and
 writes a machine-readable report (JSON or CSV).  Exit code 0 means all
 checks passed, 1 means a numerical check failed, 2 means the
-configuration was invalid.  The environment variable
-BUSEMANN_LAB_THREADS caps the worker count for replica-parallel
-experiments; results do not depend on scheduling.
+configuration was invalid.
 """
 
 from __future__ import annotations
@@ -14,10 +12,9 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -28,18 +25,12 @@ from . import grsk
 from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
-from .special_functions import Rng, digamma, reg_inc_gamma, sample_inverse_gamma
+from .bruteforce import brute_force_log_partition, brute_force_ratio_array
+from .special_functions import (Rng, digamma, reg_inc_beta, reg_inc_gamma,
+                                sample_inverse_gamma, sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("BUSEMANN_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise click.UsageError(f"BUSEMANN_LAB_THREADS must be an integer, got {raw!r}")
 
 
 def _check(name: str, ref: str, value: float, threshold: float, ok: bool) -> dict:
@@ -58,16 +49,6 @@ def _below(name: str, ref: str, value: float, threshold: float) -> dict:
 
 def _pvalue(name: str, ref: str, p: float) -> dict:
     return _check(name, ref, p, P_THRESHOLD, p > P_THRESHOLD)
-
-
-def _parse_rhos(raw: str) -> list[float]:
-    try:
-        vals = [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"cannot parse rho list {raw!r}")
-    if not vals:
-        raise click.UsageError("empty rho list")
-    return vals
 
 
 def _finish(config: dict, checks: list[dict], output: str, fmt: str, t0: float):
@@ -99,33 +80,6 @@ def _finish(config: dict, checks: list[dict], output: str, fmt: str, t0: float):
         click.echo(f"{status}  {c['name']}: {c['value']:.6g}", err=True)
     if summary["failed"]:
         sys.exit(1)
-
-
-def _common(f):
-    import functools
-
-    inner = f
-
-    @functools.wraps(inner)
-    def wrapped(*args, **kwargs):
-        try:
-            return inner(*args, **kwargs)
-        except ValueError as exc:
-            # Invalid parameter combinations surface as configuration errors.
-            raise click.UsageError(str(exc))
-
-    f = wrapped
-    f = click.option("--seed", type=int, default=7, show_default=True)(f)
-    f = click.option("--output", default="-", show_default=True,
-                     help="Report path, '-' for stdout.")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                     default="json", show_default=True)(f)
-    return f
-
-
-@click.group()
-def main():
-    """Experiments for the inverse-gamma polymer's Busemann process."""
 
 
 def _ig_windows(rhos, alpha, window, seed):
@@ -195,80 +149,6 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
     return checks
 
 
-def _paths_between(start, end):
-    import itertools
-
-    (r0, c0), (r1, c1) = start, end
-    if r1 < r0 or c1 < c0:
-        return []
-    out = []
-    for comb in itertools.combinations(range((r1 - r0) + (c1 - c0)), r1 - r0):
-        cells = [(r0, c0)]
-        rr, cc = r0, c0
-        for s in range((r1 - r0) + (c1 - c0)):
-            if s in comb:
-                rr += 1
-            else:
-                cc += 1
-            cells.append((rr, cc))
-        out.append(tuple(cells))
-    return out
-
-
-def brute_force_ratio_array(weights: np.ndarray, n: int) -> grsk.FullArray:
-    """Initial triangular array from disjoint-path partition functions.
-
-    Cell (k, ell) is the ratio of the ell- and (ell-1)-tuple disjoint
-    path sums from starting points (1, r) to endpoints (n, k - ell + r).
-    Exponential cost; intended for n <= 4.
-    """
-    import itertools
-
-    def tau(k, ell):
-        if ell == 0:
-            return 1.0
-        groups = [
-            _paths_between((1, r), (n, k - ell + r)) for r in range(1, ell + 1)
-        ]
-        total = 0.0
-        for combo in itertools.product(*groups):
-            cells = [c for p in combo for c in p]
-            if len(set(cells)) != len(cells):
-                continue
-            prod = 1.0
-            for (rr, cc) in cells:
-                prod *= weights[rr - 1, cc - 1]
-            total += prod
-        return total
-
-    cols = []
-    for ell in range(1, n + 1):
-        col = [
-            math.log(tau(k, ell)) - math.log(tau(k, ell - 1))
-            for k in range(ell, n + 1)
-        ]
-        cols.append(np.array(col))
-    return grsk.FullArray(n, tuple(cols))
-
-
-def brute_force_log_partition(weights: np.ndarray, m: int, k: int) -> float:
-    """log of the path sum from (1,1) to (m,k), initial weight included."""
-    lw = np.log(weights[:m, :k])
-    z = np.full((m, k), -np.inf)
-    z[0, 0] = lw[0, 0]
-    for i in range(m):
-        for j in range(k):
-            if i == 0 and j == 0:
-                continue
-            acc = -np.inf
-            if i > 0:
-                acc = np.logaddexp(acc, z[i - 1, j])
-            if j > 0:
-                acc = np.logaddexp(acc, z[i, j - 1])
-            z[i, j] = acc + lw[i, j]
-    return float(z[m - 1, k - 1])
-
-
 def run_grsk_verify(alpha, window, seed) -> list[dict]:
     checks = []
     rng = np.random.default_rng(seed)
@@ -326,7 +206,20 @@ def _invgamma_cdf(shape: float):
     return cdf
 
 
+def _beta_cdf(a: float, b: float):
+    def cdf(v: float) -> float:
+        if v <= 0.0:
+            return 0.0
+        if v >= 1.0:
+            return 1.0
+        return reg_inc_beta(a, b, v)
+
+    return cdf
+
+
 def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
+    if not (0.0 < rho < alpha):
+        raise click.UsageError("need 0 < rho < alpha")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     grid = bu.stationary_cocycle(
@@ -381,20 +274,7 @@ def run_parallel_chain(alpha, rhos, window, seed) -> list[dict]:
     g_small = grids[-1]
     ratio = np.exp(g_small.w_vals[1, c::16] - g_small.i_vals[1, c::16])
     rho2 = rhos[-1]
-
-    def beta_cdf(a, b):
-        def cdf(v):
-            if v <= 0.0:
-                return 0.0
-            if v >= 1.0:
-                return 1.0
-            from .special_functions import reg_inc_beta
-
-            return reg_inc_beta(a, b, v)
-
-        return cdf
-
-    r = ks_one_sample(ratio, beta_cdf(alpha - rho2, rho2))
+    r = ks_one_sample(ratio, _beta_cdf(alpha - rho2, rho2))
     checks.append(_pvalue(
         "weight-ratio-beta-ks", "two-direction-joint-law", r.p_value
     ))
@@ -415,17 +295,8 @@ def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
         raise click.UsageError("need 0 < lambda < rho < alpha")
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(alpha, [lam, rho], samples, rng.spawn(1))
-    from .special_functions import reg_inc_beta
-
-    def beta_cdf(v, a=alpha - rho, b=rho - lam):
-        if v <= 0.0:
-            return 0.0
-        if v >= 1.0:
-            return 1.0
-        return reg_inc_beta(a, b, v)
-
     checks = []
-    r = ks_one_sample(np.exp(-inc[:, 1]), beta_cdf)
+    r = ks_one_sample(np.exp(-inc[:, 1]), _beta_cdf(alpha - rho, rho - lam))
     checks.append(_pvalue("increment-beta-ks", "busemann-profile-increments", r.p_value))
     mres = ig.marginal_check(alpha, rho, samples, rng.spawn(2))
     checks.append(_pvalue("marginal-ks", "busemann-edge-marginal", mres.p_value))
@@ -508,33 +379,11 @@ def run_zero_temp(rho, samples, seed) -> list[dict]:
     return checks
 
 
-def _parallel_replicas(fn, replicas: int, workers: int):
-    """Deterministic merge of per-chunk replica results."""
-    if workers <= 1:
-        return fn(0, replicas)
-    chunk = (replicas + workers - 1) // workers
-    spans = [
-        (lo, min(lo + chunk, replicas)) for lo in range(0, replicas, chunk)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda s: fn(*s), spans))
-    return np.concatenate(parts)
-
-
 def run_cif_eta(alpha, rho, replicas, seed) -> list[dict]:
-    workers = _n_workers()
-
-    def chunk(lo, hi):
-        return cifmod._ratio_samples(
-            alpha, rho, hi - lo, Rng(master_seed=seed, stream_id=1),
-            indicator=True, start=lo,
-        )
-
-    hits = _parallel_replicas(chunk, replicas, workers)
-    p = float(np.mean(hits))
-    se = float(np.std(hits)) / math.sqrt(replicas)
-    target = (alpha - rho) / alpha
-    dev = abs(p - target)
+    p, se = cifmod.eta_cdf_estimate(
+        alpha, rho, replicas, Rng(master_seed=seed, stream_id=1)
+    )
+    dev = abs(p - (alpha - rho) / alpha)
     return [_check(
         "separating-direction-cdf", "interface-direction-law",
         dev, 3.0 * se, dev < 3.0 * se,
@@ -542,33 +391,17 @@ def run_cif_eta(alpha, rho, replicas, seed) -> list[dict]:
 
 
 def run_cif_xi(alpha, rho, replicas, seed) -> list[dict]:
-    workers = _n_workers()
-
-    def chunk_r(lo, hi):
-        return cifmod._ratio_samples(
-            alpha, rho, hi - lo, Rng(master_seed=seed, stream_id=1),
-            indicator=False, start=lo,
-        )
-
-    ratios = _parallel_replicas(chunk_r, replicas, workers)
-    est = float(np.mean(ratios))
-    se_x = float(np.std(ratios)) / math.sqrt(replicas)
-    target = (alpha - rho) / alpha
-    dev = abs(est - target)
+    est, se_x = cifmod.xi_star_cdf_check(
+        alpha, rho, replicas, Rng(master_seed=seed, stream_id=1)
+    )
+    dev = abs(est - (alpha - rho) / alpha)
     checks = [_check(
         "finite-interface-cdf", "finite-volume-interface-law",
         dev, 3.0 * se_x, dev < 3.0 * se_x,
     )]
-
-    def chunk_h(lo, hi):
-        return cifmod._ratio_samples(
-            alpha, rho, hi - lo,
-            Rng(master_seed=seed + 1, stream_id=1), indicator=True, start=lo,
-        )
-
-    hits = _parallel_replicas(chunk_h, replicas, workers)
-    p = float(np.mean(hits))
-    se_h = float(np.std(hits)) / math.sqrt(replicas)
+    p, se_h = cifmod.eta_cdf_estimate(
+        alpha, rho, replicas, Rng(master_seed=seed + 1, stream_id=1)
+    )
     gap = abs(est - p)
     sig = 3.0 * math.hypot(se_x, se_h)
     checks.append(_check(
@@ -579,6 +412,8 @@ def run_cif_xi(alpha, rho, replicas, seed) -> list[dict]:
 
 
 def run_she_check(alpha, rho, size, seed) -> list[dict]:
+    if not (0.0 < rho < alpha):
+        raise click.UsageError("need 0 < rho < alpha")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     margin = bu._margin(alpha, rho)
@@ -637,8 +472,6 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
         "pearson-3sigma-fpr", "test-calibration", rate, 3 * 0.0027,
         rate <= 3 * 0.0027,
     ))
-    from .special_functions import sample_poisson
-
     mu = 5.0
     counts = sample_poisson(rng.spawn(4), mu, size=trials * 50).reshape(trials, 50)
     p_disp = np.array([
@@ -653,182 +486,132 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
     return checks
 
 
-@main.command("check-intertwine")
-@click.option("--n", type=int, default=3, show_default=True)
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", "rho_raw", default="0.5,1.0,1.5", show_default=True)
-@click.option("--window", type=int, default=4000, show_default=True)
-@click.option("--burn-in", "margin", type=int, default=600, show_default=True,
-              help="Left comparison margin.")
-@_common
-def cmd_check_intertwine(n, alpha, rho_raw, window, margin, seed, output, fmt):
-    """Parallel and sequential one-step maps agree through the tuple map."""
-    t0 = time.time()
-    rhos = _parse_rhos(rho_raw)
-    checks = run_check_intertwine(n, alpha, rhos, window, margin, seed)
-    _finish({"experiment": "check-intertwine", "n": n, "alpha": alpha,
-             "rho": rhos, "window": window, "burn_in": margin, "seed": seed},
-            checks, output, fmt, t0)
+def _parse_rhos(ctx, param, raw: str) -> list[float]:
+    try:
+        vals = [float(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise click.UsageError(f"cannot parse rho list {raw!r}")
+    if not vals:
+        raise click.UsageError("empty rho list")
+    return vals
 
 
-@main.command("check-inverse")
-@click.option("--n", type=int, default=3, show_default=True)
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", "rho_raw", default="0.5,1.0,1.5", show_default=True)
-@click.option("--window", type=int, default=4000, show_default=True)
-@_common
-def cmd_check_inverse(n, alpha, rho_raw, window, seed, output, fmt):
-    """Inverse maps undo the update and tuple maps."""
-    t0 = time.time()
-    rhos = _parse_rhos(rho_raw)
-    checks = run_check_inverse(n, alpha, rhos, window, seed)
-    _finish({"experiment": "check-inverse", "n": n, "alpha": alpha,
-             "rho": rhos, "window": window, "seed": seed},
-            checks, output, fmt, t0)
+def _opt(flag: str, default, dest: str | None = None, **kw) -> click.Option:
+    """An option shown with its default; its type is the default's type."""
+    kw.setdefault("type", type(default))
+    decls = [flag] if dest is None else [flag, dest]
+    return click.Option(decls, default=default, show_default=True, **kw)
 
 
-@main.command("grsk-verify")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--window", type=int, default=3000, show_default=True)
-@_common
-def cmd_grsk_verify(alpha, window, seed, output, fmt):
-    """Row insertion reproduces partition functions and the tuple map."""
-    t0 = time.time()
-    checks = run_grsk_verify(alpha, window, seed)
-    _finish({"experiment": "grsk-verify", "alpha": alpha, "window": window,
-             "seed": seed}, checks, output, fmt, t0)
+def _rhos(default: str, **kw) -> click.Option:
+    return _opt("--rho", default, "rhos", callback=_parse_rhos, **kw)
 
 
-@main.command("stationary-cocycle")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", type=float, default=1.0, show_default=True)
-@click.option("--window", type=int, default=20000, show_default=True)
-@click.option("--levels", type=int, default=3, show_default=True)
-@_common
-def cmd_stationary_cocycle(alpha, rho, window, levels, seed, output, fmt):
-    """Exact cocycle identities and stationary marginals on a grid."""
-    t0 = time.time()
-    if not (0.0 < rho < alpha):
-        raise click.UsageError("need 0 < rho < alpha")
-    checks = run_stationary_cocycle(alpha, rho, window, levels, seed)
-    _finish({"experiment": "stationary-cocycle", "alpha": alpha, "rho": rho,
-             "window": window, "levels": levels, "seed": seed},
-            checks, output, fmt, t0)
+COUNT = click.IntRange(min=1)
+ALPHA = _opt("--alpha", 2.0)
+RHO = _opt("--rho", 1.0)
+N = _opt("--n", 3)
+SAMPLES = _opt("--samples", 10000, type=COUNT)
+REPLICAS = _opt("--replicas", 10000, type=COUNT)
+COMMON = (
+    _opt("--format", "json", "fmt", type=click.Choice(["json", "csv"])),
+    _opt("--output", "-", help="Report path, '-' for stdout."),
+    _opt("--seed", 7),
+)
 
 
-@main.command("parallel-chain")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", "rho_raw", default="1.2,0.4", show_default=True,
-              help="Strictly decreasing list.")
-@click.option("--window", type=int, default=50000, show_default=True)
-@_common
-def cmd_parallel_chain(alpha, rho_raw, window, seed, output, fmt):
-    """Coupled multi-direction stationary chain and its joint laws."""
-    t0 = time.time()
-    rhos = _parse_rhos(rho_raw)
-    checks = run_parallel_chain(alpha, rhos, window, seed)
-    _finish({"experiment": "parallel-chain", "alpha": alpha, "rho": rhos,
-             "window": window, "seed": seed}, checks, output, fmt, t0)
+@dataclass(frozen=True)
+class Experiment:
+    """One command: its options and the name of the run_* function it calls.
+
+    The click parameters, seed included, are passed to the run function
+    by name and, under their report names, make up the report's config.
+    """
+
+    name: str
+    run: str
+    help: str
+    options: tuple[click.Option, ...]
 
 
-@main.command("ppp-busemann")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--lam", type=float, default=0.4, show_default=True)
-@click.option("--rho", type=float, default=1.2, show_default=True)
-@click.option("--samples", type=int, default=100000, show_default=True)
-@_common
-def cmd_ppp_busemann(alpha, lam, rho, samples, seed, output, fmt):
-    """Jump-process sampler reproduces the Busemann edge laws."""
-    t0 = time.time()
-    checks = run_ppp_busemann(alpha, lam, rho, samples, seed)
-    _finish({"experiment": "ppp-busemann", "alpha": alpha, "lambda": lam,
-             "rho": rho, "samples": samples, "seed": seed},
-            checks, output, fmt, t0)
+EXPERIMENTS = (
+    Experiment("check-intertwine", "run_check_intertwine",
+               "Parallel and sequential one-step maps agree through the tuple map.",
+               (N, ALPHA, _rhos("0.5,1.0,1.5"), _opt("--window", 4000),
+                _opt("--burn-in", 600, "margin", help="Left comparison margin."))),
+    Experiment("check-inverse", "run_check_inverse",
+               "Inverse maps undo the update and tuple maps.",
+               (N, ALPHA, _rhos("0.5,1.0,1.5"), _opt("--window", 4000))),
+    Experiment("grsk-verify", "run_grsk_verify",
+               "Row insertion reproduces partition functions and the tuple map.",
+               (ALPHA, _opt("--window", 3000))),
+    Experiment("stationary-cocycle", "run_stationary_cocycle",
+               "Exact cocycle identities and stationary marginals on a grid.",
+               (ALPHA, RHO, _opt("--window", 20000), _opt("--levels", 3))),
+    Experiment("parallel-chain", "run_parallel_chain",
+               "Coupled multi-direction stationary chain and its joint laws.",
+               (ALPHA, _rhos("1.2,0.4", help="Strictly decreasing list."),
+                _opt("--window", 50000))),
+    Experiment("ppp-busemann", "run_ppp_busemann",
+               "Jump-process sampler reproduces the Busemann edge laws.",
+               (ALPHA, _opt("--lam", 0.4), _opt("--rho", 1.2),
+                _opt("--samples", 100000, type=COUNT))),
+    Experiment("jump-count", "run_jump_count",
+               "Counts of large jumps match the intensity quadrature.",
+               (ALPHA, _opt("--delta", 1.0), _opt("--s-lo", 0.0),
+                _opt("--s-hi", 1.0), SAMPLES)),
+    Experiment("zero-temp", "run_zero_temp",
+               "Zero-temperature thinning coupling and its reparametrization bound.",
+               (_opt("--rho", 0.5), SAMPLES)),
+    Experiment("cif-eta", "run_cif_eta",
+               "Annealed law of the semi-infinite separating direction.",
+               (ALPHA, RHO, REPLICAS)),
+    Experiment("cif-xi", "run_cif_xi",
+               "Annealed law of the finite-volume separating direction.",
+               (ALPHA, RHO, REPLICAS)),
+    Experiment("she-check", "run_she_check",
+               "Eternal solutions solve the discrete heat recursion exactly.",
+               (ALPHA, RHO, _opt("--size", 200))),
+    Experiment("calibrate-stats", "run_calibrate_stats",
+               "False-positive rates of the statistical tests at fixed seeds.",
+               (_opt("--trials", 1000, type=COUNT), SAMPLES)),
+)
+
+# Report config keys that differ from the click parameter names.
+_CONFIG_KEYS = {"rhos": "rho", "margin": "burn_in", "lam": "lambda"}
 
 
-@main.command("jump-count")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--delta", type=float, default=1.0, show_default=True)
-@click.option("--s-lo", type=float, default=0.0, show_default=True)
-@click.option("--s-hi", type=float, default=1.0, show_default=True)
-@click.option("--samples", type=int, default=10000, show_default=True)
-@_common
-def cmd_jump_count(alpha, delta, s_lo, s_hi, samples, seed, output, fmt):
-    """Counts of large jumps match the intensity quadrature."""
-    t0 = time.time()
-    checks = run_jump_count(alpha, delta, s_lo, s_hi, samples, seed)
-    _finish({"experiment": "jump-count", "alpha": alpha, "delta": delta,
-             "s_interval": [s_lo, s_hi], "samples": samples, "seed": seed},
-            checks, output, fmt, t0)
+def _config(name: str, params: dict) -> dict:
+    config = {"experiment": name}
+    for key, value in params.items():
+        config[_CONFIG_KEYS.get(key, key)] = value
+    if "s_lo" in config:
+        config["s_interval"] = [config.pop("s_lo"), config.pop("s_hi")]
+    return config
 
 
-@main.command("zero-temp")
-@click.option("--rho", type=float, default=0.5, show_default=True)
-@click.option("--samples", type=int, default=10000, show_default=True)
-@_common
-def cmd_zero_temp(rho, samples, seed, output, fmt):
-    """Zero-temperature thinning coupling and its reparametrization bound."""
-    t0 = time.time()
-    checks = run_zero_temp(rho, samples, seed)
-    _finish({"experiment": "zero-temp", "rho": rho, "samples": samples,
-             "seed": seed}, checks, output, fmt, t0)
+def _command(exp: Experiment) -> click.Command:
+    def callback(output, fmt, **params):
+        t0 = time.time()
+        try:
+            # Looked up at call time, so a replaced run_* function is used.
+            checks = globals()[exp.run](**params)
+        except ValueError as exc:
+            # Invalid parameter combinations surface as configuration errors.
+            raise click.UsageError(str(exc))
+        _finish(_config(exp.name, params), checks, output, fmt, t0)
+
+    return click.Command(exp.name, callback=callback,
+                         params=[*exp.options, *COMMON], help=exp.help)
 
 
-@main.command("cif-eta")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", type=float, default=1.0, show_default=True)
-@click.option("--replicas", type=int, default=10000, show_default=True)
-@_common
-def cmd_cif_eta(alpha, rho, replicas, seed, output, fmt):
-    """Annealed law of the semi-infinite separating direction."""
-    t0 = time.time()
-    if not (0.0 < rho < alpha):
-        raise click.UsageError("need 0 < rho < alpha")
-    checks = run_cif_eta(alpha, rho, replicas, seed)
-    _finish({"experiment": "cif-eta", "alpha": alpha, "rho": rho,
-             "replicas": replicas, "seed": seed}, checks, output, fmt, t0)
+@click.group()
+def main():
+    """Experiments for the inverse-gamma polymer's Busemann process."""
 
 
-@main.command("cif-xi")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", type=float, default=1.0, show_default=True)
-@click.option("--replicas", type=int, default=10000, show_default=True)
-@_common
-def cmd_cif_xi(alpha, rho, replicas, seed, output, fmt):
-    """Annealed law of the finite-volume separating direction."""
-    t0 = time.time()
-    if not (0.0 < rho < alpha):
-        raise click.UsageError("need 0 < rho < alpha")
-    checks = run_cif_xi(alpha, rho, replicas, seed)
-    _finish({"experiment": "cif-xi", "alpha": alpha, "rho": rho,
-             "replicas": replicas, "seed": seed}, checks, output, fmt, t0)
-
-
-@main.command("she-check")
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--rho", type=float, default=1.0, show_default=True)
-@click.option("--size", type=int, default=200, show_default=True)
-@_common
-def cmd_she_check(alpha, rho, size, seed, output, fmt):
-    """Eternal solutions solve the discrete heat recursion exactly."""
-    t0 = time.time()
-    if not (0.0 < rho < alpha):
-        raise click.UsageError("need 0 < rho < alpha")
-    checks = run_she_check(alpha, rho, size, seed)
-    _finish({"experiment": "she-check", "alpha": alpha, "rho": rho,
-             "size": size, "seed": seed}, checks, output, fmt, t0)
-
-
-@main.command("calibrate-stats")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--samples", type=int, default=10000, show_default=True)
-@_common
-def cmd_calibrate_stats(trials, samples, seed, output, fmt):
-    """False-positive rates of the statistical tests at fixed seeds."""
-    t0 = time.time()
-    checks = run_calibrate_stats(trials, samples, seed)
-    _finish({"experiment": "calibrate-stats", "trials": trials,
-             "samples": samples, "seed": seed}, checks, output, fmt, t0)
+for _exp in EXPERIMENTS:
+    main.add_command(_command(_exp))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from busemann_lab.bruteforce import brute_force_ratio_array
 from busemann_lab.grsk import (
     FullArray,
     TriangularArray,
@@ -15,53 +15,6 @@ from busemann_lab.grsk import (
 )
 from busemann_lab.seqmaps import LogSeqWindow, SeqTuple, daop
 from busemann_lab.special_functions import Rng, digamma, sample_inverse_gamma
-
-
-def paths(start, end):
-    """All up-right paths between two points, as lists of cells."""
-    (r0, c0), (r1, c1) = start, end
-    if r1 < r0 or c1 < c0:
-        return []
-    out = []
-    for comb in itertools.combinations(range((r1 - r0) + (c1 - c0)), r1 - r0):
-        cells = [(r0, c0)]
-        rr, cc = r0, c0
-        for s in range((r1 - r0) + (c1 - c0)):
-            if s in comb:
-                rr += 1
-            else:
-                cc += 1
-            cells.append((rr, cc))
-        out.append(tuple(cells))
-    return out
-
-
-def tau(weights, n, k, ell):
-    """Sum over ell-tuples of disjoint paths (1, r) -> (n, k - ell + r)."""
-    if ell == 0:
-        return 1.0
-    groups = [paths((1, r), (n, k - ell + r)) for r in range(1, ell + 1)]
-    total = 0.0
-    for combo in itertools.product(*groups):
-        cells = [c for p in combo for c in p]
-        if len(set(cells)) != len(cells):
-            continue
-        prod = 1.0
-        for (rr, cc) in cells:
-            prod *= weights[rr - 1, cc - 1]
-        total += prod
-    return total
-
-
-def ratio_array(weights, n):
-    cols = []
-    for ell in range(1, n + 1):
-        col = [
-            math.log(tau(weights, n, k, ell)) - math.log(tau(weights, n, k, ell - 1))
-            for k in range(ell, n + 1)
-        ]
-        cols.append(np.array(col))
-    return FullArray(n, tuple(cols))
 
 
 def partition_with_initial(weights, m, k):
@@ -136,7 +89,7 @@ class TestArrayInsert:
         rng = np.random.default_rng(2)
         for n in (2, 3):
             weights = 1.0 / rng.gamma(2.0, size=(n + 4, n))
-            arr = ratio_array(weights, n)
+            arr = brute_force_ratio_array(weights, n)
             for m in range(n + 1, n + 5):
                 arr = array_insert(arr, Word(1, np.log(weights[m - 1])))
                 for k in range(1, n + 1):
@@ -146,7 +99,7 @@ class TestArrayInsert:
 
     def test_all_ones_counts_are_binomials(self):
         n = 3
-        arr = ratio_array(np.ones((n, n)), n)
+        arr = brute_force_ratio_array(np.ones((n, n)), n)
         for m in range(n + 1, n + 7):
             arr = array_insert(arr, Word(1, np.zeros(n)))
             for k in range(1, n + 1):
@@ -160,21 +113,21 @@ class TestArrayInsert:
         rng = np.random.default_rng(3)
         n = 3
         weights = 1.0 / rng.gamma(2.0, size=(n, n))
-        arr = ratio_array(weights, n)
+        arr = brute_force_ratio_array(weights, n)
         for k in range(1, n + 1):
             assert arr.cell(k, 1) == pytest.approx(
                 partition_with_initial(weights, n, k), abs=1e-12
             )
 
     def test_word_length_check(self):
-        arr = ratio_array(np.ones((2, 2)), 2)
+        arr = brute_force_ratio_array(np.ones((2, 2)), 2)
         with pytest.raises(ValueError):
             array_insert(arr, Word(1, np.zeros(3)))
 
     def test_full_array_validation(self):
         with pytest.raises(ValueError):
             FullArray(2, (np.zeros(2),))
-        arr = ratio_array(np.ones((2, 2)), 2)
+        arr = brute_force_ratio_array(np.ones((2, 2)), 2)
         with pytest.raises(ValueError):
             arr.cell(1, 2)
         assert np.array_equal(arr.first_column(), arr.cols[0])
