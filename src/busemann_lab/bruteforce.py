@@ -1,8 +1,10 @@
-"""Brute-force reference computations for the insertion checks.
+"""Brute-force reference computations.
 
 Exponential-cost sums over lattice paths, used as oracles for the
 geometric RSK array: the disjoint-path partition functions that seed a
 triangular array, and the log-domain point-to-point partition function.
+Also the one-grid-per-replica construction of the competition-interface
+ratio samples, the oracle for their batched draw.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import math
 import numpy as np
 
 from . import grsk
+from .busemann import _margin, stationary_cocycle
+from .cif import _STREAM_BITS
+from .lattice import RhoParam, WeightField
+from .special_functions import Rng
 
 
 def _paths_between(start, end):
@@ -83,3 +89,29 @@ def brute_force_log_partition(weights: np.ndarray, m: int, k: int) -> float:
                 acc = np.logaddexp(acc, z[i, j - 1])
             z[i, j] = acc + lw[i, j]
     return float(z[m - 1, k - 1])
+
+
+def per_replica_ratio_samples(
+    alpha: float, rho: float, replicas: int, rng: Rng, indicator: bool
+) -> np.ndarray:
+    """``cif._ratio_samples`` with one stationary cocycle grid per replica.
+
+    Replica r builds a WeightField on stream id base + 3r, draws its
+    bottom row from Rng(stream id base + 3r + 1) and, for the indicator,
+    its uniform from Rng(stream id base + 3r + 2), base = stream_id << 22.
+    """
+    margin = _margin(alpha, rho)
+    width = margin + 2
+    out = np.empty(replicas)
+    base = rng.stream_id << _STREAM_BITS
+    for r in range(replicas):
+        field = WeightField(alpha, rng.master_seed, stream_id=base + 3 * r)
+        init = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 1)
+        grid = stationary_cocycle(field, RhoParam(rho, alpha), (0, width, 1), init)
+        ratio = math.exp(grid.log_w(width, 1) - grid.log_i(width, 1))
+        if indicator:
+            u = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 2)
+            out[r] = 1.0 if u.uniform() <= ratio else 0.0
+        else:
+            out[r] = ratio
+    return out

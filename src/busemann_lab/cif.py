@@ -16,9 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .busemann import CocycleGrid, stationary_cocycle
+from .busemann import CocycleGrid, _margin
 from .lattice import Direction, RhoParam, WeightField, rho_to_xi
-from .special_functions import Rng, keys_for_sites, uniform_from_keys
+from .seqmaps import update_raw
+from .special_functions import (
+    Rng,
+    _as_u64,
+    _event_keys,
+    gamma_from_keys,
+    keys_for_sites,
+    uniform_from_keys,
+)
 
 __all__ = [
     "UniformField",
@@ -220,31 +228,47 @@ def xi_star_cdf_check(
 
 _STREAM_BITS = 22
 _MAX_REPLICAS = (1 << _STREAM_BITS) // 3
+# Replicas whose draws share one array call; bounds the batch temporaries.
+_BLOCK = 256
 
 
 def _ratio_samples(
     alpha: float, rho: float, replicas: int, rng: Rng, indicator: bool
 ) -> np.ndarray:
+    """W/I at the right end of one fresh stationary row per replica.
+
+    Replica r draws the row-1 weights of a width margin + 2 grid from
+    stream id base + 3r, its inverse-gamma bottom row from base + 3r + 1
+    and its uniform from base + 3r + 2, with base = stream_id << 22
+    (mod 2^64); this is exactly ``stationary_cocycle`` on that stream.
+    The keys and gamma draws of a block of replicas are made in one
+    array call each; only the row recursion runs per replica.
+    """
     if not (0.0 < rho < alpha):
         raise ValueError("need 0 < rho < alpha")
-    # Replica r uses stream ids base + 3r .. base + 3r + 2; beyond this
-    # count they would run into the next stream id's block.
+    # Beyond this count the stream ids would run into the next stream
+    # id's block.
     if replicas > _MAX_REPLICAS:
         raise ValueError(f"at most {_MAX_REPLICAS} replicas per stream id")
-    from .busemann import _margin  # shared burn-in convention
-
-    margin = _margin(alpha, rho)
-    width = margin + 2
+    seed = rng.master_seed
+    width = _margin(alpha, rho) + 2
+    sites = np.arange(width + 1)
+    base = _as_u64(rng.stream_id) << np.uint64(_STREAM_BITS)
     out = np.empty(replicas)
-    base = rng.stream_id << _STREAM_BITS
-    for r in range(replicas):
-        field = WeightField(alpha, rng.master_seed, stream_id=base + 3 * r)
-        init = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 1)
-        grid = stationary_cocycle(field, RhoParam(rho, alpha), (0, width, 1), init)
-        ratio = math.exp(grid.log_w(width, 1) - grid.log_i(width, 1))
+    for start in range(0, replicas, _BLOCK):
+        r = np.arange(start, min(start + _BLOCK, replicas), dtype=np.uint64)
+        sids = base + np.uint64(3) * r
+        shape = (r.size, width + 1)
+        w_keys = keys_for_sites(seed, sids[:, None], sites, 1).ravel()
+        log_w = -np.log(gamma_from_keys(w_keys, alpha)).reshape(shape)
+        i_keys = _event_keys(seed, sids + np.uint64(1), 0, width + 1).ravel()
+        log_i0 = np.log(1.0 / gamma_from_keys(i_keys, alpha - rho)).reshape(shape)
+        ratios = np.empty(r.size)
+        for b in range(r.size):
+            _, log_it, _ = update_raw(log_w[b], log_i0[b], log_w[b, 0])
+            ratios[b] = math.exp(log_w[b, width] - log_it[width])
         if indicator:
-            u = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 2)
-            out[r] = 1.0 if u.uniform() <= ratio else 0.0
-        else:
-            out[r] = ratio
+            u = uniform_from_keys(_event_keys(seed, sids + np.uint64(2), 0, 1)).ravel()
+            ratios = np.where(u <= ratios, 1.0, 0.0)
+        out[start:start + r.size] = ratios
     return out

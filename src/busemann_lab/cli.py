@@ -510,7 +510,7 @@ def _rhos(default: str, **kw) -> click.Option:
 COUNT = click.IntRange(min=1)
 ALPHA = _opt("--alpha", 2.0)
 RHO = _opt("--rho", 1.0)
-N = _opt("--n", 3)
+N = _opt("--n", 3, type=COUNT)
 SAMPLES = _opt("--samples", 10000, type=COUNT)
 REPLICAS = _opt("--replicas", 10000, type=COUNT)
 COMMON = (
@@ -547,7 +547,8 @@ EXPERIMENTS = (
                (ALPHA, _opt("--window", 3000))),
     Experiment("stationary-cocycle", "run_stationary_cocycle",
                "Exact cocycle identities and stationary marginals on a grid.",
-               (ALPHA, RHO, _opt("--window", 20000), _opt("--levels", 3))),
+               (ALPHA, RHO, _opt("--window", 20000),
+                _opt("--levels", 3, type=COUNT))),
     Experiment("parallel-chain", "run_parallel_chain",
                "Coupled multi-direction stationary chain and its joint laws.",
                (ALPHA, _rhos("1.2,0.4", help="Strictly decreasing list."),
@@ -571,7 +572,7 @@ EXPERIMENTS = (
                (ALPHA, RHO, REPLICAS)),
     Experiment("she-check", "run_she_check",
                "Eternal solutions solve the discrete heat recursion exactly.",
-               (ALPHA, RHO, _opt("--size", 200))),
+               (ALPHA, RHO, _opt("--size", 200, type=COUNT))),
     Experiment("calibrate-stats", "run_calibrate_stats",
                "False-positive rates of the statistical tests at fixed seeds.",
                (_opt("--trials", 1000, type=COUNT), SAMPLES)),

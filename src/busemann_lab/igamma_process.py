@@ -17,6 +17,7 @@ controls that limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,8 +103,17 @@ def _band_masses(alpha: float, rho_max: float, a: np.ndarray, b: np.ndarray) -> 
     return np.exp(_log_g(a, alpha)) * (b - a) * np.expm1(b * rho_max) / b
 
 
-def _gauss_legendre(f, lo: float, hi: float, order: int = 64) -> float:
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(f, lo: float, hi: float, order: int = 64) -> float:
+    x, w = _legendre_nodes(order)
     t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     return 0.5 * (hi - lo) * float(np.sum(w * f(t)))
 
@@ -391,7 +401,7 @@ def reparam_bound(alpha: float, grid_size: int = 10_000) -> float:
         raise ValueError("alpha must be positive")
     xi1 = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     rho = alpha * _zero_temp_rho(xi1)
-    t1 = np.vectorize(trigamma)(rho)
-    t2 = np.vectorize(trigamma)(alpha - rho)
+    t1 = trigamma(rho)
+    t2 = trigamma(alpha - rho)
     u1 = t1 / (t1 + t2)
     return float(np.max(2.0 * np.abs(u1 - xi1)))

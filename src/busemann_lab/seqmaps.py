@@ -39,6 +39,8 @@ __all__ = [
 _GAP_TOL = 1e-8
 # Seed errors decay like exp(-2 k gap); 40 / gap pushes them below 1e-17.
 _BURN_IN_RATE = 40.0
+# Elements per Python-float chunk of the update_raw loop.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -161,12 +163,22 @@ def update_raw(
         raise ValueError("weight and input arrays must have equal length")
     log_j = np.empty(n)
     log_it = np.empty(n)
+    # Python floats and local names: the same libm calls without numpy
+    # scalar boxing, in chunks so the float lists stay small;
+    # "700.0 if d > 700.0 else d" is min(d, 700.0), NaN kept.
+    exp, log1p = math.exp, math.log1p
     prev = float(log_j_seed)
-    for k in range(n):
-        wk, ik = log_w[k], log_i[k]
-        log_j[k] = wk + math.log1p(math.exp(min(prev - ik, 700.0)))
-        log_it[k] = wk + math.log1p(math.exp(min(ik - prev, 700.0)))
-        prev = log_j[k]
+    for lo in range(0, n, _CHUNK):
+        hi = lo + _CHUNK
+        js, its = [], []
+        for wk, ik in zip(log_w[lo:hi].tolist(), log_i[lo:hi].tolist()):
+            d = ik - prev
+            its.append(wk + log1p(exp(700.0 if d > 700.0 else d)))
+            d = prev - ik
+            prev = wk + log1p(exp(700.0 if d > 700.0 else d))
+            js.append(prev)
+        log_j[lo:hi] = js
+        log_it[lo:hi] = its
     log_wt = -np.logaddexp(-log_i, -np.concatenate(([log_j_seed], log_j[:-1])))
     return log_j, log_it, log_wt
 

@@ -75,16 +75,21 @@ def _to_unit(h: np.ndarray) -> np.ndarray:
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
-def _base_key(master_seed: int, stream_id: int) -> np.ndarray:
+def _base_key(master_seed: int, stream_id) -> np.ndarray:
     k = _mix64(_as_u64(master_seed))
     return _absorb(k, stream_id, _SALT_STREAM)
 
 
-def _event_keys(master_seed: int, stream_id: int, counter: int, n: int) -> np.ndarray:
-    """One uint64 key per element of a size-n draw event."""
+def _event_keys(master_seed: int, stream_id, counter: int, n: int) -> np.ndarray:
+    """One uint64 key per element of a size-n draw event.
+
+    stream_id may be an integer array; the keys then have its shape plus a
+    trailing axis of length n, and row s equals the keys of stream_id[s].
+    """
+    lead = np.shape(stream_id)
     k = _absorb(_base_key(master_seed, stream_id), counter, _SALT_EVENT)
     idx = np.arange(n, dtype=_U64)
-    return _absorb(np.broadcast_to(k, (n,)) ^ (idx * _GOLDEN), idx, _SALT_INDEX)
+    return _absorb(k.reshape(lead + (1,)) ^ (idx * _GOLDEN), idx, _SALT_INDEX)
 
 
 def _lane_uniforms(keys: np.ndarray, lane: int) -> np.ndarray:
@@ -123,17 +128,18 @@ class Rng:
         return _lane_uniforms(self._next_event(n), 0)
 
 
-def keys_for_sites(master_seed: int, stream_id: int, x, y) -> np.ndarray:
+def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:
     """uint64 keys for lattice sites (x, y), vectorized over coordinate arrays.
 
     A site's key depends only on (master_seed, stream_id, x, y), so any
     window over the lattice sees the same values: extension-consistency for
-    weight fields comes from here.
+    weight fields comes from here.  stream_id may be an integer array that
+    broadcasts against the coordinates.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64)).astype(_U64)
     ys = np.atleast_1d(np.asarray(y, dtype=np.int64)).astype(_U64)
-    xs, ys = np.broadcast_arrays(xs, ys)
-    base = np.broadcast_to(_base_key(master_seed, stream_id), xs.shape)
+    base = _base_key(master_seed, stream_id)
+    xs, ys, base = np.broadcast_arrays(xs, ys, base)
     return _absorb(_absorb(base, xs, _SALT_EVENT), ys, _SALT_INDEX)
 
 
@@ -182,14 +188,26 @@ def digamma(s: float) -> float:
     return acc + math.log(s) - 0.5 * inv - series
 
 
-def trigamma(s: float) -> float:
-    """psi_1(s) = psi_0'(s) for s > 0, strictly decreasing."""
-    s = _check_positive("s", s)
-    acc = 0.0
-    while s < 12.0:
-        acc += 1.0 / (s * s)
-        s += 1.0
-    inv = 1.0 / s
+def trigamma(s):
+    """psi_1(s) = psi_0'(s) for s > 0, strictly decreasing.
+
+    s may be an array; a scalar s returns a float.  Each element runs the
+    same recurrence shift and series as a scalar would.
+    """
+    arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if np.any(bad):
+        _check_positive("s", arr[bad][0])
+    acc = np.zeros_like(arr)
+    shift = arr < 12.0
+    # Lanes already past 12 are computed and discarded; their squares may
+    # overflow.
+    with np.errstate(over="ignore"):
+        while shift.any():
+            acc = np.where(shift, acc + 1.0 / (arr * arr), acc)
+            arr = np.where(shift, arr + 1.0, arr)
+            shift = arr < 12.0
+    inv = 1.0 / arr
     inv2 = inv * inv
     # 1/s + 1/(2 s^2) + sum_n B_{2n} / s^{2n+1}
     series = inv * inv2 * (
@@ -205,7 +223,8 @@ def trigamma(s: float) -> float:
             )
         )
     )
-    return acc + inv + 0.5 * inv2 + series
+    out = acc + inv + 0.5 * inv2 + series
+    return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
 def reg_inc_gamma(s: float, x: float) -> float:

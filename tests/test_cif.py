@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from busemann_lab.bruteforce import per_replica_ratio_samples
 from busemann_lab.busemann import parallel_chain
 from busemann_lab.cif import (
+    _BLOCK,
+    _ratio_samples,
     UniformField,
     WalkSpec,
     eta_cdf_estimate,
@@ -146,3 +149,25 @@ class TestAnnealedLaws:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             eta_cdf_estimate(2.0, 2.5, 100, Rng(master_seed=0))
+
+
+class TestBatchedReplicas:
+    """The blocked draw equals one stationary grid per replica, bit for bit."""
+
+    @pytest.mark.parametrize("replicas", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+    @pytest.mark.parametrize("indicator", [True, False])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_equals_per_replica(self, replicas, indicator, seed):
+        rng = Rng(master_seed=seed, stream_id=1)
+        got = _ratio_samples(2.0, 1.0, replicas, rng, indicator)
+        want = per_replica_ratio_samples(2.0, 1.0, replicas, rng, indicator)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("indicator", [True, False])
+    def test_spawned_64_bit_stream_id(self, indicator):
+        # stream_id << 22 overflows 64 bits; both paths wrap it mod 2^64.
+        rng = Rng(master_seed=7, stream_id=1).spawn(3)
+        assert rng.stream_id >= 1 << 62
+        got = _ratio_samples(3.0, 0.4, 300, rng, indicator)
+        want = per_replica_ratio_samples(3.0, 0.4, 300, rng, indicator)
+        assert np.array_equal(got, want)

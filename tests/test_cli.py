@@ -143,11 +143,28 @@ class TestExitCodes:
             ["calibrate-stats", "--trials", "0"],
             # Past 2**22 // 3 replicas the stream ids would alias.
             ["cif-eta", "--replicas", "1398102"],
+            ["stationary-cocycle", "--levels", "0"],
+            ["she-check", "--size", "0"],
+            ["check-intertwine", "--n", "0"],
+            ["check-inverse", "--n", "0"],
         ],
     )
     def test_config_errors_exit_2(self, runner, args):
         result = runner.invoke(cli.main, args)
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stationary-cocycle", "--levels", "0"],
+            ["she-check", "--size", "0"],
+            ["check-intertwine", "--n", "0"],
+        ],
+    )
+    def test_bad_count_names_the_option(self, runner, args):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{args[1]}'" in result.output
 
     def test_numerical_failure_exits_1(self, runner, monkeypatch):
         failing = [

@@ -4,9 +4,9 @@ Each case runs one ``busemann-lab`` command and compares the report it
 writes with ``--output`` to the file of the same name in
 ``tests/golden/``, byte for byte except the value of ``wall_time_s``,
 and requires the same exit code.  The cases are the configurations of
-``test_cli.py::TestExperimentRuns``, ``check-inverse`` at its defaults
-(which fails its inverse gaps, a known conditioning defect, and exits 1)
-and one CSV report.
+``test_cli.py::TestExperimentRuns``, ``check-inverse``, ``cif-eta`` and
+``cif-xi`` at their defaults (``check-inverse`` fails its inverse gaps, a
+known conditioning defect, and exits 1) and one CSV report.
 
 A change that means to alter the numerics regenerates the golden files
 with ``PYTHONPATH=src python tests/test_golden.py`` and explains in its
@@ -39,6 +39,8 @@ CASES = [
     ("she-check.json", ["she-check", "--size", "60"], 0),
     ("calibrate-stats.json", ["calibrate-stats", "--trials", "150", "--samples", "800"], 0),
     ("check-inverse-defaults.json", ["check-inverse"], 1),
+    ("cif-eta-defaults.json", ["cif-eta"], 0),
+    ("cif-xi-defaults.json", ["cif-xi"], 0),
     ("check-inverse.csv", ["check-inverse", "--format", "csv", "--alpha", "3.5",
                            "--rho", "0.5,1.5,2.5"], 0),
 ]

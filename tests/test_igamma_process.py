@@ -7,6 +7,7 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab.igamma_process import (
+    _legendre_nodes,
     batch_increment_sums,
     batch_jump_counts,
     expected_jump_count,
@@ -69,6 +70,14 @@ class TestQuadratures:
 
     def test_expected_count_empty_interval(self):
         assert expected_jump_count(2.0, 1.0, (0.5, 0.5)) == 0.0
+
+    def test_cached_nodes_are_shared_and_read_only(self):
+        x, w = _legendre_nodes(32)
+        assert _legendre_nodes(32)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 class TestSampler:

@@ -117,6 +117,26 @@ class TestUpdateRaw:
         with pytest.raises(ValueError):
             update_raw(np.zeros(3), np.zeros(4), 0.0)
 
+    def test_equals_elementwise_recursion(self):
+        # The recursion on numpy scalars with min(., 700) clamping, bit for
+        # bit, through gaps past the clamp, a NaN input and chunk borders.
+        n = 9000
+        rng = np.random.default_rng(2)
+        log_w = 400.0 * rng.normal(size=n)
+        log_i = 400.0 * rng.normal(size=n)
+        log_i[n - 5] = np.nan  # NaN propagates through J, so put it last
+        with np.errstate(invalid="ignore"):
+            log_j, log_it, _ = update_raw(log_w, log_i, 0.3)
+        want_j, want_it = np.empty(n), np.empty(n)
+        prev = 0.3
+        for k in range(n):
+            wk, ik = log_w[k], log_i[k]
+            want_j[k] = wk + math.log1p(math.exp(min(prev - ik, 700.0)))
+            want_it[k] = wk + math.log1p(math.exp(min(ik - prev, 700.0)))
+            prev = want_j[k]
+        assert np.array_equal(log_j, want_j, equal_nan=True)
+        assert np.array_equal(log_it, want_it, equal_nan=True)
+
 
 class TestUpdate:
     def test_seed_forgotten_past_burn_in(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from busemann_lab.special_functions import (
     Rng,
+    _event_keys,
     digamma,
     gamma_from_keys,
     keys_for_sites,
@@ -114,6 +115,67 @@ class TestRngDeterminism:
     def test_uniform_from_keys_deterministic(self):
         k = keys_for_sites(2, 7, 3, 4)
         assert uniform_from_keys(k) == uniform_from_keys(k)
+
+
+class TestStreamIdArrays:
+    SIDS = np.array([0, 1, 5, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+
+    def test_site_keys_equal_stacked_scalar_calls(self):
+        xs = np.arange(-3, 9)
+        got = keys_for_sites(4, self.SIDS[:, None], xs, 2)
+        want = np.stack([keys_for_sites(4, int(sid), xs, 2) for sid in self.SIDS])
+        assert got.shape == (self.SIDS.size, xs.size)
+        assert np.array_equal(got, want)
+
+    def test_event_keys_equal_stacked_scalar_calls(self):
+        got = _event_keys(4, self.SIDS, 3, 7)
+        want = np.stack([_event_keys(4, int(sid), 3, 7) for sid in self.SIDS])
+        assert got.shape == (self.SIDS.size, 7)
+        assert np.array_equal(got, want)
+
+
+def _scalar_trigamma(s: float) -> float:
+    """The scalar recurrence-and-series trigamma, the array version's oracle."""
+    acc = 0.0
+    while s < 12.0:
+        acc += 1.0 / (s * s)
+        s += 1.0
+    inv = 1.0 / s
+    inv2 = inv * inv
+    series = inv * inv2 * (
+        1.0 / 6.0
+        - inv2 * (
+            1.0 / 30.0
+            - inv2 * (
+                1.0 / 42.0
+                - inv2 * (
+                    1.0 / 30.0
+                    - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * 7.0 / 6.0))
+                )
+            )
+        )
+    )
+    return acc + inv + 0.5 * inv2 + series
+
+
+class TestArrayTrigamma:
+    GRID = np.concatenate((np.geomspace(1e-4, 1e3, 4001), np.linspace(0.01, 12.5, 999)))
+
+    def test_array_equals_scalar_recurrence(self):
+        want = np.array([_scalar_trigamma(float(v)) for v in self.GRID])
+        assert np.array_equal(trigamma(self.GRID), want)
+
+    def test_scalar_in_float_out(self):
+        got = trigamma(0.7)
+        assert type(got) is float
+        assert got == _scalar_trigamma(0.7)
+
+    def test_shape_and_domain(self):
+        assert trigamma(np.full((2, 3), 1.5)).shape == (2, 3)
+        with pytest.raises(ValueError):
+            trigamma(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            trigamma(np.array([np.nan]))
 
 
 class TestSamplerLaws:
