@@ -26,8 +26,8 @@ from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
 from .bruteforce import brute_force_log_partition, brute_force_ratio_array
-from .special_functions import (Rng, digamma, reg_inc_beta, reg_inc_gamma,
-                                sample_inverse_gamma, sample_poisson)
+from .special_functions import (Rng, _per_element, digamma, reg_inc_beta,
+                                reg_inc_gamma, sample_inverse_gamma, sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
@@ -197,24 +197,23 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
     return checks
 
 
-def _invgamma_cdf(shape: float):
-    def cdf(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        return 1.0 - reg_inc_gamma(shape, 1.0 / v)
+def _positive_cdf(f):
+    """Array CDF of a law on (0, inf): 0 where v <= 0, f(v) elsewhere."""
+    def cdf(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape)
+        pos = v > 0.0
+        out[pos] = f(v[pos])
+        return out
 
     return cdf
+
+
+def _invgamma_cdf(shape: float):
+    return _positive_cdf(lambda v: 1.0 - reg_inc_gamma(shape, 1.0 / v))
 
 
 def _beta_cdf(a: float, b: float):
-    def cdf(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        if v >= 1.0:
-            return 1.0
-        return reg_inc_beta(a, b, v)
-
-    return cdf
+    return lambda v: reg_inc_beta(a, b, np.clip(v, 0.0, 1.0))
 
 
 def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
@@ -349,7 +348,7 @@ def run_zero_temp(rho, samples, seed) -> list[dict]:
     )[:, 0]
     z0 = -np.log1p(-rng.spawn(2).uniforms(samples)) + inc
     rate = 1.0 - rho
-    r = ks_one_sample(z0, lambda v: -math.expm1(-rate * v) if v > 0 else 0.0)
+    r = ks_one_sample(z0, _positive_cdf(lambda v: -_per_element(math.expm1, -rate * v)))
     checks = [_pvalue(
         "zero-temp-marginal-ks", "exponential-limit-marginal", r.p_value
     )]
@@ -448,7 +447,7 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
     checks = []
     u = rng.spawn(1).uniforms(trials * samples).reshape(trials, samples)
     p_one = np.array([
-        ks_one_sample(u[t], lambda v: min(1.0, max(0.0, v))).p_value
+        ks_one_sample(u[t], lambda v: np.clip(v, 0.0, 1.0)).p_value
         for t in range(trials)
     ])
     a = rng.spawn(2).uniforms(trials * samples).reshape(trials, samples)
@@ -508,10 +507,14 @@ def _rhos(default: str, **kw) -> click.Option:
 
 
 COUNT = click.IntRange(min=1)
+# jump-count's dispersion test needs 2 counts, she-check a base inside its
+# grid (size // 2 >= 1) and a KS test 20 samples.
+COUNT2 = click.IntRange(min=2)
+KS_COUNT = click.IntRange(min=20)
 ALPHA = _opt("--alpha", 2.0)
 RHO = _opt("--rho", 1.0)
 N = _opt("--n", 3, type=COUNT)
-SAMPLES = _opt("--samples", 10000, type=COUNT)
+SAMPLES = _opt("--samples", 10000, type=KS_COUNT)
 REPLICAS = _opt("--replicas", 10000, type=COUNT)
 COMMON = (
     _opt("--format", "json", "fmt", type=click.Choice(["json", "csv"])),
@@ -556,11 +559,11 @@ EXPERIMENTS = (
     Experiment("ppp-busemann", "run_ppp_busemann",
                "Jump-process sampler reproduces the Busemann edge laws.",
                (ALPHA, _opt("--lam", 0.4), _opt("--rho", 1.2),
-                _opt("--samples", 100000, type=COUNT))),
+                _opt("--samples", 100000, type=KS_COUNT))),
     Experiment("jump-count", "run_jump_count",
                "Counts of large jumps match the intensity quadrature.",
                (ALPHA, _opt("--delta", 1.0), _opt("--s-lo", 0.0),
-                _opt("--s-hi", 1.0), SAMPLES)),
+                _opt("--s-hi", 1.0), _opt("--samples", 10000, type=COUNT2))),
     Experiment("zero-temp", "run_zero_temp",
                "Zero-temperature thinning coupling and its reparametrization bound.",
                (_opt("--rho", 0.5), SAMPLES)),
@@ -572,7 +575,7 @@ EXPERIMENTS = (
                (ALPHA, RHO, REPLICAS)),
     Experiment("she-check", "run_she_check",
                "Eternal solutions solve the discrete heat recursion exactly.",
-               (ALPHA, RHO, _opt("--size", 200, type=COUNT))),
+               (ALPHA, RHO, _opt("--size", 200, type=COUNT2))),
     Experiment("calibrate-stats", "run_calibrate_stats",
                "False-positive rates of the statistical tests at fixed seeds.",
                (_opt("--trials", 1000, type=COUNT), SAMPLES)),

@@ -25,6 +25,7 @@ import numpy as np
 
 from .special_functions import (
     Rng,
+    _per_element,
     reg_inc_gamma,
     sample_gamma,
     sample_poisson,
@@ -279,7 +280,7 @@ def scaled_log_invgamma_cdf(alpha: float, z) -> np.ndarray:
     """CDF of alpha log Ga^-1(alpha); tends to the Exp(1) CDF as alpha -> 0."""
     z = np.asarray(z, dtype=np.float64)
     x = np.exp(-z / alpha)
-    return 1.0 - np.vectorize(lambda v: reg_inc_gamma(alpha, v))(x)
+    return 1.0 - reg_inc_gamma(alpha, x)
 
 
 def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
@@ -289,11 +290,9 @@ def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
     z0 = -np.log(sample_gamma(rng.spawn(0), alpha, size=n))
     sums = batch_increment_sums(alpha, [rho], n, rng.spawn(1))[:, 0]
     z = z0 + sums
-
-    def cdf(v: float) -> float:
-        return 1.0 - reg_inc_gamma(alpha - rho, math.exp(-v))
-
-    return ks_one_sample(z, cdf)
+    return ks_one_sample(
+        z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _per_element(math.exp, -v))
+    )
 
 
 def jump_count(sample: JumpProcessSample, delta: float, s_interval) -> int:

@@ -10,6 +10,7 @@ Only numpy is used, for vectorized hashing and sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,11 +25,8 @@ __all__ = [
     "trigamma",
     "reg_inc_gamma",
     "reg_inc_beta",
-    "log_sum_exp",
     "sample_gamma",
     "sample_inverse_gamma",
-    "sample_beta",
-    "sample_exponential",
     "sample_poisson",
 ]
 
@@ -227,10 +225,31 @@ def trigamma(s):
     return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
-def reg_inc_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0."""
+def _per_element(f, x):
+    """f applied to every element of x as a Python float, keeping x's shape.
+
+    A scalar x returns f's float.  Each element goes through the same
+    scalar code (libm calls included) as a scalar call would, over
+    ``tolist()`` as in ``seqmaps.update_raw``.
+    """
+    # np.isscalar first: np.ndim alone costs a scalar call about 1.7 us.
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return f(float(x))
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.fromiter(map(f, arr.ravel().tolist()), np.float64, count=arr.size)
+    return out.reshape(arr.shape)
+
+
+def reg_inc_gamma(s: float, x):
+    """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
+
+    x may be an array (the result has its shape); a scalar x returns a float.
+    """
     s = _check_positive("s", s)
-    x = float(x)
+    return _per_element(functools.partial(_p_gamma, s), x)
+
+
+def _p_gamma(s: float, x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x must be a finite nonnegative real, got {x!r}")
     if x == 0.0:
@@ -307,11 +326,17 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     return h
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
+def reg_inc_beta(a: float, b: float, x):
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+
+    x may be an array (the result has its shape); a scalar x returns a float.
+    """
     a = _check_positive("a", a)
     b = _check_positive("b", b)
-    x = float(x)
+    return _per_element(functools.partial(_i_beta, a, b), x)
+
+
+def _i_beta(a: float, b: float, x: float) -> float:
     if not math.isfinite(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
@@ -327,23 +352,11 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
 
 
-def log_sum_exp(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; -inf acts as log 0."""
-    a = float(a)
-    b = float(b)
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    m = max(a, b)
-    return m + math.log1p(math.exp(min(a, b) - m))
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
 
-def gamma_from_keys(keys: np.ndarray, shape: float, lane0: int = 0) -> np.ndarray:
+def gamma_from_keys(keys: np.ndarray, shape: float) -> np.ndarray:
     """Vectorized Ga(shape, 1) draws, one per key.
 
     Marsaglia-Tsang squeeze/rejection for shape >= 1; shapes below 1 are
@@ -352,10 +365,11 @@ def gamma_from_keys(keys: np.ndarray, shape: float, lane0: int = 0) -> np.ndarra
     result is a pure function of the keys.
     """
     shape = _check_positive("shape", shape)
+    lane0 = 0
     boost = None
     if shape < 1.0:
-        boost = _lane_uniforms(keys, lane0)
-        lane0 += 1
+        boost = _lane_uniforms(keys, 0)
+        lane0 = 1
         shape = shape + 1.0
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -400,24 +414,6 @@ def sample_inverse_gamma(rng: Rng, shape: float, size: int | None = None):
     """Reciprocal of a Ga(shape) draw from the same stream position."""
     n = 1 if size is None else int(size)
     return _maybe_scalar(1.0 / gamma_from_keys(rng._next_event(n), shape), size)
-
-
-def sample_beta(rng: Rng, a: float, b: float, size: int | None = None):
-    """Beta(a, b) via the gamma ratio Ga(a) / (Ga(a) + Ga(b))."""
-    n = 1 if size is None else int(size)
-    keys = rng._next_event(n)
-    # Interleave the two gamma draws in disjoint lane blocks of one event.
-    ga = gamma_from_keys(keys, a, lane0=0)
-    gb = gamma_from_keys(keys, b, lane0=1 << 20)
-    return _maybe_scalar(ga / (ga + gb), size)
-
-
-def sample_exponential(rng: Rng, rate: float = 1.0, size: int | None = None):
-    """Exp(rate) draws."""
-    rate = _check_positive("rate", rate)
-    n = 1 if size is None else int(size)
-    u = _lane_uniforms(rng._next_event(n), 0)
-    return _maybe_scalar(-np.log(u) / rate, size)
 
 
 def sample_poisson(rng: Rng, mean, size: int | None = None):

@@ -50,17 +50,21 @@ def _ks_pvalue(d: float, n_eff: float) -> float:
     return _kolmogorov_sf((sqrt_n + 0.12 + 0.11 / sqrt_n) * d)
 
 
-def ks_one_sample(samples: Sequence[float], cdf: Callable[[float], float]) -> KsResult:
+def ks_one_sample(samples: Sequence[float],
+                  cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
     """Sup-distance between the empirical CDF of samples and a model CDF.
 
-    The model cdf must be nondecreasing with range in [0, 1]; p-values come
-    from the asymptotic Kolmogorov distribution and need n >= 20.
+    cdf is called once, on the sorted samples, and returns an array of their
+    shape, nondecreasing with range in [0, 1].  p-values come from the
+    asymptotic Kolmogorov distribution and need n >= 20.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = x.shape[0]
     if n < 20:
         raise ValueError(f"need at least 20 samples, got {n}")
-    f = np.array([cdf(v) for v in x], dtype=np.float64)
+    f = np.asarray(cdf(x), dtype=np.float64)
+    if f.shape != x.shape:
+        raise ValueError(f"cdf returned shape {f.shape} for samples of shape {x.shape}")
     if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12) or np.any(np.diff(f) < -1e-12):
         raise ValueError("cdf must be nondecreasing with values in [0, 1]")
     grid = np.arange(1, n + 1, dtype=np.float64) / n
@@ -97,10 +101,6 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float(da @ db) / denom
 
 
-def _chi2_cdf(x: float, dof: float) -> float:
-    return reg_inc_gamma(dof / 2.0, x / 2.0)
-
-
 def poisson_dispersion(counts: Sequence[int], mean: float) -> float:
     """Two-sided chi-square dispersion p-value for Poisson counts.
 
@@ -114,5 +114,6 @@ def poisson_dispersion(counts: Sequence[int], mean: float) -> float:
     if mean <= 0.0:
         raise ValueError("mean must be positive")
     stat = float(np.sum((c - mean) ** 2) / mean)
-    lower = _chi2_cdf(stat, c.shape[0])
+    # The chi-square CDF with n degrees of freedom.
+    lower = reg_inc_gamma(c.shape[0] / 2.0, stat / 2.0)
     return min(1.0, 2.0 * min(lower, 1.0 - lower))

@@ -361,7 +361,7 @@ def test_statistical_test_calibration():
     rng = Rng(master_seed=116)
     u = rng.spawn(1).uniforms(trials * n).reshape(trials, n)
     p_one = np.array([
-        ks_one_sample(u[t], lambda v: min(1.0, max(0.0, v))).p_value
+        ks_one_sample(u[t], lambda v: np.clip(v, 0.0, 1.0)).p_value
         for t in range(trials)
     ])
     a = rng.spawn(2).uniforms(trials * n).reshape(trials, n)

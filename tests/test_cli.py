@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -147,6 +148,11 @@ class TestExitCodes:
             ["she-check", "--size", "0"],
             ["check-intertwine", "--n", "0"],
             ["check-inverse", "--n", "0"],
+            ["zero-temp", "--samples", "5"],
+            ["calibrate-stats", "--samples", "5"],
+            ["ppp-busemann", "--samples", "10"],
+            ["jump-count", "--samples", "1"],
+            ["she-check", "--size", "1"],
         ],
     )
     def test_config_errors_exit_2(self, runner, args):
@@ -159,6 +165,11 @@ class TestExitCodes:
             ["stationary-cocycle", "--levels", "0"],
             ["she-check", "--size", "0"],
             ["check-intertwine", "--n", "0"],
+            ["zero-temp", "--samples", "5"],
+            ["calibrate-stats", "--samples", "5"],
+            ["ppp-busemann", "--samples", "10"],
+            ["jump-count", "--samples", "1"],
+            ["she-check", "--size", "1"],
         ],
     )
     def test_bad_count_names_the_option(self, runner, args):
@@ -192,3 +203,43 @@ class TestExitCodes:
             cli.main.main(["check-intertwine"], standalone_mode=False)
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 1
+
+
+class TestArrayCdfs:
+    """The array CDFs equal the per-sample closures they replaced."""
+
+    V = np.concatenate((
+        [-1.0, -0.0, 0.0, 1e-300, 1.0, 1.5, 40.0], np.linspace(-0.5, 3.0, 701),
+    ))
+
+    @staticmethod
+    def scalar_beta_cdf(a, b):
+        def cdf(v):
+            if v <= 0.0:
+                return 0.0
+            if v >= 1.0:
+                return 1.0
+            return cli.reg_inc_beta(a, b, v)
+
+        return cdf
+
+    @staticmethod
+    def scalar_invgamma_cdf(shape):
+        def cdf(v):
+            if v <= 0.0:
+                return 0.0
+            return 1.0 - cli.reg_inc_gamma(shape, 1.0 / v)
+
+        return cdf
+
+    @pytest.mark.parametrize("a,b", [(0.8, 1.2), (1.0, 0.6), (3.0, 0.5)])
+    def test_beta_cdf(self, a, b):
+        oracle = self.scalar_beta_cdf(a, b)
+        want = np.array([oracle(v) for v in self.V])
+        assert np.array_equal(cli._beta_cdf(a, b)(self.V), want)
+
+    @pytest.mark.parametrize("shape", [0.4, 1.0, 2.5])
+    def test_invgamma_cdf(self, shape):
+        oracle = self.scalar_invgamma_cdf(shape)
+        want = np.array([oracle(v) for v in self.V])
+        assert np.array_equal(cli._invgamma_cdf(shape)(self.V), want)

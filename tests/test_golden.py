@@ -4,9 +4,9 @@ Each case runs one ``busemann-lab`` command and compares the report it
 writes with ``--output`` to the file of the same name in
 ``tests/golden/``, byte for byte except the value of ``wall_time_s``,
 and requires the same exit code.  The cases are the configurations of
-``test_cli.py::TestExperimentRuns``, ``check-inverse``, ``cif-eta`` and
-``cif-xi`` at their defaults (``check-inverse`` fails its inverse gaps, a
-known conditioning defect, and exits 1) and one CSV report.
+``test_cli.py::TestExperimentRuns``, eight experiments at their defaults
+(``check-inverse`` fails its inverse gaps, a known conditioning defect,
+and exits 1) and one CSV report.
 
 A change that means to alter the numerics regenerates the golden files
 with ``PYTHONPATH=src python tests/test_golden.py`` and explains in its
@@ -41,6 +41,11 @@ CASES = [
     ("check-inverse-defaults.json", ["check-inverse"], 1),
     ("cif-eta-defaults.json", ["cif-eta"], 0),
     ("cif-xi-defaults.json", ["cif-xi"], 0),
+    ("stationary-cocycle-defaults.json", ["stationary-cocycle"], 0),
+    ("parallel-chain-defaults.json", ["parallel-chain"], 0),
+    ("jump-count-defaults.json", ["jump-count"], 0),
+    ("check-intertwine-defaults.json", ["check-intertwine"], 0),
+    ("she-check-defaults.json", ["she-check"], 0),
     ("check-inverse.csv", ["check-inverse", "--format", "csv", "--alpha", "3.5",
                            "--rho", "0.5,1.5,2.5"], 0),
 ]

@@ -14,7 +14,7 @@ class TestKsOneSample:
     def test_matches_scipy_on_uniforms(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(size=5000)
-        ours = ks_one_sample(x, lambda v: min(1.0, max(0.0, v)))
+        ours = ks_one_sample(x, lambda v: np.clip(v, 0.0, 1.0))
         ref = st.kstest(x, "uniform")
         assert ours.statistic == pytest.approx(ref.statistic, abs=1e-12)
         assert ours.p_value == pytest.approx(ref.pvalue, abs=5e-3)
@@ -33,6 +33,23 @@ class TestKsOneSample:
         x = np.linspace(0.1, 0.9, 50)
         with pytest.raises(ValueError):
             ks_one_sample(x, lambda v: 1.0 - v)  # decreasing
+
+    def test_cdf_called_once_on_sorted_samples(self):
+        x = np.random.default_rng(3).uniform(size=300)
+        calls = []
+
+        def cdf(v):
+            calls.append(v.copy())
+            return v
+
+        ks_one_sample(x, cdf)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.sort(x))
+
+    def test_scalar_cdf_result_error(self):
+        # A per-sample callback returns one float for the whole array.
+        with pytest.raises(ValueError, match="shape"):
+            ks_one_sample(np.linspace(0.1, 0.9, 20), lambda v: 0.5)
 
 
 class TestKsTwoSample:
