@@ -355,9 +355,7 @@ def run_zero_temp(rho, samples, seed) -> list[dict]:
     alphas = (0.5, 0.2, 0.1)
     n_rep = min(samples, 400)
     sums = {a: 0.0 for a in alphas}
-    sub = rng.spawn(3)
-    for i in range(n_rep):
-        samp = ig.sample_ppp(1.0, rho, rng=sub.spawn(i))
+    for samp in ig.sample_ppp_replicas(1.0, rho, n_rep, rng.spawn(3)):
         for a in alphas:
             _, za, zz = ig.zero_temp_couple(samp, a)
             sums[a] += float(np.max(za - zz))
@@ -609,7 +607,24 @@ def _command(exp: Experiment) -> click.Command:
                          params=[*exp.options, *COMMON], help=exp.help)
 
 
-@click.group()
+class _Group(click.Group):
+    """A group whose configuration errors exit 2 in-process as well.
+
+    In standalone mode click prints a usage error and exits 2; with
+    ``standalone_mode=False`` it re-raises the error instead, so an
+    in-process caller could not tell it from a crash.  Here both modes
+    print the same message and raise SystemExit with the error's code.
+    """
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **kwargs)
+        except click.ClickException as exc:
+            exc.show()
+            sys.exit(exc.exit_code)
+
+
+@click.group(cls=_Group)
 def main():
     """Experiments for the inverse-gamma polymer's Busemann process."""
 

@@ -25,17 +25,23 @@ import numpy as np
 
 from .special_functions import (
     Rng,
+    _event_keys,
     _per_element,
+    _spawn_ids,
+    gamma_from_keys,
+    poisson_from_keys,
     reg_inc_gamma,
     sample_gamma,
     sample_poisson,
     trigamma,
+    uniform_from_keys,
 )
 from .stats import KsResult, ks_one_sample
 
 __all__ = [
     "JumpProcessSample",
     "sample_ppp",
+    "sample_ppp_replicas",
     "trajectory",
     "marginal_check",
     "jump_count",
@@ -141,6 +147,21 @@ def small_jump_compensator(
     return _gauss_legendre(inner, 0.0, y_min, order=32)
 
 
+def _band_proposals(
+    alpha: float, rho_max: float, a: float, b: float, us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, y, keep) of the envelope points of band [a, b) from (3, k) uniforms.
+
+    Row 0 places y, row 1 places s and row 2 decides acceptance.
+    """
+    y = a + (b - a) * us[0]
+    # s has density proportional to e^{b s} on (0, rho_max]
+    s = np.log1p(us[1] * np.expm1(b * rho_max)) / b
+    # accept with probability sigma(s, y) / (g(a) e^{b s})
+    log_ratio = _log_g(y, alpha) + y * s - _log_g(np.full_like(y, a), alpha) - b * s
+    return s, y, us[2] < np.exp(log_ratio)
+
+
 def _accepted_points(
     alpha: float, rho_max: float, y_min: float, n: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -154,16 +175,9 @@ def _accepted_points(
         if k == 0:
             continue
         sub = rng.spawn(2 * band + 2)
-        us = sub.uniforms(3 * k).reshape(3, k)
-        y = a[band] + (b[band] - a[band]) * us[0]
-        # s has density proportional to e^{b s} on (0, rho_max]
-        s = np.log1p(us[1] * np.expm1(b[band] * rho_max)) / b[band]
-        # accept with probability sigma(s, y) / (g(a) e^{b s})
-        log_ratio = (
-            _log_g(y, alpha) + y * s - _log_g(np.full_like(y, a[band]), alpha)
-            - b[band] * s
+        s, y, keep = _band_proposals(
+            alpha, rho_max, a[band], b[band], sub.uniforms(3 * k).reshape(3, k)
         )
-        keep = us[2] < np.exp(log_ratio)
         if not np.any(keep):
             continue
         owner = np.repeat(np.arange(n), counts)
@@ -183,6 +197,15 @@ def _accepted_points(
     )
 
 
+def _check_ppp(alpha: float, rho_max: float, y_min: float) -> None:
+    if not (0.0 < rho_max < alpha):
+        raise ValueError("need 0 < rho_max < alpha")
+    if y_min <= 0.0:
+        raise ValueError(
+            "infinite mass: y_min = 0 requires the compensated small-jump policy"
+        )
+
+
 def sample_ppp(
     alpha: float,
     rho_max: float,
@@ -190,12 +213,7 @@ def sample_ppp(
     rng: Rng | None = None,
 ) -> JumpProcessSample:
     """Draw one marked realization of the jump process on (0, rho_max]."""
-    if not (0.0 < rho_max < alpha):
-        raise ValueError("need 0 < rho_max < alpha")
-    if y_min <= 0.0:
-        raise ValueError(
-            "infinite mass: y_min = 0 requires the compensated small-jump policy"
-        )
+    _check_ppp(alpha, rho_max, y_min)
     if rng is None:
         raise ValueError("an Rng is required")
     z0 = -math.log(sample_gamma(rng.spawn(0), alpha))
@@ -210,6 +228,66 @@ def sample_ppp(
         rho_max=rho_max,
         y_min=y_min,
     )
+
+
+def sample_ppp_replicas(
+    alpha: float,
+    rho_max: float,
+    n: int,
+    rng: Rng,
+    y_min: float = _DEFAULT_Y_MIN,
+) -> list[JumpProcessSample]:
+    """n independent realizations of the jump process, drawn together.
+
+    Replica i is bit for bit ``sample_ppp(alpha, rho_max, y_min,
+    rng.spawn(i))``.  Every draw is a pure hash of (seed, stream id, counter), so the
+    replicas' draws are made from one array of child stream ids: each
+    band takes one Poisson call over the n replicas and one key
+    derivation each for the uniforms and the marks of all their points.
+    """
+    _check_ppp(alpha, rho_max, y_min)
+    seed = rng.master_seed
+    ids = _spawn_ids(rng.stream_id, np.arange(n, dtype=np.uint64))
+    z0_keys = _event_keys(seed, _spawn_ids(ids, 0), 0, 1).ravel()
+    z0 = [-math.log(g) for g in gamma_from_keys(z0_keys, alpha).tolist()]
+    a, b = _bands(alpha, rho_max, y_min)
+    masses = _band_masses(alpha, rho_max, a, b)
+    empty = np.empty(0)
+    parts = [(np.empty(0, dtype=np.int64), empty, empty, empty)]
+    for band in range(a.shape[0]):
+        count_keys = _event_keys(seed, _spawn_ids(ids, 2 * band + 1), 0, 1).ravel()
+        counts = poisson_from_keys(count_keys, masses[band])
+        k = int(counts.sum())
+        if k == 0:
+            continue
+        # Point j of replica r is element j of its event's 3 c_r uniforms
+        # for y, c_r + j for s and 2 c_r + j for acceptance, then element
+        # j of its next event for the mark, as in _accepted_points.
+        owner = np.repeat(np.arange(n), counts)
+        c = counts[owner]
+        j = np.arange(k) - np.repeat(np.cumsum(counts) - counts, counts)
+        sub_ids = _spawn_ids(ids, 2 * band + 2)[owner]
+        idx = np.concatenate((j, c + j, 2 * c + j))
+        keys = _event_keys(seed, np.tile(sub_ids, 3), 0, idx)
+        s, y, keep = _band_proposals(
+            alpha, rho_max, a[band], b[band], uniform_from_keys(keys).reshape(3, k)
+        )
+        if not np.any(keep):
+            continue
+        marks = uniform_from_keys(_event_keys(seed, sub_ids[keep], 1, j[keep]))
+        parts.append((owner[keep], s[keep], y[keep], marks))
+    owner, s, y, u = (np.concatenate(p) for p in zip(*parts))
+    # Sorting by (owner, s) is each replica's stable sort by s.
+    order = np.lexsort((s, owner))
+    owner, s, y, u = owner[order], s[order], y[order], u[order]
+    ends = np.searchsorted(owner, np.arange(n + 1))
+    return [
+        JumpProcessSample(
+            alpha=alpha, z0=z0[r], s=s[lo:hi], y=y[lo:hi], u=u[lo:hi],
+            rho_max=rho_max, y_min=y_min,
+        )
+        for r, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist()))
+    ]
 
 
 def trajectory(sample: JumpProcessSample, rho: float) -> float:

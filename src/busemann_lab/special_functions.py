@@ -21,6 +21,7 @@ __all__ = [
     "keys_for_sites",
     "uniform_from_keys",
     "gamma_from_keys",
+    "poisson_from_keys",
     "digamma",
     "trigamma",
     "reg_inc_gamma",
@@ -78,16 +79,33 @@ def _base_key(master_seed: int, stream_id) -> np.ndarray:
     return _absorb(k, stream_id, _SALT_STREAM)
 
 
-def _event_keys(master_seed: int, stream_id, counter: int, n: int) -> np.ndarray:
+def _event_keys(master_seed: int, stream_id, counter: int, n) -> np.ndarray:
     """One uint64 key per element of a size-n draw event.
 
     stream_id may be an integer array; the keys then have its shape plus a
     trailing axis of length n, and row s equals the keys of stream_id[s].
+
+    n may instead be an integer array of element indices, against which
+    stream_id broadcasts: key i is then element n[i] of stream_id[i]'s
+    event.  This draws ragged events of many streams in one call.
     """
-    lead = np.shape(stream_id)
     k = _absorb(_base_key(master_seed, stream_id), counter, _SALT_EVENT)
-    idx = np.arange(n, dtype=_U64)
-    return _absorb(k.reshape(lead + (1,)) ^ (idx * _GOLDEN), idx, _SALT_INDEX)
+    if isinstance(n, np.ndarray):
+        idx = n.astype(_U64)
+    else:
+        idx = np.arange(n, dtype=_U64)
+        k = k.reshape(np.shape(stream_id) + (1,))
+    return _absorb(k ^ (idx * _GOLDEN), idx, _SALT_INDEX)
+
+
+def _spawn_ids(stream_id, substream) -> np.ndarray:
+    """Stream ids of the children (stream_id, substream), as uint64.
+
+    Either argument may be an integer array; the result has their
+    broadcast shape (at least 1-d).  ``Rng.spawn`` takes its child's id
+    from here.
+    """
+    return _absorb(_as_u64(stream_id), substream, _SALT_STREAM)
 
 
 def _lane_uniforms(keys: np.ndarray, lane: int) -> np.ndarray:
@@ -111,8 +129,7 @@ class Rng:
 
     def spawn(self, substream: int) -> "Rng":
         """Derive an independent stream keyed by (stream_id, substream)."""
-        child = _absorb(_as_u64(self.stream_id), substream, _SALT_STREAM)
-        return Rng(self.master_seed, int(child[0]), 0)
+        return Rng(self.master_seed, int(_spawn_ids(self.stream_id, substream)[0]), 0)
 
     def _next_event(self, n: int) -> np.ndarray:
         keys = _event_keys(self.master_seed, self.stream_id, self.counter, n)
@@ -186,13 +203,41 @@ def digamma(s: float) -> float:
     return acc + math.log(s) - 0.5 * inv - series
 
 
+def _trigamma_series(inv, inv2):
+    """sum_n B_{2n} / s^{2n+1} from inv = 1/s and inv2 = 1/s^2 (floats or arrays)."""
+    return inv * inv2 * (
+        1.0 / 6.0
+        - inv2 * (
+            1.0 / 30.0
+            - inv2 * (
+                1.0 / 42.0
+                - inv2 * (
+                    1.0 / 30.0
+                    - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * 7.0 / 6.0))
+                )
+            )
+        )
+    )
+
+
 def trigamma(s):
     """psi_1(s) = psi_0'(s) for s > 0, strictly decreasing.
 
-    s may be an array; a scalar s returns a float.  Each element runs the
-    same recurrence shift and series as a scalar would.
+    s may be an array; a scalar s returns a float and runs on Python
+    floats.  Each array element runs the same recurrence shift and series
+    as a scalar would, so both paths give the same bits.
     """
-    arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    if np.isscalar(s) or np.ndim(s) == 0:
+        x = _check_positive("s", s)
+        acc = 0.0
+        while x < 12.0:
+            acc += 1.0 / (x * x)
+            x += 1.0
+        inv = 1.0 / x
+        inv2 = inv * inv
+        # 1/s + 1/(2 s^2) + sum_n B_{2n} / s^{2n+1}
+        return acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
+    arr = np.asarray(s, dtype=np.float64)
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if np.any(bad):
         _check_positive("s", arr[bad][0])
@@ -207,22 +252,7 @@ def trigamma(s):
             shift = arr < 12.0
     inv = 1.0 / arr
     inv2 = inv * inv
-    # 1/s + 1/(2 s^2) + sum_n B_{2n} / s^{2n+1}
-    series = inv * inv2 * (
-        1.0 / 6.0
-        - inv2 * (
-            1.0 / 30.0
-            - inv2 * (
-                1.0 / 42.0
-                - inv2 * (
-                    1.0 / 30.0
-                    - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * 7.0 / 6.0))
-                )
-            )
-        )
-    )
-    out = acc + inv + 0.5 * inv2 + series
-    return float(out[0]) if np.ndim(s) == 0 else out.reshape(np.shape(s))
+    return acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
 
 
 def _per_element(f, x):
@@ -416,20 +446,19 @@ def sample_inverse_gamma(rng: Rng, shape: float, size: int | None = None):
     return _maybe_scalar(1.0 / gamma_from_keys(rng._next_event(n), shape), size)
 
 
-def sample_poisson(rng: Rng, mean, size: int | None = None):
-    """Poisson draws by inversion (product of uniforms); mean may be an array.
+def poisson_from_keys(keys: np.ndarray, mean) -> np.ndarray:
+    """Poisson draws by inversion (product of uniforms), one per key.
 
-    Intended for the modest means that arise in point-process band sampling;
-    cost grows linearly with the mean.
+    mean is a scalar or an array of the keys' length.  Key i multiplies
+    the uniforms of its lanes 0, 1, ... until the product falls to
+    e^{-mean}, so the result is a pure function of the keys.  Intended
+    for the modest means that arise in point-process band sampling; cost
+    grows linearly with the mean.
     """
-    means = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    n = means.shape[0] if size is None else int(size)
-    if means.shape[0] not in (1, n):
-        raise ValueError("mean must be scalar or of length size")
-    means = np.broadcast_to(means, (n,))
+    n = keys.shape[0]
+    means = np.broadcast_to(np.asarray(mean, dtype=np.float64), (n,))
     if np.any(means < 0.0) or not np.all(np.isfinite(means)):
         raise ValueError("Poisson mean must be finite and nonnegative")
-    keys = rng._next_event(n)
     limit = np.exp(-means)
     prod = np.ones(n)
     counts = np.full(n, -1, dtype=np.int64)
@@ -443,6 +472,16 @@ def sample_poisson(rng: Rng, mean, size: int | None = None):
         lane += 1
         if lane > 100000:  # pragma: no cover
             raise RuntimeError("Poisson sampler failed to terminate")
+    return counts
+
+
+def sample_poisson(rng: Rng, mean, size: int | None = None):
+    """Poisson draws from one event of the stream; mean may be an array."""
+    means = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+    n = means.shape[0] if size is None else int(size)
+    if means.shape[0] not in (1, n):
+        raise ValueError("mean must be scalar or of length size")
+    counts = poisson_from_keys(rng._next_event(n), means)
     if size is None and np.isscalar(mean):
         return int(counts[0])
     return counts

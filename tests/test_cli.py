@@ -204,6 +204,24 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["parallel-chain", "--rho", "0.5,1.0,1.5"],
+        ["zero-temp", "--samples", "5"],
+    ])
+    def test_in_process_configuration_error_exits_2(self, argv, capsys):
+        # Same exit code and message in-process as in standalone mode.
+        errors = []
+        for standalone in (True, False):
+            with pytest.raises(SystemExit) as exc:
+                cli.main.main(argv, prog_name="busemann-lab",
+                              standalone_mode=standalone)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "Error: " in errors[1]
+
 
 class TestArrayCdfs:
     """The array CDFs equal the per-sample closures they replaced."""

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from busemann_lab.igamma_process import (
     pos_temp_keep_prob,
     reparam_bound,
     sample_ppp,
+    sample_ppp_replicas,
     scaled_log_invgamma_cdf,
     small_jump_compensator,
     trajectory,
@@ -116,6 +118,66 @@ class TestSampler:
         assert n == int(np.sum(smp.y >= 0.5))
         with pytest.raises(ValueError):
             jump_count(smp, 0.0, (0.0, 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _replica_reference(alpha, rho, seed, stream_id, i):
+    return sample_ppp(alpha, rho, rng=Rng(seed, stream_id).spawn(i))
+
+
+class TestReplicaPpp:
+    """sample_ppp_replicas against sample_ppp on rng.spawn(i), bit for bit.
+
+    One reference replica takes about 15 ms, so batches of 257 and 400
+    are compared at every 25th replica and the last two; the other
+    replicas are compared with a smaller batch, and the
+    zero-temp-defaults golden report covers all 400 replicas of
+    zero-temp's own configuration end to end.
+    """
+
+    @staticmethod
+    def assert_equal_to_reference(got, alpha, rho, seed, stream_id, indices):
+        for i in indices:
+            want = _replica_reference(alpha, rho, seed, stream_id, i)
+            assert got[i].z0 == want.z0
+            assert (got[i].alpha, got[i].rho_max) == (alpha, rho)
+            assert got[i].y_min == want.y_min
+            for name in ("s", "y", "u"):
+                assert np.array_equal(getattr(got[i], name), getattr(want, name))
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("alpha, rho", [(1.0, 0.5), (2.0, 1.2), (0.7, 0.3)])
+    @pytest.mark.parametrize("n", [1, 2, 257, 400])
+    def test_replicas_equal_sample_ppp(self, n, alpha, rho, seed):
+        got = sample_ppp_replicas(alpha, rho, n, Rng(seed, 3))
+        assert len(got) == n
+        indices = range(n) if n <= 2 else [*range(0, n, 25), n - 2, n - 1]
+        self.assert_equal_to_reference(got, alpha, rho, seed, 3, indices)
+
+    def test_replicas_do_not_depend_on_the_batch_size(self):
+        small = sample_ppp_replicas(2.0, 1.2, 257, Rng(11, 3))
+        large = sample_ppp_replicas(2.0, 1.2, 400, Rng(11, 3))
+        for a, b in zip(small, large):
+            assert a.z0 == b.z0
+            assert np.array_equal(a.s, b.s) and np.array_equal(a.y, b.y)
+            assert np.array_equal(a.u, b.u)
+
+    def test_64_bit_stream_id(self):
+        sid = 2**62 + 5
+        got = sample_ppp_replicas(1.0, 0.5, 20, Rng(7, sid))
+        self.assert_equal_to_reference(got, 1.0, 0.5, 7, sid, range(20))
+
+    def test_mostly_empty_replicas(self):
+        got = sample_ppp_replicas(1.0, 0.01, 60, Rng(7, 9))
+        assert sum(r.s.size == 0 for r in got) > 30
+        self.assert_equal_to_reference(got, 1.0, 0.01, 7, 9, range(60))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sample_ppp_replicas(2.0, 2.5, 3, Rng(master_seed=0))
+        with pytest.raises(ValueError, match="infinite mass"):
+            sample_ppp_replicas(2.0, 1.0, 3, Rng(master_seed=0), y_min=0.0)
+        assert sample_ppp_replicas(2.0, 1.0, 0, Rng(master_seed=0)) == []
 
 
 class TestBatchStatistics:

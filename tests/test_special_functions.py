@@ -8,9 +8,11 @@ import scipy.stats as st
 from busemann_lab.special_functions import (
     Rng,
     _event_keys,
+    _spawn_ids,
     digamma,
     gamma_from_keys,
     keys_for_sites,
+    poisson_from_keys,
     reg_inc_beta,
     reg_inc_gamma,
     sample_gamma,
@@ -115,6 +117,24 @@ class TestStreamIdArrays:
         assert got.shape == (self.SIDS.size, 7)
         assert np.array_equal(got, want)
 
+    def test_event_keys_at_index_arrays_equal_whole_events(self):
+        # A ragged draw: stream s takes elements idx[owner == s].
+        owner = np.array([0, 0, 2, 4, 4, 4, 1])
+        idx = np.array([5, 0, 3, 0, 6, 2, 1])
+        got = _event_keys(4, self.SIDS[owner], 3, idx)
+        want = _event_keys(4, self.SIDS, 3, 7)[owner, idx]
+        assert np.array_equal(got, want)
+        assert np.array_equal(_event_keys(4, 9, 3, idx), _event_keys(4, 9, 3, 7)[idx])
+
+    def test_spawn_ids_equal_spawned_streams(self):
+        subs = np.array([0, 1, 2, 399, 2**40], dtype=np.uint64)
+        for sid in self.SIDS:
+            got = _spawn_ids(int(sid), subs)
+            want = [Rng(1, int(sid)).spawn(int(s)).stream_id for s in subs]
+            assert got.tolist() == want
+        want = [Rng(1, int(sid)).spawn(6).stream_id for sid in self.SIDS]
+        assert _spawn_ids(self.SIDS, 6).tolist() == want
+
 
 def _scalar_trigamma(s: float) -> float:
     """The scalar recurrence-and-series trigamma, the array version's oracle."""
@@ -146,6 +166,11 @@ class TestArrayTrigamma:
     def test_array_equals_scalar_recurrence(self):
         want = np.array([_scalar_trigamma(float(v)) for v in self.GRID])
         assert np.array_equal(trigamma(self.GRID), want)
+
+    def test_scalar_path_equals_array_path(self):
+        got = np.array([trigamma(float(v)) for v in self.GRID])
+        assert np.array_equal(got, trigamma(self.GRID))
+        assert trigamma(np.float64(0.7)) == trigamma(np.array([0.7]))[0]
 
     def test_scalar_in_float_out(self):
         got = trigamma(0.7)
@@ -229,6 +254,26 @@ class TestSamplerLaws:
         r = Rng(master_seed=17)
         assert isinstance(sample_gamma(r, 2.0), float)
         assert isinstance(sample_poisson(Rng(master_seed=17), 2.0), int)
+
+    @pytest.mark.parametrize("mean", [0.0, 0.3, 3.7, 40.0])
+    def test_poisson_from_keys_equals_sample_poisson(self, mean):
+        want = sample_poisson(Rng(15, 4, 2), mean, size=500)
+        got = poisson_from_keys(_event_keys(15, 4, 2, 500), mean)
+        assert np.array_equal(got, want)
+
+    def test_poisson_from_keys_vector_means(self):
+        means = np.tile([0.0, 0.5, 4.0], 100)
+        want = sample_poisson(Rng(master_seed=16), means, size=300)
+        got = poisson_from_keys(_event_keys(16, 0, 0, 300), means)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -1.0, -1e-300])
+    def test_poisson_from_keys_rejects_bad_means(self, mean):
+        keys = _event_keys(1, 0, 0, 3)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            poisson_from_keys(keys, mean)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            poisson_from_keys(keys, np.array([1.0, mean, 2.0]))
 
     def test_gamma_from_keys_pure(self):
         keys = keys_for_sites(3, 0, np.arange(100), np.arange(100))
