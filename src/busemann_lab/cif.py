@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .busemann import CocycleGrid, _margin
-from .lattice import Direction, RhoParam, WeightField, rho_to_xi
+from .lattice import (
+    Direction,
+    RhoParam,
+    WeightField,
+    _log_partition_table,
+    rho_to_xi,
+)
 from .seqmaps import update_raw
 from .special_functions import (
     Rng,
@@ -82,21 +88,9 @@ def finite_coupled_walk(field: WeightField, uf: UniformField, u, v) -> list:
     if m < 0 or n < 0 or (m == 0 and n == 0):
         raise ValueError(f"unordered endpoints: {u!r} !< {v!r}")
     w = field.log_weight_block((u1, u2), (m + 1, n + 1))
-    # log Z_{x, v} excluding the weight at x, by the backward recursion.
-    logz = np.full((m + 1, n + 1), -np.inf)
-    logz[m, n] = 0.0
-    for d in range(m + n - 1, -1, -1):
-        i = np.arange(max(0, d - n), min(m, d) + 1)
-        j = d - i
-        right = np.full(i.shape, -np.inf)
-        up = np.full(i.shape, -np.inf)
-        has_right = i < m
-        has_up = j < n
-        right[has_right] = (
-            logz[i[has_right] + 1, j[has_right]] + w[i[has_right] + 1, j[has_right]]
-        )
-        up[has_up] = logz[i[has_up], j[has_up] + 1] + w[i[has_up], j[has_up] + 1]
-        logz[i, j] = np.logaddexp(right, up)
+    # logz[x] = log Z_{x, v} - log W_v + log W_x: the forward table of
+    # the reversed block, read back in the block's own orientation.
+    logz = _log_partition_table(w[::-1, ::-1], False)[::-1, ::-1]
     path = [(u1, u2)]
     i, j = 0, 0
     while (i, j) != (m, n):
@@ -105,7 +99,7 @@ def finite_coupled_walk(field: WeightField, uf: UniformField, u, v) -> list:
         elif j == n:
             i += 1
         else:
-            p_e1 = math.exp(w[i + 1, j] + logz[i + 1, j] - logz[i, j])
+            p_e1 = math.exp(logz[i + 1, j] - logz[i, j] + w[i, j])
             if uf.uniform((u1 + i, u2 + j)) < p_e1:
                 i += 1
             else:

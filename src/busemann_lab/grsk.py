@@ -167,7 +167,7 @@ def array_network_step(
     return new_z.entries, dual
 
 
-def build_triangular(inputs: SeqTuple, burn_in: int | None = None) -> TriangularArray:
+def build_triangular(inputs: SeqTuple) -> TriangularArray:
     """Build the update-map triangular array over a tuple of windows.
 
     X^{i,1} = I^i; X^{i,j} = D(V^{i-1,j-1}, X^{i,j-1}) and V^{i,j-1} =
@@ -188,11 +188,7 @@ def build_triangular(inputs: SeqTuple, burn_in: int | None = None) -> Triangular
             i_win = x[i, j - 1]
             lo = max(w_win.lo, i_win.lo)
             try:
-                out = update(
-                    w_win.restrict(lo, w_win.hi),
-                    i_win.restrict(lo, i_win.hi),
-                    burn_in=burn_in,
-                )
+                out = update(w_win.restrict(lo, w_win.hi), i_win.restrict(lo, i_win.hi))
             except ValueError as exc:
                 if "window too short" in str(exc):
                     raise ValueError(

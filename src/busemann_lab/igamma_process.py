@@ -25,6 +25,7 @@ import numpy as np
 
 from .special_functions import (
     Rng,
+    _as_u64,
     _event_keys,
     _per_element,
     _spawn_ids,
@@ -32,7 +33,6 @@ from .special_functions import (
     poisson_from_keys,
     reg_inc_gamma,
     sample_gamma,
-    sample_poisson,
     trigamma,
     uniform_from_keys,
 )
@@ -147,63 +147,82 @@ def small_jump_compensator(
     return _gauss_legendre(inner, 0.0, y_min, order=32)
 
 
-def _band_proposals(
-    alpha: float, rho_max: float, a: float, b: float, us: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, y, keep) of the envelope points of band [a, b) from (3, k) uniforms.
-
-    Row 0 places y, row 1 places s and row 2 decides acceptance.
-    """
-    y = a + (b - a) * us[0]
-    # s has density proportional to e^{b s} on (0, rho_max]
-    s = np.log1p(us[1] * np.expm1(b * rho_max)) / b
-    # accept with probability sigma(s, y) / (g(a) e^{b s})
-    log_ratio = _log_g(y, alpha) + y * s - _log_g(np.full_like(y, a), alpha) - b * s
-    return s, y, us[2] < np.exp(log_ratio)
-
-
 def _accepted_points(
-    alpha: float, rho_max: float, y_min: float, n: int, rng: Rng
+    alpha: float,
+    rho_max: float,
+    y_min: float,
+    n: int,
+    seed: int,
+    streams: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted (sample index, s, y, u) for n independent realizations."""
+    """Accepted (sample index, s, y, u) for n realizations of each stream.
+
+    Sample index m n + i is realization i of stream id streams[m].  Band b
+    of a stream draws its n counts from event 0 of the stream's child
+    2b + 1.  Its c proposals read event 0 of child 2b + 2: point j takes
+    element j for y, c + j for s and 2c + j for acceptance, and element j
+    of event 1 for its mark.  Points come band by band, in sample-index
+    order within a band.
+    """
     a, b = _bands(alpha, rho_max, y_min)
     masses = _band_masses(alpha, rho_max, a, b)
-    idx_parts, s_parts, y_parts, u_parts = [], [], [], []
+    m = streams.shape[0]
+    empty = np.empty(0)
+    parts = [(np.empty(0, dtype=np.int64), empty, empty, empty)]
     for band in range(a.shape[0]):
-        counts = sample_poisson(rng.spawn(2 * band + 1), masses[band], size=n)
+        count_keys = _event_keys(seed, _spawn_ids(streams, 2 * band + 1), 0, n)
+        counts = poisson_from_keys(count_keys.ravel(), masses[band])
         k = int(counts.sum())
         if k == 0:
             continue
-        sub = rng.spawn(2 * band + 2)
-        s, y, keep = _band_proposals(
-            alpha, rho_max, a[band], b[band], sub.uniforms(3 * k).reshape(3, k)
-        )
-        if not np.any(keep):
-            continue
-        owner = np.repeat(np.arange(n), counts)
-        marks = sub.uniforms(k)
-        idx_parts.append(owner[keep])
-        s_parts.append(s[keep])
-        y_parts.append(y[keep])
-        u_parts.append(marks[keep])
-    if not idx_parts:
-        empty = np.empty(0)
-        return np.empty(0, dtype=np.int64), empty, empty, empty
-    return (
-        np.concatenate(idx_parts),
-        np.concatenate(s_parts),
-        np.concatenate(y_parts),
-        np.concatenate(u_parts),
-    )
+        owner = np.repeat(np.arange(m * n), counts)
+        per_stream = counts.reshape(m, n).sum(axis=1)
+        j = np.arange(k) - np.repeat(np.cumsum(per_stream) - per_stream, per_stream)
+        c = np.repeat(per_stream, per_stream)
+        ids = _spawn_ids(streams, 2 * band + 2)
+        # A lone stream's id broadcasts: _event_keys hashes every id it gets.
+        if m > 1:
+            ids = np.repeat(ids, per_stream)
+        idx = np.stack((j, c + j, 2 * c + j))
+        us = uniform_from_keys(_event_keys(seed, ids, 0, idx))
+        lo, hi = a[band], b[band]
+        y = lo + (hi - lo) * us[0]
+        # s has density proportional to e^{b s} on (0, rho_max]
+        s = np.log1p(us[1] * np.expm1(hi * rho_max)) / hi
+        # accept with probability sigma(s, y) / (g(a) e^{b s})
+        log_g_lo = _log_g(np.full_like(y, lo), alpha)
+        log_ratio = _log_g(y, alpha) + y * s - log_g_lo - hi * s
+        keep = us[2] < np.exp(log_ratio)
+        mark_ids = ids[keep] if m > 1 else ids
+        marks = uniform_from_keys(_event_keys(seed, mark_ids, 1, j[keep]))
+        parts.append((owner[keep], s[keep], y[keep], marks))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _check_ppp(alpha: float, rho_max: float, y_min: float) -> None:
+def _realizations(
+    alpha: float, rho_max: float, y_min: float, seed: int, streams: np.ndarray
+) -> list[JumpProcessSample]:
+    """One realization of the jump process from each stream id in streams."""
     if not (0.0 < rho_max < alpha):
         raise ValueError("need 0 < rho_max < alpha")
     if y_min <= 0.0:
         raise ValueError(
             "infinite mass: y_min = 0 requires the compensated small-jump policy"
         )
+    z0_keys = _event_keys(seed, _spawn_ids(streams, 0), 0, 1).ravel()
+    z0 = [-math.log(g) for g in gamma_from_keys(z0_keys, alpha).tolist()]
+    owner, s, y, u = _accepted_points(alpha, rho_max, y_min, 1, seed, streams)
+    # Sorting by (owner, s) is each realization's stable sort by s.
+    order = np.lexsort((s, owner))
+    owner, s, y, u = owner[order], s[order], y[order], u[order]
+    ends = np.searchsorted(owner, np.arange(streams.shape[0] + 1))
+    return [
+        JumpProcessSample(
+            alpha=alpha, z0=z0[r], s=s[lo:hi], y=y[lo:hi], u=u[lo:hi],
+            rho_max=rho_max, y_min=y_min,
+        )
+        for r, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist()))
+    ]
 
 
 def sample_ppp(
@@ -213,21 +232,10 @@ def sample_ppp(
     rng: Rng | None = None,
 ) -> JumpProcessSample:
     """Draw one marked realization of the jump process on (0, rho_max]."""
-    _check_ppp(alpha, rho_max, y_min)
     if rng is None:
         raise ValueError("an Rng is required")
-    z0 = -math.log(sample_gamma(rng.spawn(0), alpha))
-    _, s, y, u = _accepted_points(alpha, rho_max, y_min, 1, rng)
-    order = np.argsort(s, kind="stable")
-    return JumpProcessSample(
-        alpha=alpha,
-        z0=float(z0),
-        s=s[order],
-        y=y[order],
-        u=u[order],
-        rho_max=rho_max,
-        y_min=y_min,
-    )
+    streams = _as_u64(rng.stream_id)
+    return _realizations(alpha, rho_max, y_min, rng.master_seed, streams)[0]
 
 
 def sample_ppp_replicas(
@@ -240,54 +248,12 @@ def sample_ppp_replicas(
     """n independent realizations of the jump process, drawn together.
 
     Replica i is bit for bit ``sample_ppp(alpha, rho_max, y_min,
-    rng.spawn(i))``.  Every draw is a pure hash of (seed, stream id, counter), so the
-    replicas' draws are made from one array of child stream ids: each
-    band takes one Poisson call over the n replicas and one key
-    derivation each for the uniforms and the marks of all their points.
+    rng.spawn(i))``: every draw is a pure hash of (seed, stream id,
+    counter), so the replicas are the realizations of the n child stream
+    ids, and each band makes one draw over all of them.
     """
-    _check_ppp(alpha, rho_max, y_min)
-    seed = rng.master_seed
     ids = _spawn_ids(rng.stream_id, np.arange(n, dtype=np.uint64))
-    z0_keys = _event_keys(seed, _spawn_ids(ids, 0), 0, 1).ravel()
-    z0 = [-math.log(g) for g in gamma_from_keys(z0_keys, alpha).tolist()]
-    a, b = _bands(alpha, rho_max, y_min)
-    masses = _band_masses(alpha, rho_max, a, b)
-    empty = np.empty(0)
-    parts = [(np.empty(0, dtype=np.int64), empty, empty, empty)]
-    for band in range(a.shape[0]):
-        count_keys = _event_keys(seed, _spawn_ids(ids, 2 * band + 1), 0, 1).ravel()
-        counts = poisson_from_keys(count_keys, masses[band])
-        k = int(counts.sum())
-        if k == 0:
-            continue
-        # Point j of replica r is element j of its event's 3 c_r uniforms
-        # for y, c_r + j for s and 2 c_r + j for acceptance, then element
-        # j of its next event for the mark, as in _accepted_points.
-        owner = np.repeat(np.arange(n), counts)
-        c = counts[owner]
-        j = np.arange(k) - np.repeat(np.cumsum(counts) - counts, counts)
-        sub_ids = _spawn_ids(ids, 2 * band + 2)[owner]
-        idx = np.concatenate((j, c + j, 2 * c + j))
-        keys = _event_keys(seed, np.tile(sub_ids, 3), 0, idx)
-        s, y, keep = _band_proposals(
-            alpha, rho_max, a[band], b[band], uniform_from_keys(keys).reshape(3, k)
-        )
-        if not np.any(keep):
-            continue
-        marks = uniform_from_keys(_event_keys(seed, sub_ids[keep], 1, j[keep]))
-        parts.append((owner[keep], s[keep], y[keep], marks))
-    owner, s, y, u = (np.concatenate(p) for p in zip(*parts))
-    # Sorting by (owner, s) is each replica's stable sort by s.
-    order = np.lexsort((s, owner))
-    owner, s, y, u = owner[order], s[order], y[order], u[order]
-    ends = np.searchsorted(owner, np.arange(n + 1))
-    return [
-        JumpProcessSample(
-            alpha=alpha, z0=z0[r], s=s[lo:hi], y=y[lo:hi], u=u[lo:hi],
-            rho_max=rho_max, y_min=y_min,
-        )
-        for r, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist()))
-    ]
+    return _realizations(alpha, rho_max, y_min, rng.master_seed, ids)
 
 
 def trajectory(sample: JumpProcessSample, rho: float) -> float:
@@ -322,7 +288,9 @@ def batch_increment_sums(
     if breaks[0] <= 0.0 or np.any(np.diff(breaks) <= 0) or breaks[-1] >= alpha:
         raise ValueError("breaks must be increasing inside (0, alpha)")
     rho_max = float(breaks[-1])
-    owner, s, y, u = _accepted_points(alpha, rho_max, y_min, n, rng)
+    owner, s, y, u = _accepted_points(
+        alpha, rho_max, y_min, n, rng.master_seed, _as_u64(rng.stream_id)
+    )
     if thinning is not None and owner.shape[0]:
         keep = u <= thinning(y)
         owner, s, y = owner[keep], s[keep], y[keep]
@@ -349,7 +317,9 @@ def batch_jump_counts(
     if delta <= y_min:
         raise ValueError("delta must exceed the small-jump cutoff")
     s1, s2 = float(s_interval[0]), float(s_interval[1])
-    owner, s, y, _ = _accepted_points(alpha, s2, y_min, n, rng)
+    owner, s, y, _ = _accepted_points(
+        alpha, s2, y_min, n, rng.master_seed, _as_u64(rng.stream_id)
+    )
     keep = (y >= delta) & (s > s1) & (s <= s2)
     return np.bincount(owner[keep], minlength=n)
 
@@ -424,8 +394,19 @@ def zero_temp_initials(alpha: float, uniform: float) -> tuple[float, float]:
     return 0.5 * (lo + hi), z_zero
 
 
+@functools.lru_cache(maxsize=None)
+def _coupling_rates(alpha: float, y_min: float) -> tuple[float, float]:
+    """Small-jump compensator rates of the alpha- and zero-temperature profiles."""
+    return (
+        small_jump_compensator(
+            1.0, 1.0, y_min, thinning=lambda y: pos_temp_keep_prob(y, alpha)
+        ),
+        small_jump_compensator(1.0, 1.0, y_min, thinning=zero_temp_keep_prob),
+    )
+
+
 def zero_temp_couple(
-    sample: JumpProcessSample, alpha: float, rho_grid=None
+    sample: JumpProcessSample, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin a reference realization into coupled profiles.
 
@@ -434,24 +415,18 @@ def zero_temp_couple(
     e^{-y/alpha}) and for the zero-temperature profile iff
     u <= 1 - e^{-y}; since the first threshold dominates for alpha <= 1,
     the zero-temperature jumps are a subset.  Returns (rho_grid,
-    alpha-profile increments, zero-temperature increments), both
-    profiles starting from 0 at rho = 0.
+    alpha-profile increments, zero-temperature increments) on 1,001
+    equally spaced points of [0, rho_max], both profiles starting from 0
+    at rho = 0.
     """
     if sample.alpha != 1.0:
         raise ValueError("the reference sample must be drawn at parameter 1")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("need 0 < alpha <= 1")
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, sample.rho_max, 1001)
-    rho_grid = np.asarray(rho_grid, dtype=np.float64)
+    rho_grid = np.linspace(0.0, sample.rho_max, 1001)
     keep_a = sample.u <= pos_temp_keep_prob(sample.y, alpha)
     keep_0 = sample.u <= zero_temp_keep_prob(sample.y)
-    comp_a = small_jump_compensator(
-        1.0, 1.0, sample.y_min, thinning=lambda y: pos_temp_keep_prob(y, alpha)
-    )
-    comp_0 = small_jump_compensator(
-        1.0, 1.0, sample.y_min, thinning=zero_temp_keep_prob
-    )
+    comp_a, comp_0 = _coupling_rates(alpha, sample.y_min)
 
     def profile(keep: np.ndarray, comp_rate: float) -> np.ndarray:
         cum = np.concatenate(([0.0], np.cumsum(sample.y[keep])))

@@ -147,6 +147,16 @@ def log_partition(field, u, v, include_initial: bool = False) -> float:
     if m < 0 or n < 0:
         raise ValueError(f"unordered endpoints: {u!r} !<= {v!r}")
     w = field.log_weight_block((u1, u2), (m + 1, n + 1))
+    return float(_log_partition_table(w, include_initial)[m, n])
+
+
+def _log_partition_table(w: np.ndarray, include_initial: bool) -> np.ndarray:
+    """log Z from the block's corner [0, 0] to every site of the block.
+
+    w holds the block's log-weights; the anti-diagonal recursion and the
+    include_initial convention are those of log_partition.
+    """
+    m, n = w.shape[0] - 1, w.shape[1] - 1
     logz = np.full((m + 1, n + 1), -np.inf)
     logz[0, 0] = w[0, 0] if include_initial else 0.0
     for d in range(1, m + n + 1):
@@ -159,7 +169,7 @@ def log_partition(field, u, v, include_initial: bool = False) -> float:
         left[has_left] = logz[i[has_left] - 1, j[has_left]]
         down[has_down] = logz[i[has_down], j[has_down] - 1]
         logz[i, j] = np.logaddexp(left, down) + w[i, j]
-    return float(logz[m, n])
+    return logz
 
 
 def finite_marginal(field, u, v, sites) -> float:

@@ -270,27 +270,24 @@ def _check_increasing(inputs: SeqTuple) -> None:
             )
 
 
-def d_iterated(inputs: SeqTuple, burn_in: int | None = None) -> LogSeqWindow:
+def d_iterated(inputs: SeqTuple) -> LogSeqWindow:
     """Right-fold of the update map's D output over the tuple components."""
     _check_increasing(inputs)
     acc = inputs.windows[-1]
     for w in reversed(inputs.windows[:-1]):
-        out = update(w.restrict(acc.lo, acc.hi), acc, burn_in=burn_in)
+        out = update(w.restrict(acc.lo, acc.hi), acc)
         acc = out.i_tilde
     return acc
 
 
-def daop(inputs: SeqTuple, burn_in: int | None = None) -> SeqTuple:
+def daop(inputs: SeqTuple) -> SeqTuple:
     """Intertwining tuple map: component i is the i-fold iterated D.
 
     Components are restricted to the common valid range of the deepest
     composition.
     """
     _check_increasing(inputs)
-    comps = [
-        d_iterated(SeqTuple(inputs.windows[: i + 1]), burn_in=burn_in)
-        for i in range(len(inputs))
-    ]
+    comps = [d_iterated(SeqTuple(inputs.windows[: i + 1])) for i in range(len(inputs))]
     lo = max(c.lo for c in comps)
     return SeqTuple(tuple(c.restrict(lo, inputs.hi) for c in comps))
 
@@ -305,21 +302,14 @@ def haop(inputs: SeqTuple) -> SeqTuple:
     return SeqTuple((head.restrict(rest.lo, rest.hi),) + rest.windows)
 
 
-def parallel_step(
-    w: LogSeqWindow, state: SeqTuple, burn_in: int | None = None
-) -> SeqTuple:
+def parallel_step(w: LogSeqWindow, state: SeqTuple) -> SeqTuple:
     """Apply the update with one common weight window to every component."""
-    outs = [
-        update(w.restrict(state.lo, state.hi), comp, burn_in=burn_in)
-        for comp in state.windows
-    ]
+    outs = [update(w.restrict(state.lo, state.hi), comp) for comp in state.windows]
     lo = max(o.valid_lo for o in outs)
     return SeqTuple(tuple(o.i_tilde.restrict(lo, state.hi) for o in outs))
 
 
-def sequential_step(
-    w: LogSeqWindow, state: SeqTuple, burn_in: int | None = None
-) -> SeqTuple:
+def sequential_step(w: LogSeqWindow, state: SeqTuple) -> SeqTuple:
     """Apply the update with weights passed along the components.
 
     Component 1 is updated with W itself; component i + 1 is updated with
@@ -328,7 +318,7 @@ def sequential_step(
     cur_w = w
     outs = []
     for comp in state.windows:
-        out = update(cur_w, comp.restrict(cur_w.lo, cur_w.hi), burn_in=burn_in)
+        out = update(cur_w, comp.restrict(cur_w.lo, cur_w.hi))
         outs.append(out.i_tilde)
         cur_w = out.w_tilde
     lo = max(o.lo for o in outs)

@@ -158,9 +158,9 @@ def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:
     return _absorb(_absorb(base, xs, _SALT_EVENT), ys, _SALT_INDEX)
 
 
-def uniform_from_keys(keys: np.ndarray, lane: int = 0) -> np.ndarray:
-    """One uniform in (0, 1) per key, at the given attempt lane."""
-    return _lane_uniforms(keys, lane)
+def uniform_from_keys(keys: np.ndarray) -> np.ndarray:
+    """One uniform in (0, 1) per key."""
+    return _lane_uniforms(keys, 0)
 
 
 # ---------------------------------------------------------------------------

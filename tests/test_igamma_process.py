@@ -8,7 +8,12 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab.igamma_process import (
+    JumpProcessSample,
+    _accepted_points,
+    _band_masses,
+    _bands,
     _legendre_nodes,
+    _log_g,
     batch_increment_sums,
     batch_jump_counts,
     expected_jump_count,
@@ -25,7 +30,7 @@ from busemann_lab.igamma_process import (
     zero_temp_initials,
     zero_temp_keep_prob,
 )
-from busemann_lab.special_functions import Rng
+from busemann_lab.special_functions import Rng, sample_gamma, sample_poisson
 
 
 def intensity(s, y, alpha):
@@ -120,13 +125,79 @@ class TestSampler:
             jump_count(smp, 0.0, (0.0, 1.0))
 
 
+def _oracle_points(alpha, rho_max, y_min, n, rng):
+    """Accepted (sample index, s, y, u) of n realizations drawn from rng.
+
+    The one-stream band layout written with the public stream API only,
+    one band after another: band b draws its n counts from rng.spawn(2b + 1)
+    and its k proposals' 3k uniforms, then k marks, from rng.spawn(2b + 2).
+    """
+    a, b = _bands(alpha, rho_max, y_min)
+    masses = _band_masses(alpha, rho_max, a, b)
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0))]
+    for band in range(a.shape[0]):
+        counts = sample_poisson(rng.spawn(2 * band + 1), masses[band], size=n)
+        k = int(counts.sum())
+        sub = rng.spawn(2 * band + 2)
+        us = sub.uniforms(3 * k).reshape(3, k)
+        lo, hi = a[band], b[band]
+        y = lo + (hi - lo) * us[0]
+        s = np.log1p(us[1] * np.expm1(hi * rho_max)) / hi
+        log_ratio = (
+            _log_g(y, alpha) + y * s - _log_g(np.full_like(y, lo), alpha) - hi * s
+        )
+        keep = us[2] < np.exp(log_ratio)
+        marks = sub.uniforms(k)
+        owner = np.repeat(np.arange(n), counts)
+        parts.append((owner[keep], s[keep], y[keep], marks[keep]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _oracle_sample(alpha, rho, rng):
+    """sample_ppp(alpha, rho, rng=rng), from _oracle_points."""
+    z0 = -math.log(sample_gamma(rng.spawn(0), alpha))
+    _, s, y, u = _oracle_points(alpha, rho, 1e-6, 1, rng)
+    order = np.argsort(s, kind="stable")
+    return JumpProcessSample(
+        alpha=alpha, z0=z0, s=s[order], y=y[order], u=u[order], rho_max=rho,
+        y_min=1e-6,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _replica_reference(alpha, rho, seed, stream_id, i):
-    return sample_ppp(alpha, rho, rng=Rng(seed, stream_id).spawn(i))
+    return _oracle_sample(alpha, rho, Rng(seed, stream_id).spawn(i))
+
+
+class TestOracle:
+    """The band sampler against _oracle_points.
+
+    The oracle shares the band geometry (_bands, _band_masses, _log_g)
+    with the sampler, but not its band loop or its stream layout.
+    """
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (0.7, 0.3)])
+    def test_one_stream_points_equal_oracle(self, n, alpha, rho):
+        rng = Rng(5, 2**40 + 3)
+        streams = np.array([rng.stream_id], dtype=np.uint64)
+        got = _accepted_points(alpha, rho, 1e-6, n, 5, streams)
+        want = _oracle_points(alpha, rho, 1e-6, n, rng)
+        assert got[0].dtype == want[0].dtype
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (1.0, 0.5)])
+    def test_sample_ppp_equals_oracle(self, alpha, rho):
+        got = sample_ppp(alpha, rho, rng=Rng(13, 4))
+        want = _oracle_sample(alpha, rho, Rng(13, 4))
+        assert got.z0 == want.z0
+        for name in ("s", "y", "u"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestReplicaPpp:
-    """sample_ppp_replicas against sample_ppp on rng.spawn(i), bit for bit.
+    """sample_ppp_replicas against the oracle on rng.spawn(i), bit for bit.
 
     One reference replica takes about 15 ms, so batches of 257 and 400
     are compared at every 25th replica and the last two; the other
