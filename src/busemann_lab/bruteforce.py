@@ -4,7 +4,9 @@ Exponential-cost sums over lattice paths, used as oracles for the
 geometric RSK array: the disjoint-path partition functions that seed a
 triangular array, and the log-domain point-to-point partition function.
 Also the one-grid-per-replica construction of the competition-interface
-ratio samples, the oracle for their batched draw.
+ratio samples, the oracle for their batched draw, and the row-by-row
+cocycle evolution and site-by-site anti-diagonal partition-function
+table, the oracles for their strided vector forms.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from . import grsk
 from .busemann import _margin, stationary_cocycle
 from .cif import _STREAM_BITS
 from .lattice import RhoParam, WeightField
+from .seqmaps import update_raw
 from .special_functions import Rng
 
 
@@ -115,3 +118,39 @@ def per_replica_ratio_samples(
         else:
             out[r] = ratio
     return out
+
+
+def row_by_row_evolve(
+    field, log_i0: np.ndarray, k_lo: int, k_hi: int, t_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``busemann._evolve`` with one update_raw call per field row."""
+    n = k_hi - k_lo + 1
+    i_vals = np.full((t_max + 1, n), np.nan)
+    j_vals = np.full((t_max + 1, n), np.nan)
+    w_vals = np.full((t_max + 1, n), np.nan)
+    i_vals[0] = log_i0
+    for t in range(1, t_max + 1):
+        log_w = field.log_weight_row(k_lo, k_hi, t)
+        log_j, log_it, _ = update_raw(log_w, i_vals[t - 1], float(log_w[0]))
+        i_vals[t] = log_it
+        j_vals[t] = log_j
+        w_vals[t] = log_w
+    return i_vals, j_vals, w_vals
+
+
+def site_by_site_log_partition_table(w: np.ndarray, include_initial: bool) -> np.ndarray:
+    """``lattice._log_partition_table`` with index arrays and edge masks."""
+    m, n = w.shape[0] - 1, w.shape[1] - 1
+    logz = np.full((m + 1, n + 1), -np.inf)
+    logz[0, 0] = w[0, 0] if include_initial else 0.0
+    for d in range(1, m + n + 1):
+        i = np.arange(max(0, d - n), min(m, d) + 1)
+        j = d - i
+        left = np.full(i.shape, -np.inf)
+        down = np.full(i.shape, -np.inf)
+        has_left = i > 0
+        has_down = j > 0
+        left[has_left] = logz[i[has_left] - 1, j[has_left]]
+        down[has_down] = logz[i[has_down], j[has_down] - 1]
+        logz[i, j] = np.logaddexp(left, down) + w[i, j]
+    return logz

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Direction, RhoParam, WeightField, log_partition, rho_to_xi
+from .lattice import (
+    Direction,
+    RhoParam,
+    WeightField,
+    _check_point,
+    _log_partition_table,
+    rho_to_xi,
+)
 from .seqmaps import LogSeqWindow, SeqTuple, update_raw
-from .special_functions import Rng, digamma, sample_inverse_gamma
+from .special_functions import Rng, _libm, digamma, sample_inverse_gamma
 from .grsk import build_triangular
 
 __all__ = [
@@ -32,6 +39,10 @@ __all__ = [
 ]
 
 _BURN_IN_RATE = 40.0
+# _evolve sweeps anti-diagonals when the grid's shorter side has at least
+# this many sites and runs update_raw row by row otherwise: a diagonal
+# step costs a few numpy calls, which only long diagonals amortize.
+_WAVEFRONT_MIN = 48
 
 
 @dataclass(frozen=True)
@@ -102,24 +113,70 @@ def _margin(alpha: float, rho: float) -> int:
     return math.ceil(_BURN_IN_RATE / gap)
 
 
+def _weight_rows(field: WeightField, k_lo: int, k_hi: int, t_max: int) -> np.ndarray:
+    """Log-weights of field rows 1..t_max on [k_lo, k_hi]; row 0 is NaN."""
+    w_vals = np.full((t_max + 1, k_hi - k_lo + 1), np.nan)
+    for t in range(1, t_max + 1):
+        w_vals[t] = field.log_weight_row(k_lo, k_hi, t)
+    return w_vals
+
+
 def _evolve(
-    field: WeightField, log_i0: np.ndarray, k_lo: int, k_hi: int, t_max: int
+    field: WeightField, log_i0: np.ndarray, k_lo: int, k_hi: int, t_max: int,
+    w_vals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the update recursion bottom-to-top over field rows 1..t_max."""
+    """Run the update recursion bottom-to-top over field rows 1..t_max.
+
+    w_vals, if given, holds those rows as ``_weight_rows`` draws them.
+    """
     n = k_hi - k_lo + 1
+    if w_vals is None:
+        w_vals = _weight_rows(field, k_lo, k_hi, t_max)
     i_vals = np.full((t_max + 1, n), np.nan)
     j_vals = np.full((t_max + 1, n), np.nan)
-    w_vals = np.full((t_max + 1, n), np.nan)
     i_vals[0] = log_i0
-    for t in range(1, t_max + 1):
-        log_w = field.log_weight_row(k_lo, k_hi, t)
-        # Seed the vertical increment at the left edge with the weight
-        # there; its influence decays geometrically in k.
-        log_j, log_it, _ = update_raw(log_w, i_vals[t - 1], float(log_w[0]))
-        i_vals[t] = log_it
-        j_vals[t] = log_j
-        w_vals[t] = log_w
+    # Each row seeds the vertical increment at the left edge with the
+    # weight there; its influence decays geometrically in k.
+    if min(t_max, n) >= _WAVEFRONT_MIN:
+        _sweep_diagonals(i_vals, j_vals, w_vals)
+    else:
+        for t in range(1, t_max + 1):
+            j_vals[t], i_vals[t], _ = update_raw(
+                w_vals[t], i_vals[t - 1], float(w_vals[t, 0])
+            )
     return i_vals, j_vals, w_vals
+
+
+def _sweep_diagonals(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray) -> None:
+    """Rows 1.. of i_vals and j_vals as _evolve's row loop fills them, in place.
+
+    Site (t, k) needs I(t - 1, k) and J(t, k - 1), which both lie on the
+    anti-diagonal t + k = s - 1, so each anti-diagonal is one vector step
+    (Lamport's hyperplane method).  In the flat C-order arrays diagonal s
+    is a slice of stride n - 1, with I(t - 1, k) at offset -n and
+    J(t, k - 1) at offset -1; the site (s, 0) takes the weight seed
+    instead.  Every element goes through the operations of update_raw in
+    its order, with libm's exp and log1p, so the values are the same bits.
+    """
+    t_max, n = i_vals.shape[0] - 1, i_vals.shape[1]
+    i_flat, j_flat, w_flat = i_vals.reshape(-1), j_vals.reshape(-1), w_vals.reshape(-1)
+    step = n - 1
+    buf = np.empty(2 * min(t_max, n))
+    for s in range(1, t_max + n):
+        t_lo, t_hi = max(1, s - step), min(t_max, s)
+        lo, hi = s + t_lo * step, s + t_hi * step + 1
+        size = t_hi - t_lo + 1
+        both, d = buf[:2 * size], buf[:size]
+        log_i = i_flat[lo - n:hi - n:step]
+        np.subtract(log_i, j_flat[lo - 1:hi - 1:step], out=d)
+        if t_hi == s:
+            d[-1] = log_i[-1] - w_flat[s * n]
+        np.negative(d, out=both[size:])
+        np.minimum(both, 700.0, out=both)
+        out = _libm(np.log1p, _libm(np.exp, both))
+        w = w_flat[lo:hi:step]
+        np.add(out[:size], w, out=i_flat[lo:hi:step])
+        np.add(out[size:], w, out=j_flat[lo:hi:step])
 
 
 def stationary_cocycle(
@@ -205,9 +262,10 @@ def parallel_chain(
     if lo >= k_hi:
         raise ValueError("rectangle too narrow for the joint bottom-row draw")
     grids: list[CocycleGrid] = [None] * n_comp  # type: ignore[list-item]
+    w_rows = _weight_rows(field, lo, k_hi, t_max)
     for pos, idx in enumerate(order):
         i0 = diag[pos].restrict(lo, k_hi).values
-        i_vals, j_vals, w_vals = _evolve(field, i0, lo, k_hi, t_max)
+        i_vals, j_vals, w_vals = _evolve(field, i0, lo, k_hi, t_max, w_rows)
         grids[idx] = CocycleGrid(
             i_vals=i_vals,
             j_vals=j_vals,
@@ -225,14 +283,21 @@ def busemann_ratio_estimate(
     """Busemann estimate log Z_{x_l, y} - log Z_{x_l, x}.
 
     The starting point x_l sits near -depth * xi from the coordinatewise
-    minimum of x and y, so both endpoints are reachable.
+    minimum of x and y, so both endpoints are reachable.  Both partition
+    functions come from one table on the block from x_l to the
+    coordinatewise maximum of x and y; a table entry depends only on the
+    weights below and left of it, so each equals its own log_partition.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    x, y = _check_point(x), _check_point(y)
     base = (min(x[0], y[0]), min(x[1], y[1]))
     a = round(depth * d.xi1)
     x_l = (base[0] - a, base[1] - (depth - a))
-    return log_partition(field, x_l, y) - log_partition(field, x_l, x)
+    shape = (max(x[0], y[0]) - x_l[0] + 1, max(x[1], y[1]) - x_l[1] + 1)
+    logz = _log_partition_table(field.log_weight_block(x_l, shape), False)
+    return (float(logz[y[0] - x_l[0], y[1] - x_l[1]])
+            - float(logz[x[0] - x_l[0], x[1] - x_l[1]]))
 
 
 def eternal_from_cocycle(grid: CocycleGrid, base) -> EternalSolution:

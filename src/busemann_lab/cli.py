@@ -26,7 +26,7 @@ from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
 from .bruteforce import brute_force_log_partition, brute_force_ratio_array
-from .special_functions import (Rng, _per_element, digamma, reg_inc_beta,
+from .special_functions import (Rng, _libm, digamma, reg_inc_beta,
                                 reg_inc_gamma, sample_inverse_gamma, sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
@@ -348,7 +348,7 @@ def run_zero_temp(rho, samples, seed) -> list[dict]:
     )[:, 0]
     z0 = -np.log1p(-rng.spawn(2).uniforms(samples)) + inc
     rate = 1.0 - rho
-    r = ks_one_sample(z0, _positive_cdf(lambda v: -_per_element(math.expm1, -rate * v)))
+    r = ks_one_sample(z0, _positive_cdf(lambda v: -_libm(np.expm1, -rate * v)))
     checks = [_pvalue(
         "zero-temp-marginal-ks", "exponential-limit-marginal", r.p_value
     )]
@@ -506,9 +506,11 @@ def _rhos(default: str, **kw) -> click.Option:
 
 COUNT = click.IntRange(min=1)
 # jump-count's dispersion test needs 2 counts, she-check a base inside its
-# grid (size // 2 >= 1) and a KS test 20 samples.
+# grid (size // 2 >= 1) and a KS test 20 samples; parallel-chain's KS test
+# reads every 16th of its window + 1 bulk sites.
 COUNT2 = click.IntRange(min=2)
 KS_COUNT = click.IntRange(min=20)
+KS_WINDOW = click.IntRange(min=16 * (20 - 1))
 ALPHA = _opt("--alpha", 2.0)
 RHO = _opt("--rho", 1.0)
 N = _opt("--n", 3, type=COUNT)
@@ -553,7 +555,7 @@ EXPERIMENTS = (
     Experiment("parallel-chain", "run_parallel_chain",
                "Coupled multi-direction stationary chain and its joint laws.",
                (ALPHA, _rhos("1.2,0.4", help="Strictly decreasing list."),
-                _opt("--window", 50000))),
+                _opt("--window", 50000, type=KS_WINDOW))),
     Experiment("ppp-busemann", "run_ppp_busemann",
                "Jump-process sampler reproduces the Busemann edge laws.",
                (ALPHA, _opt("--lam", 0.4), _opt("--rho", 1.2),

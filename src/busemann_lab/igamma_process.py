@@ -27,7 +27,7 @@ from .special_functions import (
     Rng,
     _as_u64,
     _event_keys,
-    _per_element,
+    _libm,
     _spawn_ids,
     gamma_from_keys,
     poisson_from_keys,
@@ -339,7 +339,7 @@ def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
     sums = batch_increment_sums(alpha, [rho], n, rng.spawn(1))[:, 0]
     z = z0 + sums
     return ks_one_sample(
-        z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _per_element(math.exp, -v))
+        z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _libm(np.exp, -v))
     )
 
 

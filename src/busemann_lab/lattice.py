@@ -157,19 +157,25 @@ def _log_partition_table(w: np.ndarray, include_initial: bool) -> np.ndarray:
     include_initial convention are those of log_partition.
     """
     m, n = w.shape[0] - 1, w.shape[1] - 1
-    logz = np.full((m + 1, n + 1), -np.inf)
-    logz[0, 0] = w[0, 0] if include_initial else 0.0
+    # logz[i + 1, j + 1] is log Z to site (i, j); the -inf border stands in
+    # for the missing neighbours of the block's edges.  The interior starts
+    # as the weights, and each anti-diagonal reads its weights before it
+    # overwrites them.  In the flat table diagonal i + j = d is a slice of
+    # stride n + 1, with the left neighbour (i - 1, j) at offset -(n + 2)
+    # and the lower one (i, j - 1) at offset -1.
+    logz = np.full((m + 2, n + 2), -np.inf)
+    logz[1:, 1:] = w
+    logz[1, 1] = w[0, 0] if include_initial else 0.0
+    flat = logz.reshape(-1)
+    row, step = n + 2, n + 1
     for d in range(1, m + n + 1):
-        i = np.arange(max(0, d - n), min(m, d) + 1)
-        j = d - i
-        left = np.full(i.shape, -np.inf)
-        down = np.full(i.shape, -np.inf)
-        has_left = i > 0
-        has_down = j > 0
-        left[has_left] = logz[i[has_left] - 1, j[has_left]]
-        down[has_down] = logz[i[has_down], j[has_down] - 1]
-        logz[i, j] = np.logaddexp(left, down) + w[i, j]
-    return logz
+        lo = d + 2 + (max(0, d - n) + 1) * step
+        hi = d + 2 + (min(m, d) + 1) * step + 1
+        flat[lo:hi:step] = (
+            np.logaddexp(flat[lo - row:hi - row:step], flat[lo - 1:hi - 1:step])
+            + flat[lo:hi:step]
+        )
+    return logz[1:, 1:]
 
 
 def finite_marginal(field, u, v, sites) -> float:

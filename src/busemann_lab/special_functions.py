@@ -270,6 +270,43 @@ def _per_element(f, x):
     return out.reshape(arr.shape)
 
 
+# The ufuncs _libm runs and the libm functions whose bits they must give.
+_MATH = {np.exp: math.exp, np.expm1: math.expm1, np.log1p: math.log1p}
+
+
+def _reversed_loop(f, arr: np.ndarray) -> np.ndarray:
+    # A negative-stride input with a fresh contiguous output makes numpy
+    # run its scalar loop, which calls libm, instead of its SIMD loop,
+    # whose last bits differ from libm's on a few percent of inputs.
+    flat = arr.reshape(-1)
+    return np.ascontiguousarray(f(flat[::-1])[::-1]).reshape(arr.shape)
+
+
+def _reversed_loop_is_libm() -> bool:
+    """Whether _reversed_loop gives math's bits on a few hundred probes."""
+    x = np.linspace(-0.75, 30.0, 256)
+    return all(
+        _reversed_loop(f, x).tobytes() == np.array(list(map(m, x.tolist()))).tobytes()
+        for f, m in _MATH.items()
+    )
+
+
+_LIBM_VECTOR = _reversed_loop_is_libm()
+
+
+def _libm(f, x) -> np.ndarray:
+    """f(x) with the bits of math's function, for f in _MATH and an array x.
+
+    Vectorised where this numpy's scalar loop is libm (probed at import),
+    per element through ``_per_element`` otherwise; the values agree on
+    every input where the math function is defined.
+    """
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if _LIBM_VECTOR:
+        return _reversed_loop(f, arr)
+    return _per_element(_MATH[f], arr)
+
+
 def reg_inc_gamma(s: float, x):
     """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
 

@@ -5,15 +5,19 @@ import pytest
 import scipy.special as sps
 import scipy.stats as st
 
+from busemann_lab import busemann
+from busemann_lab.bruteforce import row_by_row_evolve
 from busemann_lab.busemann import (
+    _WAVEFRONT_MIN,
+    _evolve,
     busemann_ratio_estimate,
     eternal_from_cocycle,
     gibbs_backward_walk,
     parallel_chain,
     stationary_cocycle,
 )
-from busemann_lab.lattice import RhoParam, WeightField, rho_to_xi
-from busemann_lab.special_functions import Rng
+from busemann_lab.lattice import RhoParam, WeightField, log_partition, rho_to_xi
+from busemann_lab.special_functions import Rng, sample_inverse_gamma
 
 
 def make_grid(alpha=2.0, rho=1.0, k_hi=600, t_max=4, seed=0):
@@ -75,6 +79,56 @@ class TestStationaryCocycle:
             )
 
 
+class TestEvolve:
+    """The anti-diagonal sweep gives the bits of the row-by-row loop."""
+
+    @pytest.mark.parametrize(
+        "t_max, n",
+        [
+            (1, 300),
+            (_WAVEFRONT_MIN - 1, _WAVEFRONT_MIN - 1),
+            (_WAVEFRONT_MIN, _WAVEFRONT_MIN),
+            (_WAVEFRONT_MIN + 1, _WAVEFRONT_MIN + 1),
+            (_WAVEFRONT_MIN - 1, 500),
+            (_WAVEFRONT_MIN, 500),
+            (500, _WAVEFRONT_MIN),
+            (120, 60),
+            (60, 2),
+            (3, 2),
+        ],
+    )
+    def test_matches_row_by_row(self, t_max, n):
+        field = WeightField(2.0, master_seed=21)
+        log_i0 = np.log(sample_inverse_gamma(Rng(21, 1), 1.0, size=n))
+        got = _evolve(field, log_i0, -5, n - 6, t_max)
+        want = row_by_row_evolve(field, log_i0, -5, n - 6, t_max)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("t_max, n", [(10, 30), (2 * _WAVEFRONT_MIN, 80)])
+    def test_nan_in_bottom_row(self, t_max, n):
+        field = WeightField(2.0, master_seed=22)
+        log_i0 = np.log(sample_inverse_gamma(Rng(22, 1), 1.0, size=n))
+        log_i0[n // 2] = np.nan
+        got = _evolve(field, log_i0, 0, n - 1, t_max)
+        want = row_by_row_evolve(field, log_i0, 0, n - 1, t_max)
+        assert np.isnan(got[0][t_max, -1])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_wavefront_path_runs_at_the_crossover(self, monkeypatch):
+        calls = []
+        sweep = busemann._sweep_diagonals
+        monkeypatch.setattr(
+            busemann, "_sweep_diagonals", lambda *a: calls.append(1) or sweep(*a)
+        )
+        field = WeightField(2.0, master_seed=23)
+        for size in (_WAVEFRONT_MIN - 1, _WAVEFRONT_MIN):
+            _evolve(field, np.zeros(size), 0, size - 1, size)
+        assert calls == [1]
+
+
 class TestParallelChain:
     def make_pair(self, seed=3, k_hi=2500, t_max=2):
         field = WeightField(2.0, master_seed=seed)
@@ -115,6 +169,17 @@ class TestParallelChain:
         hi, lo = self.make_pair()
         c = hi.bulk_k_lo - hi.k_lo
         assert np.array_equal(hi.w_vals[1:, c:], lo.w_vals[1:, c:])
+
+    def test_components_evolve_their_own_bottom_rows(self):
+        # The field rows are drawn once for all components; each grid is
+        # still the row-by-row evolution of its bottom row.
+        field = WeightField(2.0, master_seed=3)
+        for grid in self.make_pair():
+            want = row_by_row_evolve(
+                field, grid.i_vals[0], grid.k_lo, grid.k_hi, grid.t_max
+            )
+            for a, b in zip((grid.i_vals, grid.j_vals, grid.w_vals), want):
+                assert np.array_equal(a, b, equal_nan=True)
 
     def test_single_component(self):
         field = WeightField(2.0, master_seed=6)
@@ -219,6 +284,20 @@ class TestRatioEstimate:
         target = -float(sps.digamma(1.0))
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - target) < 4 * se + 0.02
+
+    @pytest.mark.parametrize(
+        "x, y", [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((3, 5), (2, 7))]
+    )
+    def test_one_table_equals_two_partition_functions(self, x, y):
+        # The one-table estimate against log Z_{x_l, y} - log Z_{x_l, x}.
+        field = WeightField(2.0, master_seed=31)
+        d = rho_to_xi(RhoParam(0.7, 2.0))
+        depth = 40
+        base = (min(x[0], y[0]), min(x[1], y[1]))
+        a = round(depth * d.xi1)
+        x_l = (base[0] - a, base[1] - (depth - a))
+        want = log_partition(field, x_l, y) - log_partition(field, x_l, x)
+        assert busemann_ratio_estimate(field, x, y, d, depth) == want
 
     def test_depth_validation(self):
         d = rho_to_xi(RhoParam(1.0, 2.0))

@@ -170,12 +170,31 @@ class TestExitCodes:
             ["ppp-busemann", "--samples", "10"],
             ["jump-count", "--samples", "1"],
             ["she-check", "--size", "1"],
+            ["parallel-chain", "--window", "10"],
         ],
     )
     def test_bad_count_names_the_option(self, runner, args):
         result = runner.invoke(cli.main, args)
         assert result.exit_code == 2
         assert f"Invalid value for '{args[1]}'" in result.output
+
+    @pytest.mark.parametrize(
+        "args, minimum",
+        [
+            # 20 KS samples from every 16th of window + 1 sites.
+            (["parallel-chain", "--window", "303"], "x>=304"),
+            # The eternal solution's base sits at size // 2 >= 1.
+            (["she-check", "--size", "1"], "x>=2"),
+        ],
+    )
+    def test_experiment_minimum_is_named(self, runner, args, minimum):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{args[1]}': {args[2]} is not in the range {minimum}" in result.output
+
+    def test_smallest_parallel_chain_window_runs(self, runner):
+        result = runner.invoke(cli.main, ["parallel-chain", "--window", "304"])
+        assert result.exit_code in (0, 1), result.output
 
     def test_numerical_failure_exits_1(self, runner, monkeypatch):
         failing = [

@@ -6,7 +6,9 @@ writes with ``--output`` to the file of the same name in
 and requires the same exit code.  The cases are the configurations of
 ``test_cli.py::TestExperimentRuns``, eleven experiments at their defaults
 (``check-inverse`` fails its inverse gaps, a known conditioning defect,
-and exits 1) and one CSV report.
+and exits 1), one CSV report, and the benchmark's deep grid
+``stationary-cocycle --window 6000 --levels 400``, the largest grid
+that the anti-diagonal ``_evolve`` runs in any report.
 
 A change that means to alter the numerics regenerates the golden files
 with ``PYTHONPATH=src python tests/test_golden.py`` and explains in its
@@ -30,6 +32,8 @@ CASES = [
     ("check-inverse.json", ["check-inverse", "--alpha", "3.5", "--rho", "0.5,1.5,2.5"], 0),
     ("grsk-verify.json", ["grsk-verify"], 0),
     ("stationary-cocycle.json", ["stationary-cocycle", "--window", "5000"], 0),
+    ("stationary-cocycle-deep.json", ["stationary-cocycle", "--window", "6000",
+                                      "--levels", "400"], 0),
     ("parallel-chain.json", ["parallel-chain", "--window", "8000"], 0),
     ("ppp-busemann.json", ["ppp-busemann", "--samples", "4000"], 0),
     ("jump-count.json", ["jump-count", "--samples", "2000"], 0),

@@ -7,6 +7,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from busemann_lab.bruteforce import site_by_site_log_partition_table
 from busemann_lab.lattice import (
     E1_AXIS,
     E2_AXIS,
@@ -14,6 +15,7 @@ from busemann_lab.lattice import (
     Direction,
     RhoParam,
     WeightField,
+    _log_partition_table,
     finite_marginal,
     log_partition,
     rho_to_xi,
@@ -104,6 +106,23 @@ class TestLogPartition:
     def test_unordered_error(self):
         with pytest.raises(ValueError, match="unordered endpoints"):
             log_partition(ConstantField(), (1, 1), (0, 5))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (101, 102)])
+    @pytest.mark.parametrize("include_initial", [False, True])
+    def test_strided_table_matches_site_by_site(self, shape, include_initial):
+        w = WeightField(2.0, master_seed=8).log_weight_block((-3, 4), shape)
+        got = _log_partition_table(w, include_initial)
+        assert got.shape == shape
+        assert np.array_equal(got, site_by_site_log_partition_table(w, include_initial))
+
+    def test_strided_table_of_a_reversed_view(self):
+        # cif reads the table of the block's reversed view.
+        w = WeightField(2.0, master_seed=9).log_weight_block((0, 0), (30, 17))
+        view = w[::-1, ::-1]
+        assert np.array_equal(
+            _log_partition_table(view, False),
+            site_by_site_log_partition_table(view, False),
+        )
 
 
 class TestFiniteMarginal:

@@ -5,9 +5,11 @@ import pytest
 import scipy.special as sps
 import scipy.stats as st
 
+from busemann_lab import special_functions
 from busemann_lab.special_functions import (
     Rng,
     _event_keys,
+    _libm,
     _spawn_ids,
     digamma,
     gamma_from_keys,
@@ -21,6 +23,68 @@ from busemann_lab.special_functions import (
     trigamma,
     uniform_from_keys,
 )
+
+
+_LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1)]
+
+
+def _libm_inputs(f) -> np.ndarray:
+    """10^5 inputs where math's version of f is defined, edge cases first:
+    signed zeros, subnormals, the 700 cap of the update map, NaN, inf."""
+    rng = np.random.default_rng(17)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = [0.0, -0.0, tiny, -tiny, 3e-310, -3e-310, 2.2e-308, 1e-300,
+            700.0, np.nextafter(700.0, 0.0), 699.5, np.nan, np.inf]
+    if f is np.log1p:
+        edge += [-0.5, np.nextafter(-1.0, 0.0), 1e300]
+        body = np.concatenate((
+            rng.uniform(-1.0, 1.0, 40_000),
+            np.exp(rng.uniform(-745.0, 700.0, 40_000)),
+        ))
+    else:
+        edge += [-np.inf, -745.0, -708.5, 709.7]
+        body = np.concatenate((
+            rng.uniform(-745.0, 700.0, 40_000),
+            rng.normal(0.0, 2.0, 40_000),
+        ))
+    body = np.concatenate((body, rng.uniform(-1e-5, 1e-5, 20_000)))
+    return np.concatenate((edge, body))[:100_000]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    same = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(np.all(same))
+
+
+class TestLibm:
+    @pytest.mark.parametrize("f, m", _LIBM_FUNCS, ids=lambda f: f.__name__)
+    def test_matches_math(self, f, m):
+        x = _libm_inputs(f)
+        assert x.size == 100_000
+        ref = np.array([m(v) for v in x.tolist()])
+        assert _same_bits(_libm(f, x), ref)
+        # Already-reversed and strided views, and a 2-d block.
+        assert _same_bits(_libm(f, x[::-1]), ref[::-1])
+        assert _same_bits(_libm(f, x[::-3]), ref[::-3])
+        assert _same_bits(_libm(f, x[1::2]), ref[1::2])
+        assert _same_bits(_libm(f, x.reshape(400, 250)), ref.reshape(400, 250))
+        assert _same_bits(_libm(f, x.reshape(400, 250).T), ref.reshape(400, 250).T)
+
+    @pytest.mark.parametrize("f", [f for f, _ in _LIBM_FUNCS], ids=lambda f: f.__name__)
+    def test_fallback_gives_the_same_bits(self, monkeypatch, f):
+        x = _libm_inputs(f)
+        fast = _libm(f, x)
+        monkeypatch.setattr(special_functions, "_LIBM_VECTOR", False)
+        assert _same_bits(_libm(f, x), fast)
+        assert _same_bits(_libm(f, x[::-1]), fast[::-1])
+
+    def test_probe_rejects_a_loop_off_by_one_ulp(self, monkeypatch):
+        loop = special_functions._reversed_loop
+        monkeypatch.setattr(
+            special_functions, "_reversed_loop",
+            lambda f, arr: np.nextafter(loop(f, arr), np.inf),
+        )
+        assert special_functions._reversed_loop_is_libm() is False
 
 
 class TestSpecialValues:
