@@ -131,7 +131,7 @@ def row_by_row_evolve(
     i_vals[0] = log_i0
     for t in range(1, t_max + 1):
         log_w = field.log_weight_row(k_lo, k_hi, t)
-        log_j, log_it, _ = update_raw(log_w, i_vals[t - 1], float(log_w[0]))
+        log_j, log_it = update_raw(log_w, i_vals[t - 1], float(log_w[0]))
         i_vals[t] = log_it
         j_vals[t] = log_j
         w_vals[t] = log_w

@@ -4,9 +4,9 @@ A cocycle grid holds the exponentiated horizontal and vertical increments
 I and J of a stationary cocycle on a rectangle, built by drawing the
 bottom row from the stationary law and evolving upward with the update
 map driven by the weight field.  From a grid one obtains eternal
-solutions of the discrete stochastic heat recursion and the backward
-polymer walk; independent of grids, Busemann values are estimated by
-partition-function ratios from deep starting points.
+solutions of the discrete stochastic heat recursion; independent of
+grids, Busemann values are estimated by partition-function ratios from
+deep starting points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .lattice import (
     WeightField,
     _check_point,
     _log_partition_table,
-    rho_to_xi,
 )
 from .seqmaps import LogSeqWindow, SeqTuple, update_raw
 from .special_functions import Rng, _libm, digamma, sample_inverse_gamma
@@ -35,7 +34,6 @@ __all__ = [
     "parallel_chain",
     "busemann_ratio_estimate",
     "eternal_from_cocycle",
-    "gibbs_backward_walk",
 ]
 
 _BURN_IN_RATE = 40.0
@@ -141,7 +139,7 @@ def _evolve(
         _sweep_diagonals(i_vals, j_vals, w_vals)
     else:
         for t in range(1, t_max + 1):
-            j_vals[t], i_vals[t], _ = update_raw(
+            j_vals[t], i_vals[t] = update_raw(
                 w_vals[t], i_vals[t - 1], float(w_vals[t, 0])
             )
     return i_vals, j_vals, w_vals
@@ -327,27 +325,3 @@ def eternal_from_cocycle(grid: CocycleGrid, base) -> EternalSolution:
     for r in range(rb - 1, -1, -1):
         log_z[r] = log_z[r + 1] - j_blk[r + 1]
     return EternalSolution(base=(bk, bt), k0=k0, t0=t0, log_z=log_z)
-
-
-def gibbs_backward_walk(
-    grid: CocycleGrid, v, steps: int, rng: Rng
-) -> list[tuple[int, int]]:
-    """Sample the backward polymer walk from v inside the grid bulk.
-
-    Each step moves to x - e1 with probability W_x / I_x and to x - e2
-    with probability W_x / J_x; the two sum to 1 by recovery.
-    """
-    k, t = int(v[0]), int(v[1])
-    path = [(k, t)]
-    for step in range(int(steps)):
-        if k <= grid.bulk_k_lo or t <= 1:
-            raise ValueError(
-                f"backward walk left the bulk at {(k, t)} after {step} steps"
-            )
-        p_e1 = math.exp(grid.log_w(k, t) - grid.log_i(k, t))
-        if rng.uniform() < p_e1:
-            k -= 1
-        else:
-            t -= 1
-        path.append((k, t))
-    return path

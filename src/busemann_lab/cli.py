@@ -149,6 +149,29 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
     return checks
 
 
+def _window_below(minimum: int, window: int) -> click.BadParameter:
+    """The error for a --window that a burn-in margin exhausts."""
+    return click.BadParameter(
+        f"{window} is not in the range x>={minimum}.", param_hint="'--window'"
+    )
+
+
+def _triangular_reach(tup: sm.SeqTuple) -> int:
+    """Burn-ins that build_triangular spends from tup's left end.
+
+    Cell (i, j) updates X^{i,j-1} with V^{i-1,j-1}, whose Cesaro hints are
+    those of inputs i and j - 1, so the burn-ins follow from the hints.
+    """
+    wins, v_lo, x_lo = tup.windows, [0], 0
+    for i in range(2, len(wins) + 1):
+        row, x_lo = [], 0
+        for j in range(2, i + 1):
+            x_lo = max(v_lo[j - 2], x_lo) + sm.default_burn_in(wins[j - 2], wins[i - 1])
+            row.append(x_lo)
+        v_lo = row + [x_lo]
+    return x_lo
+
+
 def run_grsk_verify(alpha, window, seed) -> list[dict]:
     checks = []
     rng = np.random.default_rng(seed)
@@ -181,7 +204,12 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
     ))
     # Unit shape gaps keep the iterated maps well conditioned.
     _, tup = _ig_windows([0.5, 1.5, 2.5], alpha + 1.5, window, seed)
-    tri = grsk.build_triangular(tup)
+    try:
+        tri = grsk.build_triangular(tup)
+    except ValueError as exc:
+        if "window exhausted" not in str(exc):
+            raise
+        raise _window_below(_triangular_reach(tup) + 1, window) from exc
     da = sm.daop(tup)
     lo = max(tri.x_cells[1, 1].lo, da.lo)
     diag_err = max(
@@ -219,6 +247,11 @@ def _beta_cdf(a: float, b: float):
 def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
     if not (0.0 < rho < alpha):
         raise click.UsageError("need 0 < rho < alpha")
+    # The bulk starts at the burn-in margin; its vertical KS test reads
+    # every 16th bulk site, as parallel-chain's does.
+    minimum = bu._margin(alpha, rho) + KS_WINDOW.min
+    if window < minimum:
+        raise _window_below(minimum, window)
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     grid = bu.stationary_cocycle(

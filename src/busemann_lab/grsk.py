@@ -5,9 +5,8 @@ fully triangular array, carried out exactly in the log domain.  The column
 entries z_{k1} of the evolving array are polymer partition functions with
 the initial weight included.
 
-The sequence side: the insertion network's column step, and the triangular
-array of windows built from the update maps, whose diagonal reproduces the
-intertwining tuple map.
+The sequence side: the triangular array of windows built from the update
+maps, whose diagonal reproduces the intertwining tuple map.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "TriangularArray",
     "row_insert",
     "array_insert",
-    "array_network_step",
     "build_triangular",
 ]
 
@@ -144,27 +142,6 @@ def array_insert(z: FullArray, b: Word) -> FullArray:
     if not cur.is_empty:
         raise ValueError("insertion did not terminate with an empty word")
     return FullArray(z.n, tuple(new_cols))
-
-
-def array_network_step(
-    z_col: np.ndarray, boundary_i: float, w_col: Word
-) -> tuple[np.ndarray, Word]:
-    """One column step of the insertion network with boundary.
-
-    z_col holds log Z at heights 0..M of the previous column; boundary_i
-    is the log boundary weight at height 0 and w_col the bulk log weights
-    at heights 1..M.  Returns the new column, satisfying
-    Z_new(0) = Z(0) I and Z_new(t) = (Z_new(t-1) + Z(t)) W_t, together
-    with the dual weight word at heights 1..M.
-    """
-    z_col = np.asarray(z_col, dtype=np.float64)
-    m = len(w_col)
-    if z_col.shape != (m + 1,):
-        raise ValueError(f"need {m + 1} partition values for {m} bulk weights")
-    xi = Word(0, z_col)
-    b = Word(0, np.concatenate(([float(boundary_i)], w_col.entries)))
-    new_z, dual = row_insert(xi, b)
-    return new_z.entries, dual
 
 
 def build_triangular(inputs: SeqTuple) -> TriangularArray:

@@ -9,8 +9,8 @@ alpha} / (1 - e^{-y}) decreasing, and the dominating product measure is
 sampled in closed form.  Jumps below a small cutoff y_min are replaced
 by their deterministic mean.
 
-Also here: jump counting against the quadrature intensity, the thinning
-coupling between the scaled positive-temperature profile and its
+Also here: batched counts of large jumps and their quadrature mean, the
+thinning coupling between the scaled positive-temperature profile and its
 zero-temperature limit, and the direction-reparametrization bound that
 controls that limit.
 """
@@ -42,18 +42,14 @@ __all__ = [
     "JumpProcessSample",
     "sample_ppp",
     "sample_ppp_replicas",
-    "trajectory",
     "marginal_check",
-    "jump_count",
     "expected_jump_count",
     "batch_increment_sums",
     "batch_jump_counts",
     "pos_temp_keep_prob",
     "zero_temp_keep_prob",
     "zero_temp_couple",
-    "zero_temp_initials",
     "reparam_bound",
-    "scaled_log_invgamma_cdf",
     "small_jump_compensator",
 ]
 
@@ -67,8 +63,8 @@ class JumpProcessSample:
     """One realization of the marked jump process on (0, rho_max].
 
     s, y, u are equal-length arrays sorted by s; u are independent
-    uniform marks.  Jumps with y < y_min are not listed; trajectory
-    evaluation adds their mean deterministically.
+    uniform marks.  Jumps with y < y_min are not listed;
+    small_jump_compensator gives their mean total mass.
     """
 
     alpha: float
@@ -256,17 +252,6 @@ def sample_ppp_replicas(
     return _realizations(alpha, rho_max, y_min, rng.master_seed, ids)
 
 
-def trajectory(sample: JumpProcessSample, rho: float) -> float:
-    """Z(rho) = Z(0) + sum of jumps with s <= rho, plus the small-jump mean."""
-    if not (0.0 <= rho <= sample.rho_max):
-        raise ValueError(f"rho={rho} outside [0, {sample.rho_max}]")
-    if rho == 0.0:
-        return sample.z0
-    jumps = float(sample.y[sample.s <= rho].sum())
-    comp = small_jump_compensator(sample.alpha, rho, sample.y_min)
-    return sample.z0 + jumps + comp
-
-
 def batch_increment_sums(
     alpha: float,
     breaks,
@@ -324,13 +309,6 @@ def batch_jump_counts(
     return np.bincount(owner[keep], minlength=n)
 
 
-def scaled_log_invgamma_cdf(alpha: float, z) -> np.ndarray:
-    """CDF of alpha log Ga^-1(alpha); tends to the Exp(1) CDF as alpha -> 0."""
-    z = np.asarray(z, dtype=np.float64)
-    x = np.exp(-z / alpha)
-    return 1.0 - reg_inc_gamma(alpha, x)
-
-
 def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
     """KS test of n sampled Z(rho) values against the log Ga^-1(alpha - rho) law."""
     if not (0.0 < rho < alpha):
@@ -341,14 +319,6 @@ def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
     return ks_one_sample(
         z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _libm(np.exp, -v))
     )
-
-
-def jump_count(sample: JumpProcessSample, delta: float, s_interval) -> int:
-    """Number of points with y >= delta and s in the given interval."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    s1, s2 = float(s_interval[0]), float(s_interval[1])
-    return int(np.sum((sample.y >= delta) & (sample.s > s1) & (sample.s <= s2)))
 
 
 def expected_jump_count(alpha: float, delta: float, s_interval) -> float:
@@ -375,23 +345,6 @@ def pos_temp_keep_prob(y: np.ndarray, alpha: float) -> np.ndarray:
 def zero_temp_keep_prob(y: np.ndarray) -> np.ndarray:
     """Thinning probability selecting the zero-temperature jumps."""
     return -np.expm1(-y)
-
-
-def zero_temp_initials(alpha: float, uniform: float) -> tuple[float, float]:
-    """Coupled initial values: the scaled alpha-law and its Exp(1) limit.
-
-    Inverts the CDF of alpha log Ga^-1(alpha) and of Exp(1) at the same
-    uniform, so the pair is comonotone.
-    """
-    z_zero = -math.log1p(-uniform)
-    lo, hi = -50.0, 200.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(scaled_log_invgamma_cdf(alpha, mid)) < uniform:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), z_zero
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,5 @@
-"""Lattice weight fields, log-domain partition functions, polymer path
-marginals, and the inverse-gamma shape function with its direction
-parametrization.
+"""Lattice weight fields, log-domain partition functions, and the
+characteristic direction xi(rho) of the stationary parameter rho.
 
 Lattice points are pairs of integers (x1, x2); the level of a point is
 x1 + x2 and admissible polymer steps are e1 = (1, 0) and e2 = (0, 1).
@@ -8,36 +7,19 @@ x1 + x2 and admissible polymer steps are e1 = (1, 0) and e2 = (0, 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import (
-    digamma,
-    gamma_from_keys,
-    keys_for_sites,
-    trigamma,
-)
+from .special_functions import gamma_from_keys, keys_for_sites, trigamma
 
 __all__ = [
     "WeightField",
-    "ConstantField",
     "Direction",
     "RhoParam",
-    "E1_AXIS",
-    "E2_AXIS",
-    "weight",
     "log_partition",
-    "finite_marginal",
     "rho_to_xi",
-    "xi_to_rho",
-    "shape_function",
 ]
-
-# Sentinels for the two axis rays; interior directions use Direction.
-E1_AXIS = "e1"
-E2_AXIS = "e2"
 
 _COORD_LIMIT = 2 ** 31
 
@@ -79,8 +61,8 @@ class RhoParam:
 class WeightField:
     """Deterministic seeded field of i.i.d. inverse-gamma weights.
 
-    weight(x) is a pure function of (master_seed, stream_id, x); values are
-    produced and stored in the log domain.
+    log_weight(x) is a pure function of (master_seed, stream_id, x);
+    values are produced and stored in the log domain.
     """
 
     def __init__(self, alpha: float, master_seed: int, stream_id: int = 0):
@@ -109,29 +91,6 @@ class WeightField:
         ks = np.arange(k_lo, k_hi + 1)
         keys = keys_for_sites(self.master_seed, self.stream_id, ks, t)
         return -np.log(gamma_from_keys(keys, self.alpha))
-
-
-class ConstantField:
-    """Field with one forced log-weight everywhere (for brute-force tests)."""
-
-    def __init__(self, log_value: float = 0.0):
-        self.log_value = float(log_value)
-
-    def log_weight(self, x) -> float:
-        _check_point(x)
-        return self.log_value
-
-    def log_weight_block(self, origin, shape) -> np.ndarray:
-        _check_point(origin)
-        return np.full((int(shape[0]), int(shape[1])), self.log_value)
-
-    def log_weight_row(self, k_lo: int, k_hi: int, t: int) -> np.ndarray:
-        return np.full(k_hi - k_lo + 1, self.log_value)
-
-
-def weight(field, x) -> float:
-    """Log-weight log W_x of the field at lattice point x."""
-    return field.log_weight(x)
 
 
 def log_partition(field, u, v, include_initial: bool = False) -> float:
@@ -178,71 +137,8 @@ def _log_partition_table(w: np.ndarray, include_initial: bool) -> np.ndarray:
     return logz[1:, 1:]
 
 
-def finite_marginal(field, u, v, sites) -> float:
-    """Probability that the polymer path from u to v passes through sites.
-
-    Sites must be weakly between u and v and listed on strictly increasing
-    levels; the probability is a ratio of products of partition functions,
-    evaluated in the log domain.
-    """
-    pts = [_check_point(u)] + [_check_point(s) for s in sites] + [_check_point(v)]
-    for a, b in zip(pts, pts[1:]):
-        if not (a[0] <= b[0] and a[1] <= b[1]):
-            raise ValueError(f"incompatible sites: {a!r} !<= {b!r}")
-    for s, t in zip(pts[1:-1], pts[2:]):
-        if s != t and (s[0] + s[1]) >= (t[0] + t[1]) and t != pts[-1]:
-            raise ValueError(f"incompatible sites: levels must increase, {s!r} vs {t!r}")
-    log_num = sum(log_partition(field, a, b) for a, b in zip(pts, pts[1:]))
-    log_den = log_partition(field, pts[0], pts[-1])
-    return float(math.exp(log_num - log_den))
-
-
 def rho_to_xi(p: RhoParam) -> Direction:
     """Direction xi(rho) = (psi_1(rho), psi_1(alpha - rho)) normalized."""
     a = trigamma(p.rho)
     b = trigamma(p.alpha - p.rho)
     return Direction(xi1=a / (a + b))
-
-
-def xi_to_rho(alpha: float, d: Direction) -> RhoParam:
-    """Solve xi1 psi_1(alpha - rho) = xi2 psi_1(rho) by bisection.
-
-    psi_1 is strictly decreasing, so the defect is strictly increasing in
-    rho and the bracket (eps, alpha - eps) always contains the root.
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    xi1, xi2 = d.xi1, d.xi2
-
-    def defect(rho: float) -> float:
-        return xi1 * trigamma(alpha - rho) - xi2 * trigamma(rho)
-
-    lo, hi = 1e-9, alpha - 1e-9
-    flo = defect(lo)
-    if flo > 0.0:  # root pushed against the e1 end; xi1 extremely close to 1
-        return RhoParam(rho=lo, alpha=alpha)
-    if defect(hi) < 0.0:
-        return RhoParam(rho=hi, alpha=alpha)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if defect(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return RhoParam(rho=0.5 * (lo + hi), alpha=alpha)
-
-
-def shape_function(alpha: float, d, scale: float = 1.0) -> float:
-    """Limit shape Lambda(scale * xi), positively homogeneous of degree 1.
-
-    d may be an interior Direction or one of the axis sentinels E1_AXIS,
-    E2_AXIS, where the value is -scale * psi_0(alpha).
-    """
-    if scale < 0.0:
-        raise ValueError("scale must be nonnegative")
-    if scale == 0.0:
-        return 0.0
-    if d in (E1_AXIS, E2_AXIS):
-        return -scale * digamma(alpha)
-    rho = xi_to_rho(alpha, d).rho
-    return scale * (-d.xi1 * digamma(alpha - rho) - d.xi2 * digamma(rho))

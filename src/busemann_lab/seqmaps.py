@@ -148,13 +148,13 @@ def default_burn_in(w: LogSeqWindow, i: LogSeqWindow) -> int:
 
 def update_raw(
     log_w: np.ndarray, log_i: np.ndarray, log_j_seed: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One-pass update recursion without windowing or burn-in handling.
 
     Given log W_k and log I_k for k = 0..n-1 and the seed log J_{-1},
-    returns log J_k for k = 0..n-1 together with log I~_k and log W~_k,
-    which use J_{k-1} and therefore also cover k = 0..n-1 (k = 0 uses the
-    seed).  The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.
+    returns log J_k for k = 0..n-1 together with log I~_k, which uses
+    J_{k-1} and therefore also covers k = 0..n-1 (k = 0 uses the seed).
+    The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     log_i = np.asarray(log_i, dtype=np.float64)
@@ -179,8 +179,7 @@ def update_raw(
             js.append(prev)
         log_j[lo:hi] = js
         log_it[lo:hi] = its
-    log_wt = -np.logaddexp(-log_i, -np.concatenate(([log_j_seed], log_j[:-1])))
-    return log_j, log_it, log_wt
+    return log_j, log_it
 
 
 def _seed(policy: str, w: LogSeqWindow, i: LogSeqWindow) -> float:
@@ -225,7 +224,8 @@ def update(
     # The seed plays the role of J at index lo - 1, so outputs at index lo
     # already use it; J at lo is the first recursion output.
     seed = _seed(j_seed, w, i)
-    log_j, log_it, log_wt = update_raw(w.values, i.values, seed)
+    log_j, log_it = update_raw(w.values, i.values, seed)
+    log_wt = -np.logaddexp(-i.values, -np.concatenate(([seed], log_j[:-1])))
     valid_lo = w.lo + burn_in
     cut = burn_in
     ci = _cesaro(i)

@@ -12,7 +12,6 @@ from busemann_lab.busemann import (
     _evolve,
     busemann_ratio_estimate,
     eternal_from_cocycle,
-    gibbs_backward_walk,
     parallel_chain,
     stationary_cocycle,
 )
@@ -105,7 +104,6 @@ class TestEvolve:
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("t_max, n", [(10, 30), (2 * _WAVEFRONT_MIN, 80)])
     def test_nan_in_bottom_row(self, t_max, n):
         field = WeightField(2.0, master_seed=22)
@@ -238,35 +236,6 @@ class TestEternalSolution:
         grid = make_grid(k_hi=160, t_max=10, seed=9)
         with pytest.raises(ValueError, match="outside bulk"):
             eternal_from_cocycle(grid, (0, 4))
-
-
-class TestBackwardWalk:
-    def test_path_shape(self):
-        grid = make_grid(k_hi=400, t_max=60, seed=10)
-        path = gibbs_backward_walk(
-            grid, (380, 60), 50, Rng(master_seed=10, stream_id=5)
-        )
-        assert len(path) == 51
-        for (k1, t1), (k2, t2) in zip(path, path[1:]):
-            assert (k2, t2) in ((k1 - 1, t1), (k1, t1 - 1))
-
-    def test_leaving_bulk_raises(self):
-        grid = make_grid(k_hi=400, t_max=5, seed=10)
-        with pytest.raises(ValueError, match="left the bulk"):
-            gibbs_backward_walk(grid, (380, 5), 50, Rng(master_seed=1))
-
-    def test_mean_direction(self):
-        # e1-steps happen with probability W/I, whose mean is the CDF value
-        # (alpha - rho)/alpha = 1/2 at rho = 1, alpha = 2.
-        grid = make_grid(k_hi=6000, t_max=2600, seed=11)
-        path = gibbs_backward_walk(
-            grid, (5900, 2600), 2500, Rng(master_seed=11, stream_id=9)
-        )
-        e1 = sum(
-            1 for a, b in zip(path, path[1:]) if b[0] == a[0] - 1
-        )
-        frac = e1 / 2500
-        assert abs(frac - 0.5) < 0.05
 
 
 class TestRatioEstimate:

@@ -185,12 +185,25 @@ class TestExitCodes:
             (["parallel-chain", "--window", "303"], "x>=304"),
             # The eternal solution's base sits at size // 2 >= 1.
             (["she-check", "--size", "1"], "x>=2"),
+            # The burn-ins of the triangular array at alpha = 2.
+            (["grsk-verify", "--window", "10"], "x>=149"),
+            # The burn-in margin 41 at alpha = 2, rho = 1, then 304 bulk
+            # sites for the vertical KS test.
+            (["stationary-cocycle", "--window", "41"], "x>=345"),
         ],
     )
     def test_experiment_minimum_is_named(self, runner, args, minimum):
         result = runner.invoke(cli.main, args)
         assert result.exit_code == 2
         assert f"Invalid value for '{args[1]}': {args[2]} is not in the range {minimum}" in result.output
+
+    @pytest.mark.parametrize(
+        "args", [["grsk-verify", "--window", "149"],
+                 ["stationary-cocycle", "--window", "345"]],
+    )
+    def test_named_window_minimum_runs(self, runner, args):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code in (0, 1), result.output
 
     def test_smallest_parallel_chain_window_runs(self, runner):
         result = runner.invoke(cli.main, ["parallel-chain", "--window", "304"])

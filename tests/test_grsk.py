@@ -9,7 +9,6 @@ from busemann_lab.grsk import (
     TriangularArray,
     Word,
     array_insert,
-    array_network_step,
     build_triangular,
     row_insert,
 )
@@ -131,25 +130,6 @@ class TestArrayInsert:
         with pytest.raises(ValueError):
             arr.cell(1, 2)
         assert np.array_equal(arr.first_column(), arr.cols[0])
-
-
-class TestNetworkStep:
-    def test_column_recursion(self):
-        rng = np.random.default_rng(4)
-        z = np.log(rng.uniform(0.5, 2.0, size=5))
-        boundary = 0.4
-        w = Word(1, np.log(rng.uniform(0.5, 2.0, size=4)))
-        new_z, dual = array_network_step(z, boundary, w)
-        ref = np.empty(5)
-        ref[0] = math.exp(z[0] + boundary)
-        for t in range(1, 5):
-            ref[t] = (ref[t - 1] + math.exp(z[t])) * math.exp(w.entries[t - 1])
-        assert np.max(np.abs(new_z - np.log(ref))) < 1e-13
-        assert dual.start == 1 and len(dual) == 4
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            array_network_step(np.zeros(3), 0.0, Word(1, np.zeros(3)))
 
 
 class TestBuildTriangular:

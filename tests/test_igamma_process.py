@@ -17,17 +17,13 @@ from busemann_lab.igamma_process import (
     batch_increment_sums,
     batch_jump_counts,
     expected_jump_count,
-    jump_count,
     marginal_check,
     pos_temp_keep_prob,
     reparam_bound,
     sample_ppp,
     sample_ppp_replicas,
-    scaled_log_invgamma_cdf,
     small_jump_compensator,
-    trajectory,
     zero_temp_couple,
-    zero_temp_initials,
     zero_temp_keep_prob,
 )
 from busemann_lab.special_functions import Rng, sample_gamma, sample_poisson
@@ -108,21 +104,6 @@ class TestSampler:
             sample_ppp(2.0, 1.0, y_min=0.0, rng=Rng(master_seed=0))
         with pytest.raises(ValueError):
             sample_ppp(2.0, 1.0)
-
-    def test_trajectory_monotone(self):
-        smp = sample_ppp(2.0, 1.5, rng=Rng(master_seed=7))
-        vals = [trajectory(smp, r) for r in np.linspace(0.0, 1.5, 30)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[0] == smp.z0
-        with pytest.raises(ValueError):
-            trajectory(smp, 1.6)
-
-    def test_jump_count_of_sample(self):
-        smp = sample_ppp(2.0, 1.0, rng=Rng(master_seed=8))
-        n = jump_count(smp, 0.5, (0.0, 1.0))
-        assert n == int(np.sum(smp.y >= 0.5))
-        with pytest.raises(ValueError):
-            jump_count(smp, 0.0, (0.0, 1.0))
 
 
 def _oracle_points(alpha, rho_max, y_min, n, rng):
@@ -285,21 +266,6 @@ class TestBatchStatistics:
             batch_jump_counts(2.0, 1e-7, (0.0, 1.0), 10, Rng(master_seed=0))
 
 
-class TestScaledCdf:
-    def test_matches_scipy_invgamma(self):
-        alpha = 0.7
-        z = np.linspace(-3.0, 8.0, 25)
-        ours = scaled_log_invgamma_cdf(alpha, z)
-        ref = st.invgamma(alpha).cdf(np.exp(z / alpha))
-        assert np.max(np.abs(ours - ref)) < 1e-12
-
-    def test_small_alpha_approaches_exponential(self):
-        z = np.linspace(0.05, 5.0, 20)
-        ours = scaled_log_invgamma_cdf(0.01, z)
-        ref = 1.0 - np.exp(-z)
-        assert np.max(np.abs(ours - ref)) < 0.05
-
-
 class TestZeroTemperature:
     def test_keep_probs(self):
         y = np.linspace(1e-4, 10.0, 200)
@@ -309,16 +275,6 @@ class TestZeroTemperature:
         assert np.all(pa <= 1.0 + 1e-12)
         # The positive-temperature profile keeps every zero-temperature jump.
         assert np.all(pa >= p0 - 1e-12)
-
-    def test_initials_comonotone(self):
-        lo = zero_temp_initials(0.5, 0.2)
-        hi = zero_temp_initials(0.5, 0.8)
-        assert lo[0] < hi[0] and lo[1] < hi[1]
-        assert lo[1] == pytest.approx(-math.log1p(-0.2), abs=1e-12)
-        # The first component inverts the scaled CDF.
-        assert float(scaled_log_invgamma_cdf(0.5, lo[0])) == pytest.approx(
-            0.2, abs=1e-9
-        )
 
     def test_couple_gap_nonnegative(self):
         smp = sample_ppp(1.0, 0.9, rng=Rng(master_seed=13))

@@ -88,26 +88,16 @@ class TestUpdateRaw:
         rng = np.random.default_rng(0)
         log_w = np.log(1 / rng.gamma(2.0, size=500))
         log_i = np.log(1 / rng.gamma(1.0, size=500))
-        log_j, log_it, log_wt = update_raw(log_w, log_i, 0.3)
+        log_j, log_it = update_raw(log_w, log_i, 0.3)
         res = np.exp(-log_it) + np.exp(-log_j) - np.exp(-log_w)
         assert np.max(np.abs(res)) < 1e-14
-
-    def test_dual_weight_definition(self):
-        rng = np.random.default_rng(1)
-        log_w = np.log(1 / rng.gamma(2.0, size=100))
-        log_i = np.log(1 / rng.gamma(1.0, size=100))
-        seed = -0.7
-        log_j, _, log_wt = update_raw(log_w, log_i, seed)
-        j_prev = np.concatenate(([seed], log_j[:-1]))
-        expected = -np.logaddexp(-log_i, -j_prev)
-        assert np.max(np.abs(log_wt - expected)) < 1e-13
 
     def test_recursion_values(self):
         # J_k = W_k (1 + J_{k-1}/I_k), I~_k = W_k (1 + I_k/J_{k-1}).
         log_w = np.array([0.1, -0.2])
         log_i = np.array([0.4, 0.3])
         seed = 0.25
-        log_j, log_it, _ = update_raw(log_w, log_i, seed)
+        log_j, log_it = update_raw(log_w, log_i, seed)
         j0 = math.exp(0.1) * (1 + math.exp(seed - 0.4))
         assert log_j[0] == pytest.approx(math.log(j0), abs=1e-14)
         it1 = math.exp(-0.2) * (1 + math.exp(0.3) / j0)
@@ -125,8 +115,7 @@ class TestUpdateRaw:
         log_w = 400.0 * rng.normal(size=n)
         log_i = 400.0 * rng.normal(size=n)
         log_i[n - 5] = np.nan  # NaN propagates through J, so put it last
-        with np.errstate(invalid="ignore"):
-            log_j, log_it, _ = update_raw(log_w, log_i, 0.3)
+        log_j, log_it = update_raw(log_w, log_i, 0.3)
         want_j, want_it = np.empty(n), np.empty(n)
         prev = 0.3
         for k in range(n):
@@ -154,6 +143,15 @@ class TestUpdate:
         gap = digamma(2.0) - digamma(1.0)
         assert default_burn_in(w, i) == math.ceil(40.0 / gap)
         assert update(w, i).valid_lo == math.ceil(40.0 / gap)
+
+    def test_dual_weight_definition(self):
+        # 1/W~_k = 1/I_k + 1/J_{k-1}, with J_{k-1} read from the j output.
+        w = ig_window(2.0, 0, 400, seed=1, stream=0)
+        i = ig_window(1.0, 0, 400, seed=1, stream=1)
+        out = update(w, i)
+        log_i = i.restrict(out.valid_lo + 1, i.hi).values
+        expected = -np.logaddexp(-log_i, -out.j.values[:-1])
+        assert np.max(np.abs(out.w_tilde.values[1:] - expected)) < 1e-13
 
     def test_cesaro_order_violated(self):
         w = ig_window(1.0, 0, 100, seed=4, stream=0)
