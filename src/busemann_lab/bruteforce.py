@@ -4,9 +4,10 @@ Exponential-cost sums over lattice paths, used as oracles for the
 geometric RSK array: the disjoint-path partition functions that seed a
 triangular array, and the log-domain point-to-point partition function.
 Also the one-grid-per-replica construction of the competition-interface
-ratio samples, the oracle for their batched draw, and the row-by-row
-cocycle evolution and site-by-site anti-diagonal partition-function
-table, the oracles for their strided vector forms.
+ratio samples, the oracle for their batched draw and stacked update_raw
+rows, and the row-by-row cocycle evolution and site-by-site
+anti-diagonal partition-function table, the oracles for the wavefront
+update step and the strided table.
 """
 
 from __future__ import annotations

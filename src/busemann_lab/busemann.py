@@ -23,8 +23,8 @@ from .lattice import (
     _check_point,
     _log_partition_table,
 )
-from .seqmaps import LogSeqWindow, SeqTuple, update_raw
-from .special_functions import Rng, _libm, digamma, sample_inverse_gamma
+from .seqmaps import LogSeqWindow, SeqTuple, _update_step, update_raw
+from .special_functions import Rng, digamma, sample_inverse_gamma
 from .grsk import build_triangular
 
 __all__ = [
@@ -149,12 +149,12 @@ def _sweep_diagonals(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray)
     """Rows 1.. of i_vals and j_vals as _evolve's row loop fills them, in place.
 
     Site (t, k) needs I(t - 1, k) and J(t, k - 1), which both lie on the
-    anti-diagonal t + k = s - 1, so each anti-diagonal is one vector step
-    (Lamport's hyperplane method).  In the flat C-order arrays diagonal s
-    is a slice of stride n - 1, with I(t - 1, k) at offset -n and
-    J(t, k - 1) at offset -1; the site (s, 0) takes the weight seed
-    instead.  Every element goes through the operations of update_raw in
-    its order, with libm's exp and log1p, so the values are the same bits.
+    anti-diagonal t + k = s - 1, so each anti-diagonal is one call of
+    seqmaps' vector update step over its sites (Lamport's hyperplane
+    method), and the values are the bits of the row loop.  In the flat
+    C-order arrays diagonal s is a slice of stride n - 1, with I(t - 1, k)
+    at offset -n and J(t, k - 1) at offset -1; the site (s, 0) takes the
+    weight seed instead.
     """
     t_max, n = i_vals.shape[0] - 1, i_vals.shape[1]
     i_flat, j_flat, w_flat = i_vals.reshape(-1), j_vals.reshape(-1), w_vals.reshape(-1)
@@ -164,17 +164,13 @@ def _sweep_diagonals(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray)
         t_lo, t_hi = max(1, s - step), min(t_max, s)
         lo, hi = s + t_lo * step, s + t_hi * step + 1
         size = t_hi - t_lo + 1
-        both, d = buf[:2 * size], buf[:size]
+        d = buf[:size]
         log_i = i_flat[lo - n:hi - n:step]
         np.subtract(log_i, j_flat[lo - 1:hi - 1:step], out=d)
         if t_hi == s:
             d[-1] = log_i[-1] - w_flat[s * n]
-        np.negative(d, out=both[size:])
-        np.minimum(both, 700.0, out=both)
-        out = _libm(np.log1p, _libm(np.exp, both))
-        w = w_flat[lo:hi:step]
-        np.add(out[:size], w, out=i_flat[lo:hi:step])
-        np.add(out[size:], w, out=j_flat[lo:hi:step])
+        _update_step(buf[:2 * size], w_flat[lo:hi:step],
+                     i_flat[lo:hi:step], j_flat[lo:hi:step])
 
 
 def stationary_cocycle(

@@ -21,6 +21,7 @@ from .special_functions import (
     Rng,
     _as_u64,
     _event_keys,
+    _libm,
     gamma_from_keys,
     keys_for_sites,
     uniform_from_keys,
@@ -77,7 +78,7 @@ def _ratio_samples(
     and its uniform from base + 3r + 2, with base = stream_id << 22
     (mod 2^64); this is exactly ``stationary_cocycle`` on that stream.
     The keys and gamma draws of a block of replicas are made in one
-    array call each; only the row recursion runs per replica.
+    array call each, and its rows go through one stacked update_raw call.
     """
     if not (0.0 < rho < alpha):
         raise ValueError("need 0 < rho < alpha")
@@ -98,10 +99,8 @@ def _ratio_samples(
         log_w = -np.log(gamma_from_keys(w_keys, alpha)).reshape(shape)
         i_keys = _event_keys(seed, sids + np.uint64(1), 0, width + 1).ravel()
         log_i0 = np.log(1.0 / gamma_from_keys(i_keys, alpha - rho)).reshape(shape)
-        ratios = np.empty(r.size)
-        for b in range(r.size):
-            _, log_it = update_raw(log_w[b], log_i0[b], log_w[b, 0])
-            ratios[b] = math.exp(log_w[b, width] - log_it[width])
+        _, log_it = update_raw(log_w, log_i0, log_w[:, 0])
+        ratios = _libm(np.exp, log_w[:, width] - log_it[:, width])
         if indicator:
             u = uniform_from_keys(_event_keys(seed, sids + np.uint64(2), 0, 1)).ravel()
             ratios = np.where(u <= ratios, 1.0, 0.0)

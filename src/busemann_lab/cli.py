@@ -82,24 +82,26 @@ def _finish(config: dict, checks: list[dict], output: str, fmt: str, t0: float):
         sys.exit(1)
 
 
-def _ig_windows(rhos, alpha, window, seed):
+def _ig_window(rng: Rng, shape: float, window: int) -> sm.LogSeqWindow:
+    """Logs of window + 1 inverse-gamma(shape) draws from rng on [0, window]."""
+    vals = np.log(sample_inverse_gamma(rng, shape, size=window + 1))
+    return sm.LogSeqWindow(0, window, vals, cesaro_hint=-digamma(shape))
+
+
+def _ig_windows(rhos, alpha, window, seed) -> sm.SeqTuple:
     lams = sorted((alpha - r for r in rhos), reverse=True)
     if lams[-1] <= 0 or lams[0] >= alpha or len(set(lams)) != len(lams):
         raise click.UsageError("rhos must be distinct and inside (0, alpha)")
     rng = Rng(master_seed=seed)
-    wins = []
-    for i, lam in enumerate(lams):
-        vals = np.log(sample_inverse_gamma(rng.spawn(i + 1), lam, size=window + 1))
-        wins.append(sm.LogSeqWindow(0, window, vals, cesaro_hint=-digamma(lam)))
-    w_vals = np.log(sample_inverse_gamma(rng.spawn(0), alpha, size=window + 1))
-    weight = sm.LogSeqWindow(0, window, w_vals, cesaro_hint=-digamma(alpha))
-    return weight, sm.SeqTuple(tuple(wins))
+    wins = [_ig_window(rng.spawn(i + 1), lam, window) for i, lam in enumerate(lams)]
+    return sm.SeqTuple(tuple(wins))
 
 
 def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
     if len(rhos) != n:
         raise click.UsageError(f"need {n} rhos, got {len(rhos)}")
-    weight, tup = _ig_windows(rhos, alpha, window, seed)
+    tup = _ig_windows(rhos, alpha, window, seed)
+    weight = _ig_window(Rng(master_seed=seed).spawn(0), alpha, window)
     lhs = sm.parallel_step(weight, sm.daop(tup))
     rhs = sm.daop(sm.sequential_step(weight, tup))
     lo = max(lhs.lo, rhs.lo, margin)
@@ -119,7 +121,8 @@ def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
 def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
     if len(rhos) != n:
         raise click.UsageError(f"need {n} rhos, got {len(rhos)}")
-    weight, tup = _ig_windows(rhos, alpha, window, seed)
+    tup = _ig_windows(rhos, alpha, window, seed)
+    weight = _ig_window(Rng(master_seed=seed).spawn(0), alpha, window)
     checks = []
     out = sm.update(weight, tup.windows[0])
     inv = sm.inverse_h(weight.restrict(out.valid_lo, window), out.i_tilde)
@@ -203,7 +206,7 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
         count_err, 1e-9,
     ))
     # Unit shape gaps keep the iterated maps well conditioned.
-    _, tup = _ig_windows([0.5, 1.5, 2.5], alpha + 1.5, window, seed)
+    tup = _ig_windows([0.5, 1.5, 2.5], alpha + 1.5, window, seed)
     try:
         tri = grsk.build_triangular(tup)
     except ValueError as exc:

@@ -1,9 +1,9 @@
 """Geometric row insertion and triangular arrays.
 
-The finite side: insertion of a word into a word, and of a word into a
-fully triangular array, carried out exactly in the log domain.  The column
-entries z_{k1} of the evolving array are polymer partition functions with
-the initial weight included.
+The finite side: insertion of a word into a word, which is the update
+map's S recursion, and of a word into a fully triangular array, carried
+out exactly in the log domain.  The column entries z_{k1} of the evolving
+array are polymer partition functions with the initial weight included.
 
 The sequence side: the triangular array of windows built from the update
 maps, whose diagonal reproduces the intertwining tuple map.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqmaps import LogSeqWindow, SeqTuple, update
+from .seqmaps import LogSeqWindow, SeqTuple, update, update_raw
 
 __all__ = [
     "Word",
@@ -81,10 +81,6 @@ class FullArray:
             raise ValueError(f"cell ({k}, {ell}) outside the triangle")
         return float(self.cols[ell - 1][k - ell])
 
-    def first_column(self) -> np.ndarray:
-        """Logs of (z_{11}, ..., z_{n1})."""
-        return self.cols[0].copy()
-
 
 @dataclass(frozen=True)
 class TriangularArray:
@@ -92,10 +88,6 @@ class TriangularArray:
 
     x_cells: dict[tuple[int, int], LogSeqWindow]
     v_cells: dict[tuple[int, int], LogSeqWindow]
-
-    @property
-    def size(self) -> int:
-        return max(i for i, _ in self.x_cells)
 
 
 def row_insert(xi: Word, b: Word) -> tuple[Word, Word]:
@@ -105,7 +97,9 @@ def row_insert(xi: Word, b: Word) -> tuple[Word, Word]:
     xi'_ell = b_ell xi_ell; xi'_k = b_k (xi'_{k-1} + xi_k) for k > ell;
     b'_k = b_k xi_k xi'_{k-1} / (xi_{k-1} xi'_k) for k > ell.  The output
     word b' starts at ell + 1 and is one entry shorter (empty for
-    length-1 inputs).
+    length-1 inputs).  xi' is the S output J of the update recursion with
+    W = b xi, I = xi and J_{ell-1} = 0, so update_raw computes it; its
+    clamp caps log xi'_{k-1} - log xi_k at 700.
     """
     if xi.start != b.start or len(xi) != len(b):
         raise ValueError(
@@ -113,11 +107,7 @@ def row_insert(xi: Word, b: Word) -> tuple[Word, Word]:
         )
     if xi.is_empty:
         raise ValueError("cannot insert into an empty word")
-    n = len(xi)
-    out = np.empty(n)
-    out[0] = b.entries[0] + xi.entries[0]
-    for k in range(1, n):
-        out[k] = b.entries[k] + np.logaddexp(out[k - 1], xi.entries[k])
+    out, _ = update_raw(b.entries + xi.entries, xi.entries, -np.inf)
     bumped = (
         b.entries[1:] + xi.entries[1:] + out[:-1] - xi.entries[:-1] - out[1:]
     )

@@ -7,9 +7,10 @@ window W and an input window I.  Truncation is handled by a burn-in: the
 seed of the S recursion is forgotten geometrically at rate given by the gap
 of Cesaro means, so outputs are only reported past a left margin.
 
-Also provided: the inverse H of the update, the iterated map and the
-intertwining tuple map with its inverse, and the parallel and sequential
-one-step transformations.
+update_raw, the one home of the update step, also serves busemann's
+anti-diagonal sweep and grsk's row insertion.  Also provided: the inverse
+H of the update, the iterated map and the intertwining tuple map with its
+inverse, and the parallel and sequential one-step transformations.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .special_functions import _libm
 
 __all__ = [
     "LogSeqWindow",
@@ -73,9 +76,6 @@ class LogSeqWindow:
             values=self.values[lo - self.lo : hi - self.lo + 1],
             cesaro_hint=self.cesaro_hint,
         )
-
-    def shift(self, by: int) -> "LogSeqWindow":
-        return LogSeqWindow(self.lo + by, self.hi + by, self.values, self.cesaro_hint)
 
 
 @dataclass(frozen=True)
@@ -146,23 +146,52 @@ def default_burn_in(w: LogSeqWindow, i: LogSeqWindow) -> int:
     return math.ceil(_BURN_IN_RATE / _gap(w, i))
 
 
+def _update_step(both: np.ndarray, log_w, log_it, log_j) -> None:
+    """One column k of the update recursion for a vector of independent rows.
+
+    On entry the first half of ``both`` holds d = log I_k - log J_{k-1},
+    one entry per row; ``both`` is then scratch.  Writes
+    log I~_k = log W_k + log1p(exp(min(d, 700))) into log_it and
+    log J_k = log W_k + log1p(exp(min(-d, 700))) into log_j, with libm's
+    exp and log1p, so every element has the bits of update_raw's row loop.
+    """
+    size = both.shape[0] // 2
+    np.negative(both[:size], out=both[size:])
+    np.minimum(both, 700.0, out=both)
+    out = _libm(np.log1p, _libm(np.exp, both))
+    np.add(out[:size], log_w, out=log_it)
+    np.add(out[size:], log_w, out=log_j)
+
+
 def update_raw(
-    log_w: np.ndarray, log_i: np.ndarray, log_j_seed: float
+    log_w: np.ndarray, log_i: np.ndarray, log_j_seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-pass update recursion without windowing or burn-in handling.
 
     Given log W_k and log I_k for k = 0..n-1 and the seed log J_{-1},
     returns log J_k for k = 0..n-1 together with log I~_k, which uses
     J_{k-1} and therefore also covers k = 0..n-1 (k = 0 uses the seed).
-    The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.
+    The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.  A (rows, n) stack
+    of independent rows takes one seed per row and advances all rows one
+    column per vector step; a single row runs a Python-float loop, which
+    is faster for one long row.  Both give the same bits.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     log_i = np.asarray(log_i, dtype=np.float64)
+    if log_w.ndim not in (1, 2) or log_i.shape != log_w.shape:
+        raise ValueError("weight and input shapes must match, (n,) or (rows, n)")
+    log_j = np.empty(log_w.shape)
+    log_it = np.empty(log_w.shape)
+    if log_w.ndim == 2:
+        rows, n = log_w.shape
+        both = np.empty(2 * rows)
+        prev = np.asarray(log_j_seed, dtype=np.float64)
+        for k in range(n):
+            np.subtract(log_i[:, k], prev, out=both[:rows])
+            _update_step(both, log_w[:, k], log_it[:, k], log_j[:, k])
+            prev = log_j[:, k]
+        return log_j, log_it
     n = log_w.shape[0]
-    if log_i.shape != (n,):
-        raise ValueError("weight and input arrays must have equal length")
-    log_j = np.empty(n)
-    log_it = np.empty(n)
     # Python floats and local names: the same libm calls without numpy
     # scalar boxing, in chunks so the float lists stay small;
     # "700.0 if d > 700.0 else d" is min(d, 700.0), NaN kept.
@@ -182,58 +211,36 @@ def update_raw(
     return log_j, log_it
 
 
-def _seed(policy: str, w: LogSeqWindow, i: LogSeqWindow) -> float:
-    if policy == "start_at_weight":
-        return float(w.values[0])
-    if policy == "start_at_mean":
-        # Fixed point J = W I / (I - W) of the recursion at the Cesaro means.
-        cw, ci = _cesaro(w), _cesaro(i)
-        return float(w.values[0]) + ci - (ci + math.log1p(-math.exp(cw - ci)))
-    raise ValueError(f"unknown j_seed policy: {policy!r}")
-
-
-def update(
-    w: LogSeqWindow,
-    i: LogSeqWindow,
-    j_seed: str = "start_at_mean",
-    burn_in: int | None = None,
-) -> UpdateOutput:
+def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
     """Apply the update map to a weight window and an input window.
 
     The S recursion is J_k = W_k (1 + J_{k-1} / I_k), seeded at index lo
-    according to the j_seed policy ("start_at_mean" or "start_at_weight");
-    the D and R outputs are I~_k = W_k (1 + I_k / J_{k-1}) and
+    with the fixed point of the recursion at the Cesaro means; the D and R
+    outputs are I~_k = W_k (1 + I_k / J_{k-1}) and
     1/W~_k = 1/I_k + 1/J_{k-1}.  All three are reported on
-    [valid_lo, hi] with valid_lo = lo + burn_in, past which the seed's
-    influence is below roundoff.
+    [valid_lo, hi] with valid_lo = lo + default_burn_in(w, i), past which
+    the seed's influence is below roundoff.
     """
     if (w.lo, w.hi) != (i.lo, i.hi):
         raise ValueError("weight and input windows must share one index range")
-    if burn_in is None:
-        burn_in = default_burn_in(w, i)
-    else:
-        _gap(w, i)
-        burn_in = int(burn_in)
-    if burn_in < 1:
-        raise ValueError("burn_in must be at least 1")
+    burn_in = default_burn_in(w, i)
     if burn_in >= w.hi - w.lo:
         raise ValueError(
             f"window too short: burn-in {burn_in} leaves no valid range in "
             f"[{w.lo}, {w.hi}]"
         )
     # The seed plays the role of J at index lo - 1, so outputs at index lo
-    # already use it; J at lo is the first recursion output.
-    seed = _seed(j_seed, w, i)
+    # already use it; J at lo is the first recursion output.  It is the
+    # fixed point J = W I / (I - W) of the recursion at the Cesaro means.
+    cw, ci = _cesaro(w), _cesaro(i)
+    seed = float(w.values[0]) + ci - (ci + math.log1p(-math.exp(cw - ci)))
     log_j, log_it = update_raw(w.values, i.values, seed)
     log_wt = -np.logaddexp(-i.values, -np.concatenate(([seed], log_j[:-1])))
     valid_lo = w.lo + burn_in
-    cut = burn_in
-    ci = _cesaro(i)
-    cw = _cesaro(w)
     return UpdateOutput(
-        i_tilde=LogSeqWindow(valid_lo, w.hi, log_it[cut:], cesaro_hint=ci),
-        j=LogSeqWindow(valid_lo, w.hi, log_j[cut:], cesaro_hint=None),
-        w_tilde=LogSeqWindow(valid_lo, w.hi, log_wt[cut:], cesaro_hint=cw),
+        i_tilde=LogSeqWindow(valid_lo, w.hi, log_it[burn_in:], cesaro_hint=ci),
+        j=LogSeqWindow(valid_lo, w.hi, log_j[burn_in:], cesaro_hint=None),
+        w_tilde=LogSeqWindow(valid_lo, w.hi, log_wt[burn_in:], cesaro_hint=cw),
         valid_lo=valid_lo,
     )
 

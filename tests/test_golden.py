@@ -4,7 +4,7 @@ Each case runs one ``busemann-lab`` command and compares the report it
 writes with ``--output`` to the file of the same name in
 ``tests/golden/``, byte for byte except the value of ``wall_time_s``,
 and requires the same exit code.  The cases are the configurations of
-``test_cli.py::TestExperimentRuns``, eleven experiments at their defaults
+``test_cli.py::TestExperimentRuns``, all twelve experiments at their defaults
 (``check-inverse`` fails its inverse gaps, a known conditioning defect,
 and exits 1), one CSV report, and the benchmark's deep grid
 ``stationary-cocycle --window 6000 --levels 400``, the largest grid
@@ -52,6 +52,7 @@ CASES = [
     ("she-check-defaults.json", ["she-check"], 0),
     ("zero-temp-defaults.json", ["zero-temp"], 0),
     ("ppp-busemann-defaults.json", ["ppp-busemann"], 0),
+    ("calibrate-stats-defaults.json", ["calibrate-stats"], 0),
     ("check-inverse.csv", ["check-inverse", "--format", "csv", "--alpha", "3.5",
                            "--rho", "0.5,1.5,2.5"], 0),
 ]
