@@ -7,7 +7,8 @@ Also the one-grid-per-replica construction of the competition-interface
 ratio samples, the oracle for their batched draw and stacked update_raw
 rows, and the row-by-row cocycle evolution and site-by-site
 anti-diagonal partition-function table, the oracles for the wavefront
-update step and the strided table.
+update step and the strided table.  And the allocating splitmix64 chain,
+one temporary per step, the oracle for the fused hashing kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .busemann import _margin, stationary_cocycle
 from .cif import _STREAM_BITS
 from .lattice import RhoParam, WeightField
 from .seqmaps import update_raw
-from .special_functions import Rng
+from .special_functions import _GOLDEN, _MIX1, _MIX2, _U64, Rng, _as_u64
 
 
 def _paths_between(start, end):
@@ -115,7 +116,7 @@ def per_replica_ratio_samples(
         ratio = math.exp(grid.log_w(width, 1) - grid.log_i(width, 1))
         if indicator:
             u = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 2)
-            out[r] = 1.0 if u.uniform() <= ratio else 0.0
+            out[r] = 1.0 if u.uniforms(1)[0] <= ratio else 0.0
         else:
             out[r] = ratio
     return out
@@ -155,3 +156,23 @@ def site_by_site_log_partition_table(w: np.ndarray, include_initial: bool) -> np
         down[has_down] = logz[i[has_down], j[has_down] - 1]
         logz[i, j] = np.logaddexp(left, down) + w[i, j]
     return logz
+
+
+def unfused_mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on uint64 arrays, a new array per step."""
+    z = z + _GOLDEN
+    z = z ^ (z >> _U64(30))
+    z = z * _MIX1
+    z = z ^ (z >> _U64(27))
+    z = z * _MIX2
+    return z ^ (z >> _U64(31))
+
+
+def unfused_absorb(key: np.ndarray, value, salt: np.uint64) -> np.ndarray:
+    """Fold a 64-bit value into a running key."""
+    return unfused_mix64(key ^ (_as_u64(value) + salt))
+
+
+def unfused_to_unit(h: np.ndarray) -> np.ndarray:
+    """Map uint64 hashes to uniforms in the open interval (0, 1)."""
+    return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)

@@ -24,7 +24,6 @@ from .special_functions import (
     _libm,
     gamma_from_keys,
     keys_for_sites,
-    uniform_from_keys,
 )
 
 __all__ = [
@@ -102,7 +101,7 @@ def _ratio_samples(
         _, log_it = update_raw(log_w, log_i0, log_w[:, 0])
         ratios = _libm(np.exp, log_w[:, width] - log_it[:, width])
         if indicator:
-            u = uniform_from_keys(_event_keys(seed, sids + np.uint64(2), 0, 1)).ravel()
+            u = _event_keys(seed, sids + np.uint64(2), 0, 1, unit=True).ravel()
             ratios = np.where(u <= ratios, 1.0, 0.0)
         out[start:start + r.size] = ratios
     return out

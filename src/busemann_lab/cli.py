@@ -97,16 +97,31 @@ def _ig_windows(rhos, alpha, window, seed) -> sm.SeqTuple:
     return sm.SeqTuple(tuple(wins))
 
 
+def _daop_reach(tup: sm.SeqTuple) -> int:
+    """Burn-ins that daop spends from tup's left end.
+
+    Component k iterates the update over inputs j < k, and every output
+    keeps input k's Cesaro hint, so the burn-ins follow from the hints.
+    """
+    wins = tup.windows
+    return max(sum(sm.default_burn_in(w, wins[k]) for w in wins[:k])
+               for k in range(len(wins)))
+
+
 def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
     if len(rhos) != n:
         raise click.UsageError(f"need {n} rhos, got {len(rhos)}")
     tup = _ig_windows(rhos, alpha, window, seed)
     weight = _ig_window(Rng(master_seed=seed).spawn(0), alpha, window)
+    # The sequential step updates every input with a weight of W's hint,
+    # each from the last one's valid start; the parallel side spends less.
+    seq_reach = sum(sm.default_burn_in(weight, w) for w in tup.windows)
+    minimum = max(seq_reach + _daop_reach(tup), margin) + 1
+    if window < minimum:
+        raise _window_below(minimum, window)
     lhs = sm.parallel_step(weight, sm.daop(tup))
     rhs = sm.daop(sm.sequential_step(weight, tup))
     lo = max(lhs.lo, rhs.lo, margin)
-    if lo >= window:
-        raise click.UsageError("window too small for the requested burn-in")
     gap = max(
         float(np.max(np.abs(
             a.restrict(lo, window).values - b.restrict(lo, window).values
@@ -123,6 +138,11 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
         raise click.UsageError(f"need {n} rhos, got {len(rhos)}")
     tup = _ig_windows(rhos, alpha, window, seed)
     weight = _ig_window(Rng(master_seed=seed).spawn(0), alpha, window)
+    # One update of the first input; daop, then one index per inverse level.
+    minimum = max(sm.default_burn_in(weight, tup.windows[0]) + 1,
+                  _daop_reach(tup) + max(n - 1, 1))
+    if window < minimum:
+        raise _window_below(minimum, window)
     checks = []
     out = sm.update(weight, tup.windows[0])
     inv = sm.inverse_h(weight.restrict(out.valid_lo, window), out.i_tilde)

@@ -34,7 +34,6 @@ from .special_functions import (
     reg_inc_gamma,
     sample_gamma,
     trigamma,
-    uniform_from_keys,
 )
 from .stats import KsResult, ks_one_sample
 
@@ -180,7 +179,7 @@ def _accepted_points(
         if m > 1:
             ids = np.repeat(ids, per_stream)
         idx = np.stack((j, c + j, 2 * c + j))
-        us = uniform_from_keys(_event_keys(seed, ids, 0, idx))
+        us = _event_keys(seed, ids, 0, idx, unit=True)
         lo, hi = a[band], b[band]
         y = lo + (hi - lo) * us[0]
         # s has density proportional to e^{b s} on (0, rho_max]
@@ -190,7 +189,7 @@ def _accepted_points(
         log_ratio = _log_g(y, alpha) + y * s - log_g_lo - hi * s
         keep = us[2] < np.exp(log_ratio)
         mark_ids = ids[keep] if m > 1 else ids
-        marks = uniform_from_keys(_event_keys(seed, mark_ids, 1, j[keep]))
+        marks = _event_keys(seed, mark_ids, 1, j[keep], unit=True)
         parts.append((owner[keep], s[keep], y[keep], marks))
     return tuple(np.concatenate(p) for p in zip(*parts))
 

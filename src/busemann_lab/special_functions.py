@@ -41,46 +41,78 @@ _SALT_STREAM = _U64(0x6A09E667F3BCC909)
 _SALT_EVENT = _U64(0xBB67AE8584CAA73B)
 _SALT_INDEX = _U64(0x3C6EF372FE94F82B)
 _SALT_LANE = _U64(0xA54FF53A5F1D36F1)
+_CHUNK = 65_536  # keys hashed per pass: bounds the scratch memory of large draws
 
 
 def _as_u64(value) -> np.ndarray:
-    """Coerce ints or arrays to uint64 arrays of dimension >= 1.
-
-    Plain 0-d arrays are avoided because numpy demotes them to scalars,
-    whose overflow (intended here, the mixer works mod 2^64) would warn.
-    """
+    """Coerce ints or arrays to uint64 arrays of dimension >= 1 (never 0-d:
+    numpy demotes those to scalars, whose wraparound mod 2^64 would warn)."""
     if isinstance(value, np.ndarray):
         return np.atleast_1d(value).astype(_U64, copy=False)
     return np.asarray([int(value) & 0xFFFFFFFFFFFFFFFF], dtype=_U64)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays (0-d arrays act as scalars)."""
-    z = z + _GOLDEN
-    z = z ^ (z >> _U64(30))
-    z = z * _MIX1
-    z = z ^ (z >> _U64(27))
-    z = z * _MIX2
-    return z ^ (z >> _U64(31))
+def _fold(z: np.ndarray, t: np.ndarray, start, absorbs, spread, unit, lo, n) -> None:
+    """``_hash`` in z, the flat keys lo, lo + 1, ... of n-wide rows; t is scratch."""
+    for value, salt in absorbs:
+        if value is None:  # a pass of several rows wraps the index
+            value = np.arange(lo, lo + z.shape[-1], dtype=_U64)
+            if lo + z.shape[-1] > n:
+                value %= _U64(n)
+        if isinstance(value, np.ndarray):
+            if spread:
+                start = np.bitwise_xor(start, np.multiply(value, _GOLDEN, out=t), out=z)
+            value, spread = np.add(value, salt, out=t), False
+        else:
+            value = _U64((int(value) + int(salt)) & 0xFFFFFFFFFFFFFFFF)
+        start = np.bitwise_xor(start, value, out=z)
+        z += _GOLDEN
+        z ^= np.right_shift(z, _U64(30), out=t)
+        z *= _MIX1
+        z ^= np.right_shift(z, _U64(27), out=t)
+        z *= _MIX2
+        z ^= np.right_shift(z, _U64(31), out=t)
+    if unit:  # (z >> 11) + 0.5 is exact: the uniforms lie in the open (0, 1)
+        u = np.add(np.right_shift(z, _U64(11), out=z), 0.5, out=z.view(np.float64))
+        u *= 2.0 ** -53
 
 
-def _absorb(key: np.ndarray, value, salt: np.uint64) -> np.ndarray:
-    """Fold a 64-bit value into a running key."""
-    return _mix64(key ^ (_as_u64(value) + salt))
+def _hash(shape, start: np.ndarray, absorbs, spread: bool = False, unit: bool = False):
+    """Keys of the given shape, or with unit their uniforms in (0, 1).
+
+    Each key starts from start and absorbs the (value, salt) pairs in turn,
+    z = mix64(z ^ (value + salt)) with splitmix64's mix64; where spread, the
+    first array value also xors value * GOLDEN in.  start and array values
+    broadcast against shape, an int value is the same for every key, and
+    None is the key's index along the last axis.  In place, _CHUNK at a time.
+    """
+    out = np.empty(shape, np.float64 if unit else _U64)
+    z = out.view(_U64)
+    if out.size <= _CHUNK:
+        _fold(z, np.empty_like(z), start, absorbs, spread, unit, 0, shape[-1])
+        return out
+    arrays = [v for v, _ in absorbs if isinstance(v, np.ndarray)]
+    scratch = np.empty(_CHUNK, _U64)
+    with np.nditer([start, *arrays, z], ["external_loop", "buffered"],
+                   [["readonly"]] * (len(arrays) + 1) + [["writeonly"]],
+                   buffersize=_CHUNK, order="C") as it:
+        for s, *parts, zc in it:
+            parts = iter(parts)
+            chunk = [(next(parts) if isinstance(v, np.ndarray) else v, c) for v, c in absorbs]
+            _fold(zc, scratch[:zc.size], s, chunk, spread, unit, it.iterindex, shape[-1])
+    return out
 
 
-def _to_unit(h: np.ndarray) -> np.ndarray:
-    """Map uint64 hashes to uniforms in the open interval (0, 1)."""
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+@functools.lru_cache(maxsize=64)
+def _seed_key(master_seed: int) -> np.ndarray:
+    """mix64(master_seed), the root of the seed's keys; shared, so read-only."""
+    key = _hash((1,), np.zeros(1, _U64), [(master_seed, 0)])
+    key.flags.writeable = False
+    return key
 
 
-def _base_key(master_seed: int, stream_id) -> np.ndarray:
-    k = _mix64(_as_u64(master_seed))
-    return _absorb(k, stream_id, _SALT_STREAM)
-
-
-def _event_keys(master_seed: int, stream_id, counter: int, n) -> np.ndarray:
-    """One uint64 key per element of a size-n draw event.
+def _event_keys(master_seed: int, stream_id, counter: int, n, unit: bool = False) -> np.ndarray:
+    """One uint64 key per element of a size-n draw event; with unit, its uniform.
 
     stream_id may be an integer array; the keys then have its shape plus a
     trailing axis of length n, and row s equals the keys of stream_id[s].
@@ -89,28 +121,29 @@ def _event_keys(master_seed: int, stream_id, counter: int, n) -> np.ndarray:
     stream_id broadcasts: key i is then element n[i] of stream_id[i]'s
     event.  This draws ragged events of many streams in one call.
     """
-    k = _absorb(_base_key(master_seed, stream_id), counter, _SALT_EVENT)
+    sid = _as_u64(stream_id)
+    k = _hash(sid.shape, _seed_key(master_seed), [(sid, _SALT_STREAM), (counter, _SALT_EVENT)])
     if isinstance(n, np.ndarray):
-        idx = n.astype(_U64)
+        idx = _as_u64(n)
+        shape = np.broadcast(k, idx).shape
     else:
-        idx = np.arange(n, dtype=_U64)
-        k = k.reshape(np.shape(stream_id) + (1,))
-    return _absorb(k ^ (idx * _GOLDEN), idx, _SALT_INDEX)
+        idx, shape = None, np.shape(stream_id) + (n,)
+        k = k.reshape(shape[:-1] + (1,))
+    absorbs = [(idx, _SALT_INDEX)] + [(0, _SALT_LANE)] * unit
+    return _hash(shape, k, absorbs, spread=True, unit=unit)
 
 
 def _spawn_ids(stream_id, substream) -> np.ndarray:
-    """Stream ids of the children (stream_id, substream), as uint64.
-
-    Either argument may be an integer array; the result has their
-    broadcast shape (at least 1-d).  ``Rng.spawn`` takes its child's id
-    from here.
-    """
-    return _absorb(_as_u64(stream_id), substream, _SALT_STREAM)
+    """Stream ids of the children (stream_id, substream), as uint64; either
+    may be an integer array, and the result has their broadcast shape."""
+    sid = _as_u64(stream_id)
+    sub = _as_u64(substream) if isinstance(substream, np.ndarray) else substream
+    return _hash(np.broadcast(sid, sub).shape, sid, [(sub, _SALT_STREAM)])
 
 
 def _lane_uniforms(keys: np.ndarray, lane: int) -> np.ndarray:
     """Uniform draws for a given attempt lane of per-element keys."""
-    return _to_unit(_absorb(keys, lane, _SALT_LANE))
+    return _hash(keys.shape, keys, [(lane, _SALT_LANE)], unit=True)
 
 
 @dataclass
@@ -131,16 +164,13 @@ class Rng:
         """Derive an independent stream keyed by (stream_id, substream)."""
         return Rng(self.master_seed, int(_spawn_ids(self.stream_id, substream)[0]), 0)
 
-    def _next_event(self, n: int) -> np.ndarray:
-        keys = _event_keys(self.master_seed, self.stream_id, self.counter, n)
+    def _next_event(self, n: int, unit: bool = False) -> np.ndarray:
+        keys = _event_keys(self.master_seed, self.stream_id, self.counter, n, unit)
         self.counter += 1
         return keys
 
-    def uniform(self) -> float:
-        return float(_lane_uniforms(self._next_event(1), 0)[0])
-
     def uniforms(self, n: int) -> np.ndarray:
-        return _lane_uniforms(self._next_event(n), 0)
+        return self._next_event(n, unit=True)
 
 
 def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:
@@ -151,11 +181,12 @@ def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:
     weight fields comes from here.  stream_id may be an integer array that
     broadcasts against the coordinates.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=np.int64)).astype(_U64)
-    ys = np.atleast_1d(np.asarray(y, dtype=np.int64)).astype(_U64)
-    base = _base_key(master_seed, stream_id)
-    xs, ys, base = np.broadcast_arrays(xs, ys, base)
-    return _absorb(_absorb(base, xs, _SALT_EVENT), ys, _SALT_INDEX)
+    # Viewing int64 as uint64 is the two's-complement cast, without a copy.
+    xs, ys = (np.atleast_1d(np.asarray(v, dtype=np.int64)).view(_U64) for v in (x, y))
+    sid = _as_u64(stream_id)
+    base = _hash(sid.shape, _seed_key(master_seed), [(sid, _SALT_STREAM)])
+    shape = np.broadcast(base, xs, ys).shape
+    return _hash(shape, base, [(xs, _SALT_EVENT), (ys, _SALT_INDEX)])
 
 
 def uniform_from_keys(keys: np.ndarray) -> np.ndarray:
@@ -447,9 +478,8 @@ def gamma_from_keys(keys: np.ndarray, shape: float) -> np.ndarray:
             break
         k = keys[pending]
         base = lane0 + 3 * attempt
-        u1 = _lane_uniforms(k, base)
-        u2 = _lane_uniforms(k, base + 1)
-        u = _lane_uniforms(k, base + 2)
+        lanes = np.arange(base, base + 3, dtype=_U64)[:, None]
+        u1, u2, u = _hash((3, k.size), k, [(lanes, _SALT_LANE)], unit=True)
         x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         v = (1.0 + c * x) ** 3
         x2 = x * x

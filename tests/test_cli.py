@@ -190,6 +190,13 @@ class TestExitCodes:
             # The burn-in margin 41 at alpha = 2, rho = 1, then 304 bulk
             # sites for the vertical KS test.
             (["stationary-cocycle", "--window", "41"], "x>=345"),
+            # The first update's burn-in of 104 at alpha = 2 and rho = 0.5;
+            # daop's 66 plus two inverse levels need less.
+            (["check-inverse", "--window", "10"], "x>=105"),
+            # The default comparison margin of 600 exceeds the burn-ins.
+            (["check-intertwine", "--window", "10"], "x>=601"),
+            # Without it: the sequential step's 104 + 41 + 17 and daop's 66.
+            (["check-intertwine", "--window", "228", "--burn-in", "0"], "x>=229"),
         ],
     )
     def test_experiment_minimum_is_named(self, runner, args, minimum):
@@ -199,7 +206,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args", [["grsk-verify", "--window", "149"],
-                 ["stationary-cocycle", "--window", "345"]],
+                 ["stationary-cocycle", "--window", "345"],
+                 ["check-inverse", "--window", "105"],
+                 ["check-intertwine", "--window", "601"],
+                 ["check-intertwine", "--window", "229", "--burn-in", "0"]],
     )
     def test_named_window_minimum_runs(self, runner, args):
         result = runner.invoke(cli.main, args)

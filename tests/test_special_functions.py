@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab import special_functions
+from busemann_lab.bruteforce import unfused_absorb, unfused_mix64, unfused_to_unit
 from busemann_lab.special_functions import (
+    _SALT_EVENT,
+    _SALT_INDEX,
+    _SALT_LANE,
+    _SALT_STREAM,
     Rng,
+    _as_u64,
     _event_keys,
+    _lane_uniforms,
     _libm,
     _spawn_ids,
     digamma,
@@ -198,6 +206,113 @@ class TestStreamIdArrays:
             assert got.tolist() == want
         want = [Rng(1, int(sid)).spawn(6).stream_id for sid in self.SIDS]
         assert _spawn_ids(self.SIDS, 6).tolist() == want
+
+
+def _unfused_base(seed: int, stream_id) -> np.ndarray:
+    return unfused_absorb(unfused_mix64(_as_u64(seed)), stream_id, _SALT_STREAM)
+
+
+def _unfused_event_keys(seed: int, stream_id, counter: int, n) -> np.ndarray:
+    """The allocating chain of ``_event_keys``: index arrays or range(n)."""
+    k = unfused_absorb(_unfused_base(seed, stream_id), counter, _SALT_EVENT)
+    if isinstance(n, np.ndarray):
+        idx = n.astype(np.uint64)
+    else:
+        idx = np.arange(n, dtype=np.uint64)
+        k = k.reshape(np.shape(stream_id) + (1,))
+    return unfused_absorb(k ^ (idx * special_functions._GOLDEN), idx, _SALT_INDEX)
+
+
+def _unfused_site_keys(seed: int, stream_id, x, y) -> np.ndarray:
+    xs, ys = (np.atleast_1d(np.asarray(v, dtype=np.int64)).astype(np.uint64)
+              for v in (x, y))
+    xs, ys, base = np.broadcast_arrays(xs, ys, _unfused_base(seed, stream_id))
+    return unfused_absorb(unfused_absorb(base, xs, _SALT_EVENT), ys, _SALT_INDEX)
+
+
+def _unfused_uniforms(keys: np.ndarray, lane: int) -> np.ndarray:
+    return unfused_to_unit(unfused_absorb(keys, lane, _SALT_LANE))
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+# A spawned stream id at or above 2^62.
+_BIG_SID = Rng(7, 2**62 + 5).spawn(0).stream_id
+# Sizes around the borders of the kernel's passes.
+_CHUNK_SIZES = [0, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 5]
+
+
+class TestFusedHashing:
+    SIDS = np.array([3, 2**40 + 1, _BIG_SID], dtype=np.uint64)
+
+    def test_big_stream_id(self):
+        assert _BIG_SID >= 2**62
+
+    @pytest.mark.parametrize("size", _CHUNK_SIZES)
+    def test_event_keys_equal_the_unfused_chain(self, size):
+        want = _unfused_event_keys(5, _BIG_SID, 2, size)
+        assert _same(_event_keys(5, _BIG_SID, 2, size), want)
+        # Two rows of streams: passes straddle the row border.
+        sids = self.SIDS[1:]
+        assert _same(_event_keys(5, sids, 2, size), _unfused_event_keys(5, sids, 2, size))
+        rng = np.random.default_rng(size)
+        owner = rng.integers(0, self.SIDS.size, size)
+        idx = rng.integers(0, 2**40, size)
+        got = _event_keys(5, self.SIDS[owner], 2, idx)
+        assert _same(got, _unfused_event_keys(5, self.SIDS[owner], 2, idx))
+        assert _same(_event_keys(5, 9, 2, idx), _unfused_event_keys(5, 9, 2, idx))
+
+    @pytest.mark.parametrize("size", _CHUNK_SIZES)
+    def test_site_keys_equal_the_unfused_chain(self, size):
+        xs = np.arange(size) - 7
+        sids = self.SIDS[1:, None]
+        assert _same(keys_for_sites(8, sids, xs, 3), _unfused_site_keys(8, sids, xs, 3))
+        want = _unfused_site_keys(8, _BIG_SID, 3, xs)
+        assert _same(keys_for_sites(8, _BIG_SID, 3, xs), want)
+
+    @pytest.mark.parametrize("size", _CHUNK_SIZES)
+    def test_uniforms_equal_the_unfused_chain(self, size):
+        keys = _unfused_event_keys(4, 1, 0, size)
+        for lane in (0, 5):
+            assert _same(_lane_uniforms(keys, lane), _unfused_uniforms(keys, lane))
+        assert _same(uniform_from_keys(keys), _unfused_uniforms(keys, 0))
+        want = _unfused_uniforms(_unfused_event_keys(4, _BIG_SID, 3, size), 0)
+        assert _same(Rng(4, _BIG_SID, 3).uniforms(size), want)
+        got = _event_keys(4, self.SIDS[:, None], 3, np.arange(size), unit=True)
+        want = _unfused_uniforms(_unfused_event_keys(4, self.SIDS, 3, size), 0)
+        assert _same(got, want)
+
+    def test_same_bits_in_passes_of_seven(self, monkeypatch):
+        n = 3_001
+        keys = _event_keys(6, 2, 0, n)
+        xs = np.arange(n // 3)
+        draws = {
+            "uniforms": lambda: Rng(6, _BIG_SID).uniforms(n),
+            "sites": lambda: keys_for_sites(6, self.SIDS[:, None], xs, -2),
+            "gamma": lambda: gamma_from_keys(keys, 0.6),
+            "poisson": lambda: poisson_from_keys(keys, 3.5),
+        }
+        want = {name: draw() for name, draw in draws.items()}
+        monkeypatch.setattr(special_functions, "_CHUNK", 7)
+        for name, draw in draws.items():
+            assert _same(draw(), want[name]), name
+
+    @pytest.mark.parametrize("name", ["uniforms", "sites"])
+    def test_peak_memory_near_the_output(self, name):
+        """tracemalloc sees numpy's buffers: a draw may allocate its output
+        and little more, not a full-size temporary per hashing step."""
+        xs = np.arange(1_000_000)
+        draw = {"uniforms": lambda: Rng(7).uniforms(2_000_000),
+                "sites": lambda: keys_for_sites(7, 3, xs, 5)}[name]
+        tracemalloc.start()
+        try:
+            out = draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.nbytes
 
 
 def _scalar_trigamma(s: float) -> float:
