@@ -11,7 +11,6 @@ deep starting points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,8 @@ from .lattice import (
     _check_point,
     _log_partition_table,
 )
-from .seqmaps import LogSeqWindow, SeqTuple, _update_step, update_raw
-from .special_functions import Rng, digamma, sample_inverse_gamma
+from .seqmaps import SeqTuple, _update_step, burn_in, daop_reach, ig_window, update_raw
+from .special_functions import Rng, digamma
 from .grsk import build_triangular
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "eternal_from_cocycle",
 ]
 
-_BURN_IN_RATE = 40.0
 # _evolve sweeps anti-diagonals when the grid's shorter side has at least
 # this many sites and runs update_raw row by row otherwise: a diagonal
 # step costs a few numpy calls, which only long diagonals amortize.
@@ -107,8 +105,8 @@ class EternalSolution:
 
 
 def _margin(alpha: float, rho: float) -> int:
-    gap = digamma(alpha) - digamma(alpha - rho)
-    return math.ceil(_BURN_IN_RATE / gap)
+    """Burn-in of an inverse-gamma(alpha - rho) row under shape-alpha weights."""
+    return burn_in(-digamma(alpha), -digamma(alpha - rho))
 
 
 def _weight_rows(field: WeightField, k_lo: int, k_hi: int, t_max: int) -> np.ndarray:
@@ -190,8 +188,7 @@ def stationary_cocycle(
         raise ValueError(
             f"rectangle too narrow: burn-in margin {margin} exhausts [{k_lo}, {k_hi}]"
         )
-    n = k_hi - k_lo + 1
-    log_i0 = np.log(sample_inverse_gamma(rng, rho.alpha - rho.rho, size=n))
+    log_i0 = ig_window(rng, rho.alpha - rho.rho, k_lo, k_hi).values
     i_vals, j_vals, w_vals = _evolve(field, log_i0, k_lo, k_hi, t_max)
     return CocycleGrid(
         i_vals=i_vals,
@@ -235,24 +232,13 @@ def parallel_chain(
     # Extra left margin so the array construction has room for its own
     # burn-ins before the requested rectangle starts: component i of the
     # diagonal consumes one burn-in per update in its chain.
-    consumed = 0
-    for i in range(1, n_comp):
-        total = sum(
-            math.ceil(_BURN_IN_RATE / (digamma(lams[j]) - digamma(lams[i])))
-            for j in range(i)
-        )
-        consumed = max(consumed, total)
-    pre = k_lo - margin - consumed - 1
-    length = k_hi - pre
-    wins = []
-    for idx, lam in enumerate(lams):
-        vals = np.log(sample_inverse_gamma(rng.spawn(idx + 1), lam, size=length + 1))
-        wins.append(LogSeqWindow(pre, k_hi, vals, cesaro_hint=-digamma(lam)))
-    tri = build_triangular(SeqTuple(tuple(wins)))
+    pre = k_lo - margin - daop_reach([-digamma(lam) for lam in lams]) - 1
+    tri = build_triangular(SeqTuple(tuple(
+        ig_window(rng.spawn(idx + 1), lam, pre, k_hi) for idx, lam in enumerate(lams)
+    )))
     diag = [tri.x_cells[i, i] for i in range(1, n_comp + 1)]
-    lo = k_lo - margin
-    if max(w.lo for w in diag) > lo:
-        lo = max(w.lo for w in diag)
+    # build_triangular restricts every cell to one common range.
+    lo = max(k_lo - margin, diag[0].lo)
     if lo >= k_hi:
         raise ValueError("rectangle too narrow for the joint bottom-row draw")
     grids: list[CocycleGrid] = [None] * n_comp  # type: ignore[list-item]

@@ -26,8 +26,8 @@ from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
 from .bruteforce import brute_force_log_partition, brute_force_ratio_array
-from .special_functions import (Rng, _libm, digamma, reg_inc_beta,
-                                reg_inc_gamma, sample_inverse_gamma, sample_poisson)
+from .special_functions import (Rng, _libm, reg_inc_beta, reg_inc_gamma,
+                                sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
@@ -82,41 +82,28 @@ def _finish(config: dict, checks: list[dict], output: str, fmt: str, t0: float):
         sys.exit(1)
 
 
-def _ig_window(rng: Rng, shape: float, window: int) -> sm.LogSeqWindow:
-    """Logs of window + 1 inverse-gamma(shape) draws from rng on [0, window]."""
-    vals = np.log(sample_inverse_gamma(rng, shape, size=window + 1))
-    return sm.LogSeqWindow(0, window, vals, cesaro_hint=-digamma(shape))
-
-
 def _ig_windows(rhos, alpha, window, seed) -> sm.SeqTuple:
     lams = sorted((alpha - r for r in rhos), reverse=True)
     if lams[-1] <= 0 or lams[0] >= alpha or len(set(lams)) != len(lams):
         raise click.UsageError("rhos must be distinct and inside (0, alpha)")
     rng = Rng(master_seed=seed)
-    wins = [_ig_window(rng.spawn(i + 1), lam, window) for i, lam in enumerate(lams)]
-    return sm.SeqTuple(tuple(wins))
+    return sm.SeqTuple(tuple(sm.ig_window(rng.spawn(i + 1), lam, 0, window)
+                             for i, lam in enumerate(lams)))
 
 
-def _daop_reach(tup: sm.SeqTuple) -> int:
-    """Burn-ins that daop spends from tup's left end.
-
-    Component k iterates the update over inputs j < k, and every output
-    keeps input k's Cesaro hint, so the burn-ins follow from the hints.
-    """
-    wins = tup.windows
-    return max(sum(sm.default_burn_in(w, wins[k]) for w in wins[:k])
-               for k in range(len(wins)))
+def _hints(tup: sm.SeqTuple) -> list[float]:
+    return [w.cesaro_hint for w in tup.windows]
 
 
 def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
     if len(rhos) != n:
         raise click.UsageError(f"need {n} rhos, got {len(rhos)}")
     tup = _ig_windows(rhos, alpha, window, seed)
-    weight = _ig_window(Rng(master_seed=seed).spawn(0), alpha, window)
+    weight = sm.ig_window(Rng(master_seed=seed).spawn(0), alpha, 0, window)
     # The sequential step updates every input with a weight of W's hint,
     # each from the last one's valid start; the parallel side spends less.
     seq_reach = sum(sm.default_burn_in(weight, w) for w in tup.windows)
-    minimum = max(seq_reach + _daop_reach(tup), margin) + 1
+    minimum = max(seq_reach + sm.daop_reach(_hints(tup)), margin) + 1
     if window < minimum:
         raise _window_below(minimum, window)
     lhs = sm.parallel_step(weight, sm.daop(tup))
@@ -137,39 +124,40 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
     if len(rhos) != n:
         raise click.UsageError(f"need {n} rhos, got {len(rhos)}")
     tup = _ig_windows(rhos, alpha, window, seed)
-    weight = _ig_window(Rng(master_seed=seed).spawn(0), alpha, window)
+    weight = sm.ig_window(Rng(master_seed=seed).spawn(0), alpha, 0, window)
     # One update of the first input; daop, then one index per inverse level.
     minimum = max(sm.default_burn_in(weight, tup.windows[0]) + 1,
-                  _daop_reach(tup) + max(n - 1, 1))
+                  sm.daop_reach(_hints(tup)) + max(n - 1, 1))
     if window < minimum:
         raise _window_below(minimum, window)
     checks = []
     out = sm.update(weight, tup.windows[0])
-    inv = sm.inverse_h(weight.restrict(out.valid_lo, window), out.i_tilde)
-    ref = tup.windows[0].restrict(inv.lo, inv.hi)
+    w_out = weight.restrict(out.valid_lo, window)
+    single = _inverse_gap(lambda: sm.SeqTuple((sm.inverse_h(w_out, out.i_tilde),)), tup)
     checks.append(_below(
-        "single-inverse-max-gap", "update-map-inverse",
-        float(np.max(np.abs(inv.values - ref.values))), 1e-10,
+        "single-inverse-max-gap", "update-map-inverse", single, 1e-10,
     ))
-    d_gap = float(np.min(out.i_tilde.values
-                         - weight.restrict(out.valid_lo, window).values))
+    d_gap = float(np.min(out.i_tilde.values - w_out.values))
     checks.append(_check(
         "d-dominates-weight", "update-output-strictly-above-weight",
         d_gap, 0.0, d_gap > 0.0,
     ))
-    da = sm.daop(tup)
-    ha = sm.haop(da)
-    err = max(
-        float(np.max(np.abs(
-            ha.windows[i].values
-            - tup.windows[i].restrict(ha.lo, ha.hi).values
-        )))
-        for i in range(n)
-    )
+    err = _inverse_gap(lambda: sm.haop(sm.daop(tup)), tup)
     checks.append(_below(
         "tuple-inverse-max-gap", "iterated-map-inverse", err, 1e-10
     ))
     return checks
+
+
+def _inverse_gap(invert, originals: sm.SeqTuple) -> float:
+    """Largest gap between what invert() recovers and the originals; inf where
+    roundoff leaves an inverse's input outside its map's image."""
+    try:
+        back = invert()
+    except sm.NotInImage:
+        return math.inf
+    return max(float(np.max(np.abs(b.values - a.restrict(b.lo, b.hi).values)))
+               for b, a in zip(back.windows, originals.windows))
 
 
 def _window_below(minimum: int, window: int) -> click.BadParameter:
@@ -177,22 +165,6 @@ def _window_below(minimum: int, window: int) -> click.BadParameter:
     return click.BadParameter(
         f"{window} is not in the range x>={minimum}.", param_hint="'--window'"
     )
-
-
-def _triangular_reach(tup: sm.SeqTuple) -> int:
-    """Burn-ins that build_triangular spends from tup's left end.
-
-    Cell (i, j) updates X^{i,j-1} with V^{i-1,j-1}, whose Cesaro hints are
-    those of inputs i and j - 1, so the burn-ins follow from the hints.
-    """
-    wins, v_lo, x_lo = tup.windows, [0], 0
-    for i in range(2, len(wins) + 1):
-        row, x_lo = [], 0
-        for j in range(2, i + 1):
-            x_lo = max(v_lo[j - 2], x_lo) + sm.default_burn_in(wins[j - 2], wins[i - 1])
-            row.append(x_lo)
-        v_lo = row + [x_lo]
-    return x_lo
 
 
 def run_grsk_verify(alpha, window, seed) -> list[dict]:
@@ -227,12 +199,11 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
     ))
     # Unit shape gaps keep the iterated maps well conditioned.
     tup = _ig_windows([0.5, 1.5, 2.5], alpha + 1.5, window, seed)
-    try:
-        tri = grsk.build_triangular(tup)
-    except ValueError as exc:
-        if "window exhausted" not in str(exc):
-            raise
-        raise _window_below(_triangular_reach(tup) + 1, window) from exc
+    # daop's reach is at most the array's: its burn-ins are a row's.
+    minimum = grsk.triangular_reach(_hints(tup)) + 1
+    if window < minimum:
+        raise _window_below(minimum, window)
+    tri = grsk.build_triangular(tup)
     da = sm.daop(tup)
     lo = max(tri.x_cells[1, 1].lo, da.lo)
     diag_err = max(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqmaps import LogSeqWindow, SeqTuple, update, update_raw
+from .seqmaps import LogSeqWindow, SeqTuple, burn_in, update, update_raw
 
 __all__ = [
     "Word",
@@ -24,6 +24,7 @@ __all__ = [
     "row_insert",
     "array_insert",
     "build_triangular",
+    "triangular_reach",
 ]
 
 
@@ -154,14 +155,7 @@ def build_triangular(inputs: SeqTuple) -> TriangularArray:
             w_win = v[i - 1, j - 1]
             i_win = x[i, j - 1]
             lo = max(w_win.lo, i_win.lo)
-            try:
-                out = update(w_win.restrict(lo, w_win.hi), i_win.restrict(lo, i_win.hi))
-            except ValueError as exc:
-                if "window too short" in str(exc):
-                    raise ValueError(
-                        f"window exhausted while filling cell ({i}, {j})"
-                    ) from exc
-                raise
+            out = update(w_win.restrict(lo, w_win.hi), i_win.restrict(lo, i_win.hi))
             x[i, j] = out.i_tilde
             v[i, j - 1] = out.w_tilde
         v[i, i] = x[i, i]
@@ -170,3 +164,18 @@ def build_triangular(inputs: SeqTuple) -> TriangularArray:
     x = {k: w.restrict(lo, hi) for k, w in x.items()}
     v = {k: w.restrict(lo, hi) for k, w in v.items()}
     return TriangularArray(x_cells=x, v_cells=v)
+
+
+def triangular_reach(hints) -> int:
+    """Burn-ins build_triangular spends from the left end of inputs with these
+    Cesaro hints: cell (i, j) updates X^{i,j-1}, of input i's hint, with
+    V^{i-1,j-1}, of input j - 1's, and cell (N, N) starts furthest right.
+    """
+    v_lo, x_lo = [0], 0
+    for i in range(2, len(hints) + 1):
+        row, x_lo = [], 0
+        for j in range(2, i + 1):
+            x_lo = max(v_lo[j - 2], x_lo) + burn_in(hints[j - 2], hints[i - 1])
+            row.append(x_lo)
+        v_lo = row + [x_lo]
+    return x_lo

@@ -8,7 +8,8 @@ seed of the S recursion is forgotten geometrically at rate given by the gap
 of Cesaro means, so outputs are only reported past a left margin.
 
 update_raw, the one home of the update step, also serves busemann's
-anti-diagonal sweep and grsk's row insertion.  Also provided: the inverse
+anti-diagonal sweep and grsk's row insertion; burn_in, the one home of
+the burn-in rule, needs only Cesaro means.  Also provided: the inverse
 H of the update, the iterated map and the intertwining tuple map with its
 inverse, and the parallel and sequential one-step transformations.
 """
@@ -20,14 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import _libm
+from .special_functions import Rng, _libm, digamma, sample_inverse_gamma
 
 __all__ = [
     "LogSeqWindow",
     "SeqTuple",
     "UpdateOutput",
+    "NotInImage",
     "cesaro_mean",
+    "burn_in",
     "default_burn_in",
+    "daop_reach",
+    "ig_window",
     "update",
     "update_raw",
     "inverse_h",
@@ -132,18 +137,25 @@ def _cesaro(i: LogSeqWindow) -> float:
     return cesaro_mean(i)
 
 
-def _gap(w: LogSeqWindow, i: LogSeqWindow) -> float:
-    gap = _cesaro(i) - _cesaro(w)
+def burn_in(c_w: float, c_i: float) -> int:
+    """Left margin past which the S-seed is forgotten, from the W and I means."""
+    gap = c_i - c_w
     if gap <= _GAP_TOL:
         raise ValueError(
             f"Cesaro order violated: c(I) - c(W) = {gap:.3e} must be positive"
         )
-    return gap
+    return math.ceil(_BURN_IN_RATE / gap)
 
 
 def default_burn_in(w: LogSeqWindow, i: LogSeqWindow) -> int:
-    """Left margin after which the S-seed has been forgotten to roundoff."""
-    return math.ceil(_BURN_IN_RATE / _gap(w, i))
+    """burn_in at the Cesaro means of the two windows."""
+    return burn_in(_cesaro(w), _cesaro(i))
+
+
+def ig_window(rng: Rng, shape: float, lo: int, hi: int) -> LogSeqWindow:
+    """Logs of inverse-gamma(shape) draws on [lo, hi], hinted -digamma(shape)."""
+    vals = np.log(sample_inverse_gamma(rng, shape, size=hi - lo + 1))
+    return LogSeqWindow(lo, hi, vals, cesaro_hint=-digamma(shape))
 
 
 def _update_step(both: np.ndarray, log_w, log_it, log_j) -> None:
@@ -223,39 +235,43 @@ def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
     """
     if (w.lo, w.hi) != (i.lo, i.hi):
         raise ValueError("weight and input windows must share one index range")
-    burn_in = default_burn_in(w, i)
-    if burn_in >= w.hi - w.lo:
+    cw, ci = _cesaro(w), _cesaro(i)
+    cut = burn_in(cw, ci)
+    if cut >= w.hi - w.lo:
         raise ValueError(
-            f"window too short: burn-in {burn_in} leaves no valid range in "
+            f"window too short: burn-in {cut} leaves no valid range in "
             f"[{w.lo}, {w.hi}]"
         )
     # The seed plays the role of J at index lo - 1, so outputs at index lo
     # already use it; J at lo is the first recursion output.  It is the
     # fixed point J = W I / (I - W) of the recursion at the Cesaro means.
-    cw, ci = _cesaro(w), _cesaro(i)
     seed = float(w.values[0]) + ci - (ci + math.log1p(-math.exp(cw - ci)))
     log_j, log_it = update_raw(w.values, i.values, seed)
     log_wt = -np.logaddexp(-i.values, -np.concatenate(([seed], log_j[:-1])))
-    valid_lo = w.lo + burn_in
+    valid_lo = w.lo + cut
     return UpdateOutput(
-        i_tilde=LogSeqWindow(valid_lo, w.hi, log_it[burn_in:], cesaro_hint=ci),
-        j=LogSeqWindow(valid_lo, w.hi, log_j[burn_in:], cesaro_hint=None),
-        w_tilde=LogSeqWindow(valid_lo, w.hi, log_wt[burn_in:], cesaro_hint=cw),
+        i_tilde=LogSeqWindow(valid_lo, w.hi, log_it[cut:], cesaro_hint=ci),
+        j=LogSeqWindow(valid_lo, w.hi, log_j[cut:], cesaro_hint=None),
+        w_tilde=LogSeqWindow(valid_lo, w.hi, log_wt[cut:], cesaro_hint=cw),
         valid_lo=valid_lo,
     )
+
+
+class NotInImage(ValueError):
+    """An inverse's input lies outside the image of the map it inverts."""
 
 
 def inverse_h(w: LogSeqWindow, i_tilde: LogSeqWindow) -> LogSeqWindow:
     """Invert the D output given the weight window.
 
     Recovers I_k = ((I~_k - W_k) / W_k) (W_{k-1} I~_{k-1} / (I~_{k-1} -
-    W_{k-1})) on [lo + 1, hi]; requires I~_k > W_k everywhere.
+    W_{k-1})) on [lo + 1, hi]; raises NotInImage unless I~_k > W_k everywhere.
     """
     if (w.lo, w.hi) != (i_tilde.lo, i_tilde.hi):
         raise ValueError("windows must share one index range")
     diff = i_tilde.values - w.values
     if np.any(diff <= 0.0):
-        raise ValueError("not in image: need I~ > W at every index")
+        raise NotInImage("not in image: need I~ > W at every index")
     # log(I~ - W) = log I~ + log1p(-exp(log W - log I~))
     log_gap = i_tilde.values + np.log1p(-np.exp(-diff))
     vals = (
@@ -297,6 +313,15 @@ def daop(inputs: SeqTuple) -> SeqTuple:
     comps = [d_iterated(SeqTuple(inputs.windows[: i + 1])) for i in range(len(inputs))]
     lo = max(c.lo for c in comps)
     return SeqTuple(tuple(c.restrict(lo, inputs.hi) for c in comps))
+
+
+def daop_reach(hints) -> int:
+    """Burn-ins daop spends from the left end of inputs with these Cesaro hints.
+
+    Component k updates input k with each input j < k; outputs keep k's hint.
+    """
+    return max(sum(burn_in(c_w, c_i) for c_w in hints[:k])
+               for k, c_i in enumerate(hints))
 
 
 def haop(inputs: SeqTuple) -> SeqTuple:

@@ -16,13 +16,21 @@ from busemann_lab.busemann import (
     stationary_cocycle,
 )
 from busemann_lab.lattice import RhoParam, WeightField, log_partition, rho_to_xi
-from busemann_lab.special_functions import Rng, sample_inverse_gamma
+from busemann_lab.special_functions import Rng, digamma, sample_inverse_gamma
 
 
 def make_grid(alpha=2.0, rho=1.0, k_hi=600, t_max=4, seed=0):
     field = WeightField(alpha, master_seed=seed)
     rng = Rng(master_seed=seed, stream_id=1)
     return stationary_cocycle(field, RhoParam(rho, alpha), (0, k_hi, t_max), rng)
+
+
+def test_margin_is_the_burn_in_rule():
+    # The shared burn_in on negated digammas gives the old direct formula.
+    for alpha in np.linspace(0.5, 5.0, 10):
+        for rho in alpha * np.linspace(0.1, 0.9, 9):
+            gap = digamma(alpha) - digamma(alpha - rho)
+            assert busemann._margin(alpha, rho) == math.ceil(40.0 / gap)
 
 
 class TestStationaryCocycle:

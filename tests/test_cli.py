@@ -153,6 +153,10 @@ class TestExitCodes:
             ["ppp-busemann", "--samples", "10"],
             ["jump-count", "--samples", "1"],
             ["she-check", "--size", "1"],
+            # Cesaro gaps below 1e-8: burn-ins of terabytes, refused by
+            # the burn-in rule's order guard.
+            ["cif-eta", "--rho", "1e-12"],
+            ["parallel-chain", "--rho", "1.2000000001,1.2"],
         ],
     )
     def test_config_errors_exit_2(self, runner, args):
@@ -218,6 +222,22 @@ class TestExitCodes:
     def test_smallest_parallel_chain_window_runs(self, runner):
         result = runner.invoke(cli.main, ["parallel-chain", "--window", "304"])
         assert result.exit_code in (0, 1), result.output
+
+    def test_roundoff_outside_image_fails_the_check(self, runner):
+        # Roundoff leaves some I~ <= W in the tuple inverse at alpha = 1:
+        # a failed inverse, reported as an infinite gap, not a bad config.
+        result = runner.invoke(cli.main, ["check-inverse", "--n", "2", "--alpha",
+                                          "1.0", "--rho", "0.45,0.5"])
+        assert result.exit_code == 1, result.output
+        checks = {c["name"]: c for c in load_report(result)["checks"]}
+        assert checks["tuple-inverse-max-gap"]["value"] == float("inf")
+        assert not checks["tuple-inverse-max-gap"]["pass"]
+
+    def test_single_inverse_outside_image_is_an_infinite_gap(self):
+        def invert():
+            raise cli.sm.NotInImage("not in image: need I~ > W at every index")
+
+        assert cli._inverse_gap(invert, None) == float("inf")
 
     def test_numerical_failure_exits_1(self, runner, monkeypatch):
         failing = [

@@ -11,8 +11,9 @@ from busemann_lab.grsk import (
     array_insert,
     build_triangular,
     row_insert,
+    triangular_reach,
 )
-from busemann_lab.seqmaps import LogSeqWindow, SeqTuple, daop
+from busemann_lab.seqmaps import LogSeqWindow, SeqTuple, daop, daop_reach
 from busemann_lab.special_functions import Rng, digamma, sample_inverse_gamma
 
 
@@ -173,5 +174,27 @@ class TestBuildTriangular:
                 for k, s in enumerate(shapes)
             )
         )
-        with pytest.raises(ValueError, match="window exhausted"):
+        with pytest.raises(ValueError, match="window too short"):
             build_triangular(tup)
+
+    @pytest.mark.parametrize(
+        "alpha, rhos, daop_lo, tri_lo",
+        [
+            (2.0, (0.5, 1.0, 1.5), 66, 116),
+            (3.5, (0.5, 1.5, 2.5), 80, 148),
+            (1.0, (0.2, 0.5, 0.8), 41, 64),
+            (5.0, (0.3, 1.1, 2.7, 4.1), 191, 354),
+            (2.0, (1.0,), 0, 0),
+        ],
+    )
+    def test_reach_from_hints(self, alpha, rhos, daop_lo, tri_lo):
+        # The reaches follow from the Cesaro hints alone and equal the
+        # offsets the maps produce on drawn windows.
+        shapes = sorted((alpha - r for r in rhos), reverse=True)
+        tup = SeqTuple(tuple(
+            ig_window(s, -3, 600, seed=8, stream=k + 1) for k, s in enumerate(shapes)
+        ))
+        hints = [w.cesaro_hint for w in tup.windows]
+        assert daop(tup).lo - tup.lo == daop_reach(hints) == daop_lo
+        assert (build_triangular(tup).x_cells[1, 1].lo - tup.lo
+                == triangular_reach(hints) == tri_lo)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from busemann_lab import seqmaps
 from busemann_lab.seqmaps import (
     LogSeqWindow,
+    NotInImage,
     SeqTuple,
+    burn_in,
     cesaro_mean,
     d_iterated,
     daop,
@@ -149,7 +152,15 @@ class TestUpdate:
         i = ig_window(1.0, 0, 400, seed=3, stream=1)
         gap = digamma(2.0) - digamma(1.0)
         assert default_burn_in(w, i) == math.ceil(40.0 / gap)
+        assert burn_in(-digamma(2.0), -digamma(1.0)) == math.ceil(40.0 / gap)
         assert update(w, i).valid_lo == math.ceil(40.0 / gap)
+
+    def test_ig_window_is_the_hinted_draw(self):
+        win = seqmaps.ig_window(Rng(master_seed=3, stream_id=1), 1.5, -4, 200)
+        ref = ig_window(1.5, -4, 200, seed=3, stream=1)
+        assert (win.lo, win.hi) == (-4, 200)
+        assert np.array_equal(win.values, ref.values)
+        assert win.cesaro_hint == -digamma(1.5)
 
     def test_dual_weight_definition(self):
         # 1/W~_k = 1/I_k + 1/J_{k-1}, with J_{k-1} read from the j output.
@@ -165,6 +176,9 @@ class TestUpdate:
         i = ig_window(2.0, 0, 100, seed=4, stream=1)
         with pytest.raises(ValueError, match="Cesaro order violated"):
             update(w, i)
+        # A gap at or below 1e-8 would ask for a burn-in of over 4e9 sites.
+        with pytest.raises(ValueError, match="Cesaro order violated"):
+            burn_in(0.0, 1e-12)
 
     def test_window_too_short(self):
         w = ig_window(2.0, 0, 30, seed=5, stream=0)
@@ -191,8 +205,9 @@ class TestInverse:
     def test_not_in_image(self):
         w = LogSeqWindow(0, 3, np.zeros(4))
         it = LogSeqWindow(0, 3, np.array([0.5, 0.5, -0.5, 0.5]))
-        with pytest.raises(ValueError, match="not in image"):
+        with pytest.raises(ValueError, match="not in image") as exc:
             inverse_h(w, it)
+        assert exc.type is NotInImage
 
     def test_haop_undoes_daop(self):
         tup = ig_tuple([2.5, 1.5, 0.5], 0, 3000, seed=9)
