@@ -31,6 +31,7 @@ __all__ = [
     "EternalSolution",
     "stationary_cocycle",
     "parallel_chain",
+    "chain_reach",
     "busemann_ratio_estimate",
     "eternal_from_cocycle",
 ]
@@ -229,10 +230,7 @@ def parallel_chain(
     # and return grids in the caller's order.
     order = sorted(range(n_comp), key=lambda i: rhos[i].rho)
     lams = [alpha - rhos[i].rho for i in order]
-    # Extra left margin so the array construction has room for its own
-    # burn-ins before the requested rectangle starts: component i of the
-    # diagonal consumes one burn-in per update in its chain.
-    pre = k_lo - margin - daop_reach([-digamma(lam) for lam in lams]) - 1
+    pre = k_lo - chain_reach(alpha, [r.rho for r in rhos])
     tri = build_triangular(SeqTuple(tuple(
         ig_window(rng.spawn(idx + 1), lam, pre, k_hi) for idx, lam in enumerate(lams)
     )))
@@ -255,6 +253,17 @@ def parallel_chain(
             bulk_k_lo=k_lo,
         )
     return grids
+
+
+def chain_reach(alpha: float, rhos) -> int:
+    """Sites left of k_lo that parallel_chain draws for two or more rhos.
+
+    The widest burn-in margin, then room for the joint bottom-row draw:
+    component i of the triangular array's diagonal spends one burn-in
+    per update in its chain, built in increasing rho.
+    """
+    margin = max(_margin(alpha, r) for r in rhos)
+    return margin + daop_reach([-digamma(alpha - r) for r in sorted(rhos)]) + 1
 
 
 def busemann_ratio_estimate(

@@ -43,6 +43,7 @@ __all__ = [
     "sample_ppp_replicas",
     "marginal_check",
     "expected_jump_count",
+    "envelope_peak",
     "batch_increment_sums",
     "batch_jump_counts",
     "pos_temp_keep_prob",
@@ -55,6 +56,8 @@ __all__ = [
 _DEFAULT_Y_MIN = 1e-6
 _BAND_RATIO = 1.25
 _TAIL_EXPONENT = 60.0
+# Gauss-Legendre order per geometric panel of expected_jump_count.
+_PANEL_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,17 @@ def _log_g(y: np.ndarray, alpha: float) -> np.ndarray:
 def _band_masses(alpha: float, rho_max: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Envelope mass g(a) (b - a) (e^{b rho} - 1) / b per band."""
     return np.exp(_log_g(a, alpha)) * (b - a) * np.expm1(b * rho_max) / b
+
+
+def envelope_peak(alpha: float, rho_max: float, y_min: float = _DEFAULT_Y_MIN) -> float:
+    """Largest band mass of the sampler's envelope on (0, rho_max], the
+    largest Poisson mean it draws; inf where the envelope overflows.
+
+    The masses grow with y once rho_max > alpha / _BAND_RATIO.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max, y_min))
+    return float(np.max(np.where(np.isnan(masses), np.inf, masses), initial=0.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,19 +335,27 @@ def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
 
 
 def expected_jump_count(alpha: float, delta: float, s_interval) -> float:
-    """Quadrature value of the jump intensity over [delta, inf) x interval."""
+    """Quadrature value of the jump intensity over [delta, inf) x interval.
+
+    The s-integral of sigma is (e^{-y(alpha-s2)} - e^{-y(alpha-s1)}) / y,
+    which behaves like (s2 - s1) / y near 0.  So the y-integral runs in
+    t = log y, over [delta, delta + 60 / (alpha - s2)] cut into geometric
+    panels of ratio at most _BAND_RATIO, the sampler's bands, with one
+    Gauss-Legendre rule per panel.
+    """
     s1, s2 = float(s_interval[0]), float(s_interval[1])
     if s2 <= s1:
         return 0.0
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        # sigma integrated over s: (e^{-y(alpha-s2)} - e^{-y(alpha-s1)}) / y
-        return (np.exp(-y * (alpha - s2)) - np.exp(-y * (alpha - s1))) / (
-            y * (-np.expm1(-y))
-        )
-
-    hi = delta + _TAIL_EXPONENT / (alpha - s2)
-    return _gauss_legendre(integrand, delta, hi, order=256)
+    lo = math.log(delta)
+    hi = math.log(delta + _TAIL_EXPONENT / (alpha - s2))
+    panels = max(1, math.ceil((hi - lo) / math.log(_BAND_RATIO)))
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x, w = _legendre_nodes(_PANEL_ORDER)
+    y = np.exp(half * x + 0.5 * (edges[:-1] + edges[1:])[:, None])
+    # y times the s-integral, the integrand in t.
+    f = np.exp(-y * (alpha - s2)) * -np.expm1(-y * (s2 - s1)) / -np.expm1(-y)
+    return float(np.sum(half * w * f))
 
 
 def pos_temp_keep_prob(y: np.ndarray, alpha: float) -> np.ndarray:

@@ -28,9 +28,9 @@ __all__ = [
     "SeqTuple",
     "UpdateOutput",
     "NotInImage",
+    "CesaroOrderViolated",
     "cesaro_mean",
     "burn_in",
-    "default_burn_in",
     "daop_reach",
     "ig_window",
     "update",
@@ -137,19 +137,18 @@ def _cesaro(i: LogSeqWindow) -> float:
     return cesaro_mean(i)
 
 
+class CesaroOrderViolated(ValueError):
+    """Two Cesaro means out of order, or too close for a finite burn-in."""
+
+
 def burn_in(c_w: float, c_i: float) -> int:
     """Left margin past which the S-seed is forgotten, from the W and I means."""
     gap = c_i - c_w
-    if gap <= _GAP_TOL:
-        raise ValueError(
+    if not gap > _GAP_TOL:
+        raise CesaroOrderViolated(
             f"Cesaro order violated: c(I) - c(W) = {gap:.3e} must be positive"
         )
     return math.ceil(_BURN_IN_RATE / gap)
-
-
-def default_burn_in(w: LogSeqWindow, i: LogSeqWindow) -> int:
-    """burn_in at the Cesaro means of the two windows."""
-    return burn_in(_cesaro(w), _cesaro(i))
 
 
 def ig_window(rng: Rng, shape: float, lo: int, hi: int) -> LogSeqWindow:
@@ -230,8 +229,8 @@ def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
     with the fixed point of the recursion at the Cesaro means; the D and R
     outputs are I~_k = W_k (1 + I_k / J_{k-1}) and
     1/W~_k = 1/I_k + 1/J_{k-1}.  All three are reported on
-    [valid_lo, hi] with valid_lo = lo + default_burn_in(w, i), past which
-    the seed's influence is below roundoff.
+    [valid_lo, hi], valid_lo = lo + burn_in at the two Cesaro means, past
+    which the seed's influence is below roundoff.
     """
     if (w.lo, w.hi) != (i.lo, i.hi):
         raise ValueError("weight and input windows must share one index range")
@@ -288,7 +287,7 @@ def _check_increasing(inputs: SeqTuple) -> None:
     means = [_cesaro(w) for w in inputs.windows]
     for a, b in zip(means, means[1:]):
         if b - a <= _GAP_TOL:
-            raise ValueError(
+            raise CesaroOrderViolated(
                 "Cesaro order violated: component means must be strictly increasing"
             )
 

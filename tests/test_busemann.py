@@ -6,7 +6,6 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab import busemann
-from busemann_lab.bruteforce import row_by_row_evolve
 from busemann_lab.busemann import (
     _WAVEFRONT_MIN,
     _evolve,
@@ -17,6 +16,8 @@ from busemann_lab.busemann import (
 )
 from busemann_lab.lattice import RhoParam, WeightField, log_partition, rho_to_xi
 from busemann_lab.special_functions import Rng, digamma, sample_inverse_gamma
+
+from oracles import row_by_row_evolve
 
 
 def make_grid(alpha=2.0, rho=1.0, k_hi=600, t_max=4, seed=0):

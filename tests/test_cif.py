@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from busemann_lab.bruteforce import per_replica_ratio_samples
 from busemann_lab.cif import (
     _BLOCK,
     _ratio_samples,
@@ -9,6 +8,8 @@ from busemann_lab.cif import (
     xi_star_cdf_check,
 )
 from busemann_lab.special_functions import Rng
+
+from oracles import per_replica_ratio_samples
 
 
 class TestAnnealedLaws:

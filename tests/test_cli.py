@@ -1,10 +1,18 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from busemann_lab import cli
+import busemann_lab
+from busemann_lab import cli, experiments
+from busemann_lab.seqmaps import NotInImage
+from busemann_lab.special_functions import reg_inc_beta, reg_inc_gamma
 
 
 @pytest.fixture
@@ -127,7 +135,55 @@ class TestExperimentRuns:
         assert report["summary"]["total"] >= 1
 
 
+# Bad values that once reached a library guard, numpy or a crash.  Each
+# argv names first the option that its error must name.
+NAMED_ERRORS = [
+    ["cif-eta", "--replicas", "1398102"],
+    ["cif-eta", "--rho", "3.0"],
+    ["cif-xi", "--rho", "-1"],
+    # Cesaro gaps below 1e-8: no finite burn-in.
+    ["cif-eta", "--rho", "1e-12"],
+    ["she-check", "--rho", "1e-12"],
+    ["parallel-chain", "--rho", "1.2000000001,1.2"],
+    # grsk-verify draws shapes alpha + 1, alpha and alpha - 1.
+    ["grsk-verify", "--alpha", "0.5"],
+    ["grsk-verify", "--alpha", "-1"],
+    ["grsk-verify", "--alpha", "1e-3"],
+    ["grsk-verify", "--alpha", "1.01"],
+    # Inverse-gamma draws of shape below MIN_SHAPE can overflow.
+    ["parallel-chain", "--alpha", "0.01", "--rho", "0.005,0.001"],
+    # Infinite values, and values outside an option's range.
+    ["jump-count", "--delta", "inf"],
+    ["jump-count", "--delta", "1e-7"],
+    ["jump-count", "--s-hi", "0.2", "--s-lo", "0.5"],
+    ["jump-count", "--alpha", "-2"],
+    ["stationary-cocycle", "--alpha", "inf"],
+    ["ppp-busemann", "--alpha", "inf"],
+    ["cif-eta", "--alpha", "inf"],
+    # jump-count's s-interval lies in [0, alpha).
+    ["jump-count", "--s-hi", "2.0"],
+    ["jump-count", "--s-hi", "3.0"],
+    ["jump-count", "--s-lo", "-1"],
+    # The jump sampler's envelope overflows near alpha.
+    ["zero-temp", "--rho", "0.95"],
+    ["jump-count", "--s-hi", "1.9"],
+    # The expected count underflows to 0.
+    ["jump-count", "--delta", "1000"],
+]
+
+# A cap on the address space of the subprocesses below.
+_AS_CAP = 2 * 2 ** 30
+
+
 class TestExitCodes:
+    @staticmethod
+    def _both_modes(runner, capsys, args) -> list[tuple[int, str]]:
+        """(exit code, message) standalone through CliRunner, then in-process."""
+        result = runner.invoke(cli.main, args)
+        with pytest.raises(SystemExit) as exc:
+            cli.main.main(args, prog_name="busemann-lab", standalone_mode=False)
+        return [(result.exit_code, result.output), (exc.value.code, capsys.readouterr().err)]
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -157,11 +213,12 @@ class TestExitCodes:
             # the burn-in rule's order guard.
             ["cif-eta", "--rho", "1e-12"],
             ["parallel-chain", "--rho", "1.2000000001,1.2"],
+            *NAMED_ERRORS,
         ],
     )
-    def test_config_errors_exit_2(self, runner, args):
-        result = runner.invoke(cli.main, args)
-        assert result.exit_code == 2, result.output
+    def test_config_errors_exit_2(self, runner, capsys, args):
+        for code, output in self._both_modes(runner, capsys, args):
+            assert code == 2, output
 
     @pytest.mark.parametrize(
         "args",
@@ -175,12 +232,39 @@ class TestExitCodes:
             ["jump-count", "--samples", "1"],
             ["she-check", "--size", "1"],
             ["parallel-chain", "--window", "10"],
+            *NAMED_ERRORS,
         ],
     )
-    def test_bad_count_names_the_option(self, runner, args):
-        result = runner.invoke(cli.main, args)
-        assert result.exit_code == 2
-        assert f"Invalid value for '{args[1]}'" in result.output
+    def test_bad_count_names_the_option(self, runner, capsys, args):
+        for code, output in self._both_modes(runner, capsys, args):
+            assert code == 2
+            assert f"Invalid value for '{args[1]}'" in output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Each asked numpy for 1.3 to 4.6 GiB before it was sized.
+            ["cif-eta", "--rho", "1e-7"],
+            ["she-check", "--rho", "1e-7"],
+            ["parallel-chain", "--rho", "1.2000001,1.2"],
+            ["she-check", "--size", "100000"],
+        ],
+    )
+    def test_oversized_run_names_the_option(self, args):
+        # In a subprocess under an address-space cap, so that a run that
+        # allocates instead of refusing fails without taking the memory.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (_AS_CAP, _AS_CAP))
+
+        src = str(Path(busemann_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "busemann_lab.cli", *args], capture_output=True,
+            text=True, timeout=120, preexec_fn=cap, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"Invalid value for '{args[1]}'" in proc.stderr
+        assert "GiB budget" in proc.stderr
 
     @pytest.mark.parametrize(
         "args, minimum",
@@ -235,9 +319,9 @@ class TestExitCodes:
 
     def test_single_inverse_outside_image_is_an_infinite_gap(self):
         def invert():
-            raise cli.sm.NotInImage("not in image: need I~ > W at every index")
+            raise NotInImage("not in image: need I~ > W at every index")
 
-        assert cli._inverse_gap(invert, None) == float("inf")
+        assert experiments._inverse_gap(invert, None) == float("inf")
 
     def test_numerical_failure_exits_1(self, runner, monkeypatch):
         failing = [
@@ -250,7 +334,7 @@ class TestExitCodes:
             }
         ]
         monkeypatch.setattr(
-            cli, "run_check_intertwine", lambda *a, **k: failing
+            experiments, "run_check_intertwine", lambda *a, **k: failing
         )
         result = runner.invoke(cli.main, ["check-intertwine"])
         assert result.exit_code == 1
@@ -260,7 +344,7 @@ class TestExitCodes:
         # the exit code from SystemExit; a click exit would return 0 there.
         failing = [{"name": "forced", "paper_ref": "none", "value": 1.0,
                     "threshold": 0.5, "pass": False}]
-        monkeypatch.setattr(cli, "run_check_intertwine", lambda *a, **k: failing)
+        monkeypatch.setattr(experiments, "run_check_intertwine", lambda *a, **k: failing)
         with pytest.raises(SystemExit) as exc:
             cli.main.main(["check-intertwine"], standalone_mode=False)
         assert exc.value.code == 1
@@ -299,7 +383,7 @@ class TestArrayCdfs:
                 return 0.0
             if v >= 1.0:
                 return 1.0
-            return cli.reg_inc_beta(a, b, v)
+            return reg_inc_beta(a, b, v)
 
         return cdf
 
@@ -308,7 +392,7 @@ class TestArrayCdfs:
         def cdf(v):
             if v <= 0.0:
                 return 0.0
-            return 1.0 - cli.reg_inc_gamma(shape, 1.0 / v)
+            return 1.0 - reg_inc_gamma(shape, 1.0 / v)
 
         return cdf
 
@@ -316,10 +400,10 @@ class TestArrayCdfs:
     def test_beta_cdf(self, a, b):
         oracle = self.scalar_beta_cdf(a, b)
         want = np.array([oracle(v) for v in self.V])
-        assert np.array_equal(cli._beta_cdf(a, b)(self.V), want)
+        assert np.array_equal(experiments._beta_cdf(a, b)(self.V), want)
 
     @pytest.mark.parametrize("shape", [0.4, 1.0, 2.5])
     def test_invgamma_cdf(self, shape):
         oracle = self.scalar_invgamma_cdf(shape)
         want = np.array([oracle(v) for v in self.V])
-        assert np.array_equal(cli._invgamma_cdf(shape)(self.V), want)
+        assert np.array_equal(experiments._invgamma_cdf(shape)(self.V), want)

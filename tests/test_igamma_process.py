@@ -8,6 +8,7 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab.igamma_process import (
+    _DEFAULT_Y_MIN,
     JumpProcessSample,
     _accepted_points,
     _band_masses,
@@ -16,6 +17,7 @@ from busemann_lab.igamma_process import (
     _log_g,
     batch_increment_sums,
     batch_jump_counts,
+    envelope_peak,
     expected_jump_count,
     marginal_check,
     pos_temp_keep_prob,
@@ -61,18 +63,36 @@ class TestQuadratures:
         assert small_jump_compensator(2.0, 1.0, 0.0) == 0.0
 
     def test_expected_count_matches_quad(self):
-        alpha, delta = 2.0, 1.0
-        ours = expected_jump_count(alpha, delta, (0.0, 1.0))
-        ref, _ = si.quad(
-            lambda y: (math.exp(-y * (alpha - 1.0)) - math.exp(-y * alpha))
-            / (y * (1.0 - math.exp(-y))),
-            delta,
-            80.0,
-        )
-        assert ours == pytest.approx(ref, rel=1e-9)
+        # Down to twice the small-jump cutoff, where the integrand's 1/y
+        # mass near delta defeats a single Gauss-Legendre rule.
+        alpha, s1, s2 = 3.0, 0.5, 1.5
+
+        def log_y_integrand(t):
+            y = math.exp(t)
+            return (math.exp(-y * (alpha - s2)) * -math.expm1(-y * (s2 - s1))
+                    / -math.expm1(-y))
+
+        for delta in (1.0, 1e-2, 1e-4, 2 * _DEFAULT_Y_MIN):
+            # At alpha = 2 and s in (0, 1] the intensity integrates over s
+            # to e^{-y} / y, so the count is the exponential integral E1.
+            ours = expected_jump_count(2.0, delta, (0.0, 1.0))
+            assert ours == pytest.approx(sps.exp1(delta), rel=1e-9)
+            ref, _ = si.quad(log_y_integrand, math.log(delta), math.log(delta + 80.0),
+                             epsabs=0.0, epsrel=1e-12, limit=200)
+            assert expected_jump_count(alpha, delta, (s1, s2)) == pytest.approx(ref, rel=1e-9)
 
     def test_expected_count_empty_interval(self):
         assert expected_jump_count(2.0, 1.0, (0.5, 0.5)) == 0.0
+
+    def test_envelope_peak(self):
+        # Flat in y up to rho_max = alpha / 1.25, growing past it, and
+        # overflowing (0 * inf in the band masses) near alpha.
+        a, b = _bands(1.0, 0.5, _DEFAULT_Y_MIN)
+        assert envelope_peak(1.0, 0.5) == np.max(_band_masses(1.0, 0.5, a, b)) < 1.0
+        assert 1e27 < envelope_peak(1.0, 0.9) < np.inf
+        assert envelope_peak(1.0, 0.95) == np.inf
+        # No band reaches past the cutoff: nothing is drawn.
+        assert envelope_peak(1e300, 0.5) == 0.0
 
     def test_cached_nodes_are_shared_and_read_only(self):
         x, w = _legendre_nodes(32)

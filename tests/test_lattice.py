@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from busemann_lab.bruteforce import site_by_site_log_partition_table
 from busemann_lab.lattice import (
     Direction,
     RhoParam,
@@ -14,6 +13,8 @@ from busemann_lab.lattice import (
     log_partition,
     rho_to_xi,
 )
+
+from oracles import site_by_site_log_partition_table
 
 
 class ZeroField:

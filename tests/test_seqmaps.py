@@ -12,7 +12,6 @@ from busemann_lab.seqmaps import (
     cesaro_mean,
     d_iterated,
     daop,
-    default_burn_in,
     haop,
     inverse_h,
     parallel_step,
@@ -142,7 +141,7 @@ class TestUpdate:
         w = ig_window(2.0, 0, 400, seed=2, stream=0)
         i = ig_window(1.0, 0, 400, seed=2, stream=1)
         out = update(w, i)
-        cut = default_burn_in(w, i)
+        cut = burn_in(-digamma(2.0), -digamma(1.0))
         log_j, log_it = update_raw(w.values, i.values, float(w.values[0]))
         assert np.max(np.abs(out.j.values - log_j[cut:])) < 1e-13
         assert np.max(np.abs(out.i_tilde.values - log_it[cut:])) < 1e-13
@@ -151,7 +150,6 @@ class TestUpdate:
         w = ig_window(2.0, 0, 400, seed=3, stream=0)
         i = ig_window(1.0, 0, 400, seed=3, stream=1)
         gap = digamma(2.0) - digamma(1.0)
-        assert default_burn_in(w, i) == math.ceil(40.0 / gap)
         assert burn_in(-digamma(2.0), -digamma(1.0)) == math.ceil(40.0 / gap)
         assert update(w, i).valid_lo == math.ceil(40.0 / gap)
 

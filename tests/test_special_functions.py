@@ -7,7 +7,6 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab import special_functions
-from busemann_lab.bruteforce import unfused_absorb, unfused_mix64, unfused_to_unit
 from busemann_lab.special_functions import (
     _SALT_EVENT,
     _SALT_INDEX,
@@ -31,6 +30,8 @@ from busemann_lab.special_functions import (
     trigamma,
     uniform_from_keys,
 )
+
+from oracles import unfused_absorb, unfused_mix64, unfused_to_unit
 
 
 _LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1)]

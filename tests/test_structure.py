@@ -1,0 +1,62 @@
+"""Rules of the source layout, read from the package's syntax trees.
+
+Only the command-line front end imports click, and it catches no error
+that it cannot name: a bad option reaches it as experiments.ConfigError,
+and anything else is a crash.  Every check's pass is the comparison of
+its value with its threshold.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import busemann_lab
+
+PACKAGE = Path(busemann_lab.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_cli_imports_click(path):
+    if path.name == "cli.py":
+        return
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not [n for n in names if n.split(".")[0] == "click"], (
+            f"{path.name}:{node.lineno} imports click"
+        )
+
+
+def test_cli_catches_no_value_error():
+    for node in ast.walk(_tree(PACKAGE / "cli.py")):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        assert node.type is not None, f"cli.py:{node.lineno}: bare except"
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        for exc in caught:
+            assert ast.unparse(exc) not in ("ValueError", "Exception", "BaseException"), (
+                f"cli.py:{node.lineno} catches {ast.unparse(exc)}"
+            )
+
+
+def test_every_check_compares_value_and_threshold():
+    # _check(name, ref, value, cmp, threshold) with cmp one of operator's
+    # orderings; no call site hands over a pass of its own.
+    calls = [
+        node for node in ast.walk(_tree(PACKAGE / "experiments.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check"
+    ]
+    assert calls
+    for call in calls:
+        assert len(call.args) == 5 and not call.keywords, f"line {call.lineno}"
+        assert ast.unparse(call.args[3]) in ("lt", "le", "gt", "ge"), f"line {call.lineno}"
