@@ -124,6 +124,15 @@ def _jump_sampler(alpha: float, rho_max: float, option: str) -> None:
              f"envelope needs Poisson means up to {peak:.3g}, over {POISSON_MEAN_MAX:.4g}")
 
 
+def _max_abs_rows(rows) -> float:
+    """The largest |x| over an iterable of arrays, NaN if any x is NaN.
+
+    Grid checks pass their residuals row by row, so that no temporary is
+    larger than one row.
+    """
+    return float(np.max([np.max(np.abs(r)) for r in rows], initial=0.0))
+
+
 def _fits(elements: int, option: str) -> None:
     """Refuse a run whose largest float64 array exceeds MEMORY_BUDGET."""
     _require(8 * elements <= MEMORY_BUDGET, option,
@@ -297,21 +306,21 @@ def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
     # The bulk starts at the burn-in margin; its vertical KS test reads
     # every 16th bulk site, as parallel-chain's does.
     _window_at_least(margin + KS_WINDOW_MIN, window)
+    # The grid holds three (levels + 1, window + 1) arrays; a gamma draw of
+    # its bottom row hashes a (3, window + 1) array of uniforms.
+    _fits(max(levels + 1, 3) * (window + 1), "--levels" if levels > window else "--window")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     grid = bu.stationary_cocycle(
         field, lat.RhoParam(rho, alpha), (0, window, levels), rng
     )
-    i_blk, j_blk, w_blk = grid.bulk()
-    rec = float(np.max(np.abs(
-        np.exp(-i_blk) + np.exp(-j_blk) - np.exp(-w_blk)
-    )))
     c = grid.bulk_k_lo - grid.k_lo
-    add = 0.0
-    for t in range(1, grid.t_max + 1):
-        lhs = grid.j_vals[t, c + 1:] + grid.i_vals[t - 1, c + 1:]
-        rhs = grid.i_vals[t, c + 1:] + grid.j_vals[t, c:-1]
-        add = max(add, float(np.max(np.abs(lhs - rhs))))
+    i, j, w = grid.i_vals, grid.j_vals, grid.w_vals
+    rows = range(1, grid.t_max + 1)
+    rec = _max_abs_rows(np.exp(-i[t, c:]) + np.exp(-j[t, c:]) - np.exp(-w[t, c:])
+                        for t in rows)
+    add = _max_abs_rows((j[t, c + 1:] + i[t - 1, c + 1:]) - (i[t, c + 1:] + j[t, c:-1])
+                        for t in rows)
     checks = [
         _below("recovery-residual", "cocycle-recovery", rec, 1e-12),
         _below("additivity-residual", "cocycle-additivity", add, 1e-12),
@@ -519,20 +528,15 @@ def run_she_check(alpha, rho, size, seed) -> list[dict]:
     base = (grid.bulk_k_lo + size // 2, size // 2)
     es = bu.eternal_from_cocycle(grid, base)
     c = grid.bulk_k_lo - grid.k_lo
-    lz = es.log_z
-    worst = 0.0
-    for r in range(1, lz.shape[0]):
-        resid = np.abs(lz[r, 1:] - (
-            np.logaddexp(lz[r, :-1], lz[r - 1, 1:])
-            + grid.w_vals[es.t0 + r, c + 1:]
-        ))
-        worst = max(worst, float(np.max(resid)))
+    lz, i, j, w = es.log_z, grid.i_vals, grid.j_vals, grid.w_vals
+    worst = _max_abs_rows(
+        lz[r, 1:] - (np.logaddexp(lz[r, :-1], lz[r - 1, 1:]) + w[es.t0 + r, c + 1:])
+        for r in range(1, lz.shape[0]))
     checks = [_below(
         "heat-recursion-residual", "eternal-solution-recursion", worst, 1e-12
     )]
-    i_blk, j_blk, w_blk = grid.bulk()
-    psum = np.exp(w_blk - i_blk) + np.exp(w_blk - j_blk)
-    perr = float(np.max(np.abs(psum - 1.0)))
+    perr = _max_abs_rows((np.exp(w[t, c:] - i[t, c:]) + np.exp(w[t, c:] - j[t, c:])) - 1.0
+                         for t in range(1, grid.t_max + 1))
     checks.append(_below(
         "backward-probability-normalization", "backward-walk-kernel", perr, 1e-12
     ))
@@ -540,33 +544,37 @@ def run_she_check(alpha, rho, size, seed) -> list[dict]:
 
 
 def run_calibrate_stats(trials, samples, seed) -> list[dict]:
+    # Each trial's uniforms come block by block; a two-sample test pools
+    # two samples, and the dispersion test draws its counts in one event.
+    counts_per_trial = 50
+    _fits(max(counts_per_trial * trials, 2 * samples),
+          "--trials" if counts_per_trial * trials > 2 * samples else "--samples")
     rng = Rng(master_seed=seed)
     checks = []
-    u = rng.spawn(1).uniforms(trials * samples).reshape(trials, samples)
     p_one = np.array([
-        ks_one_sample(u[t], lambda v: np.clip(v, 0.0, 1.0)).p_value
-        for t in range(trials)
+        ks_one_sample(u, lambda v: np.clip(v, 0.0, 1.0)).p_value
+        for block in rng.spawn(1).uniform_rows(trials, samples) for u in block
     ])
-    a = rng.spawn(2).uniforms(trials * samples).reshape(trials, samples)
-    b = rng.spawn(3).uniforms(trials * samples).reshape(trials, samples)
-    p_two = np.array([
-        ks_two_sample(a[t], b[t]).p_value for t in range(trials)
-    ])
+    p_two, corr = [], []
+    for a, b in zip(rng.spawn(2).uniform_rows(trials, samples),
+                    rng.spawn(3).uniform_rows(trials, samples)):
+        p_two += [ks_two_sample(x, y).p_value for x, y in zip(a, b)]
+        corr += [pearson(x, y) for x, y in zip(a, b)]
+        del a, b  # before the next pair is drawn
+    p_two, corr = np.array(p_two), np.array(corr)
     for name, pvals in (("one-sample-ks", p_one), ("two-sample-ks", p_two)):
         for level in (0.05, 0.01):
             checks.append(_check(
                 f"{name}-fpr-at-{level}", "test-calibration",
                 float(np.mean(pvals < level)), le, 3.0 * level,
             ))
-    corr = np.array([
-        pearson(a[t], b[t]) for t in range(trials)
-    ])
     checks.append(_check(
         "pearson-3sigma-fpr", "test-calibration",
         float(np.mean(np.abs(corr) > 3.0 / math.sqrt(samples))), le, 3 * 0.0027,
     ))
     mu = 5.0
-    counts = sample_poisson(rng.spawn(4), mu, size=trials * 50).reshape(trials, 50)
+    counts = sample_poisson(rng.spawn(4), mu, size=trials * counts_per_trial).reshape(
+        trials, counts_per_trial)
     p_disp = np.array([
         poisson_dispersion(counts[t], mu) for t in range(trials)
     ])

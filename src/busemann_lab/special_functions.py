@@ -73,7 +73,8 @@ def _fold(z: np.ndarray, t: np.ndarray, start, absorbs, spread, unit, lo, n) -> 
         z *= _MIX2
         z ^= np.right_shift(z, _U64(31), out=t)
     if unit:  # (z >> 11) + 0.5 is exact: the uniforms lie in the open (0, 1)
-        u = np.add(np.right_shift(z, _U64(11), out=z), 0.5, out=z.view(np.float64))
+        # Shifted into t: a cast from z onto its own float view would copy z.
+        u = np.add(np.right_shift(z, _U64(11), out=t), 0.5, out=z.view(np.float64))
         u *= 2.0 ** -53
 
 
@@ -171,6 +172,21 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         return self._next_event(n, unit=True)
+
+    def uniform_rows(self, rows: int, cols: int):
+        """``uniforms(rows * cols).reshape(rows, cols)``, block by block.
+
+        The event is taken now, so the counter advances here even if the
+        blocks are never read.  The iterator yields (block, cols) arrays of
+        max(1, _CHUNK // cols) rows (fewer in the last), which concatenate
+        to that reshaped draw: a pass over the rows holds one block at a time.
+        """
+        event = functools.partial(_event_keys, self.master_seed, self.stream_id,
+                                  self.counter, unit=True)
+        self.counter += 1
+        step = max(1, _CHUNK // cols)
+        return (event(np.arange(r * cols, min(r + step, rows) * cols, dtype=_U64).reshape(-1, cols))
+                for r in range(0, rows, step))
 
 
 def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.special as sps
 import scipy.stats as st
 
+from busemann_lab import experiments
 from busemann_lab.bruteforce import brute_force_ratio_array
 from busemann_lab.busemann import (
     busemann_ratio_estimate,
@@ -40,7 +41,7 @@ from busemann_lab.seqmaps import (
     update,
 )
 from busemann_lab.special_functions import Rng, digamma, sample_inverse_gamma
-from busemann_lab.stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
+from busemann_lab.stats import ks_two_sample, pearson, poisson_dispersion
 
 from test_grsk import partition_with_initial
 
@@ -357,34 +358,6 @@ def test_deep_ratio_law_of_large_numbers():
 
 
 def test_statistical_test_calibration():
-    trials, n = 1000, 10_000
-    rng = Rng(master_seed=116)
-    u = rng.spawn(1).uniforms(trials * n).reshape(trials, n)
-    p_one = np.array([
-        ks_one_sample(u[t], lambda v: np.clip(v, 0.0, 1.0)).p_value
-        for t in range(trials)
-    ])
-    a = rng.spawn(2).uniforms(trials * n).reshape(trials, n)
-    b = rng.spawn(3).uniforms(trials * n).reshape(trials, n)
-    p_two = np.array([ks_two_sample(a[t], b[t]).p_value for t in range(trials)])
-    rates_ok = True
-    details = []
-    for name, pvals in (("ks1", p_one), ("ks2", p_two)):
-        for level in (0.05, 0.01):
-            rate = float(np.mean(pvals < level))
-            rates_ok &= rate <= 3.0 * level
-            details.append(f"{name}@{level}={rate:.3f}")
-    corr_rate = float(np.mean(np.abs(
-        np.array([pearson(a[t], b[t]) for t in range(trials)])
-    ) > 3.0 / math.sqrt(n)))
-    rates_ok &= corr_rate <= 3 * 0.0027
-    from busemann_lab.special_functions import sample_poisson
-
-    counts = sample_poisson(rng.spawn(4), 5.0, size=trials * 50).reshape(trials, 50)
-    p_disp = np.array([poisson_dispersion(counts[t], 5.0) for t in range(trials)])
-    for level in (0.05, 0.01):
-        rate = float(np.mean(p_disp < level))
-        rates_ok &= rate <= 3.0 * level
-        details.append(f"disp@{level}={rate:.3f}")
-    details.append(f"corr={corr_rate:.4f}")
-    report("test-calibration", bool(rates_ok), ", ".join(details))
+    checks = experiments.run_calibrate_stats(1000, 10_000, 116)
+    report("test-calibration", all(c["pass"] for c in checks),
+           ", ".join(f"{c['name']}={c['value']:.4f}" for c in checks))

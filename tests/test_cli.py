@@ -248,6 +248,12 @@ class TestExitCodes:
             ["she-check", "--rho", "1e-7"],
             ["parallel-chain", "--rho", "1.2000001,1.2"],
             ["she-check", "--size", "100000"],
+            # Each crashed with _ArrayMemoryError under the cap before it
+            # was sized.
+            ["stationary-cocycle", "--window", "1000000000"],
+            ["stationary-cocycle", "--levels", "100000000"],
+            ["calibrate-stats", "--samples", "100000000", "--trials", "1"],
+            ["calibrate-stats", "--trials", "100000000"],
         ],
     )
     def test_oversized_run_names_the_option(self, args):
@@ -322,6 +328,11 @@ class TestExitCodes:
             raise NotInImage("not in image: need I~ > W at every index")
 
         assert experiments._inverse_gap(invert, None) == float("inf")
+
+    def test_nan_residual_in_any_row_fails_the_check(self):
+        rows = [np.array([1e-13, -2e-13]), np.array([np.nan, 0.0]), np.zeros(2)]
+        assert np.isnan(experiments._max_abs_rows(rows))
+        assert experiments._max_abs_rows(rows[::2]) == 2e-13
 
     def test_numerical_failure_exits_1(self, runner, monkeypatch):
         failing = [

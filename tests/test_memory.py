@@ -1,0 +1,49 @@
+"""Peak memory of the grid- and trial-sized checks, seen by tracemalloc.
+
+tracemalloc sees numpy's buffers.  A run may hold the arrays its checks
+read and little more: the checks stream them row by row, or block by
+block, instead of building temporaries of their size.
+"""
+
+import tracemalloc
+
+from busemann_lab import busemann as bu
+from busemann_lab import experiments as ex
+
+
+def _peak(run, *args) -> int:
+    """The most bytes a run held at once."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stationary_cocycle_holds_its_grids():
+    window, levels = 3000, 200
+    grids = 3 * 8 * (levels + 1) * (window + 1)
+    assert _peak(ex.run_stationary_cocycle, 2.0, 1.0, window, levels, 7) <= 1.25 * grids
+
+
+def test_calibrate_stats_holds_less_than_one_draw():
+    trials, samples = 200, 2000
+    assert _peak(ex.run_calibrate_stats, trials, samples, 7) < 8 * trials * samples
+
+
+def test_she_check_holds_its_grid_and_solution(monkeypatch):
+    held = []
+
+    def keep(f):
+        def kept(*args):
+            held.append(f(*args))
+            return held[-1]
+        return kept
+
+    monkeypatch.setattr(bu, "stationary_cocycle", keep(bu.stationary_cocycle))
+    monkeypatch.setattr(bu, "eternal_from_cocycle", keep(bu.eternal_from_cocycle))
+    peak = _peak(ex.run_she_check, 2.0, 1.0, 400, 7)
+    grid, es = held
+    arrays = (grid.i_vals, grid.j_vals, grid.w_vals, es.log_z)
+    assert peak <= 1.25 * sum(a.nbytes for a in arrays)

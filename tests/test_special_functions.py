@@ -174,6 +174,31 @@ class TestRngDeterminism:
         assert uniform_from_keys(k) == uniform_from_keys(k)
 
 
+class TestUniformRows:
+    # Many blocks; one row wider than a hashing pass; one-element rows.
+    @pytest.mark.parametrize("rows, cols", [(1000, 2000), (3, 70_000), (7, 1)])
+    def test_blocks_equal_the_reshaped_draw(self, rows, cols):
+        blocks = list(Rng(4, 9).uniform_rows(rows, cols))
+        step = max(1, special_functions._CHUNK // cols)
+        assert [len(b) for b in blocks] == [min(step, rows - r) for r in range(0, rows, step)]
+        want = Rng(4, 9).uniforms(rows * cols).reshape(rows, cols)
+        assert _same_bits(np.concatenate(blocks), want)
+
+    def test_counter_advances_at_call_time(self):
+        r = Rng(master_seed=3)
+        r.uniform_rows(5, 10)
+        assert r.counter == 1
+        assert _same_bits(r.uniforms(8), Rng(master_seed=3, counter=1).uniforms(8))
+
+    def test_interleaved_draw_leaves_both_streams(self):
+        r = Rng(master_seed=3)
+        rows = r.uniform_rows(40, 3000)
+        between = r.uniforms(8)
+        got = np.concatenate(list(rows))
+        assert _same_bits(got, Rng(master_seed=3).uniforms(40 * 3000).reshape(40, 3000))
+        assert _same_bits(between, Rng(master_seed=3, counter=1).uniforms(8))
+
+
 class TestStreamIdArrays:
     SIDS = np.array([0, 1, 5, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
 
