@@ -134,13 +134,25 @@ def _max_abs_rows(rows) -> float:
 
 
 def _fits(elements: int, option: str) -> None:
-    """Refuse a run whose largest float64 array exceeds MEMORY_BUDGET."""
+    """Refuse a run whose float64 arrays of this many elements exceed
+    MEMORY_BUDGET: its largest array, or arrays it must hold together."""
     _require(8 * elements <= MEMORY_BUDGET, option,
-             f"needs an array of {8 * elements / 2 ** 30:.3g} GiB, over the "
+             f"needs {8 * elements / 2 ** 30:.3g} GiB of float64 arrays, over the "
              f"{MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
+def _jump_points_fit(alpha: float, rho_max: float, samples: int) -> None:
+    """The jump sampler holds the accepted points of all samples together,
+    about samples times the envelope's total mass of them."""
+    _fits(math.ceil(samples * ig.envelope_mass(alpha, rho_max)), "--samples")
+
+
 # -- experiments -----------------------------------------------------------
+
+def _inputs_fit(n: int, window: int) -> None:
+    """The n input windows of window + 1 values each are held together."""
+    _fits(n * (window + 1), "--n" if n > window else "--window")
+
 
 def _ig_windows(lams, window, seed) -> sm.SeqTuple:
     rng = Rng(master_seed=seed)
@@ -167,6 +179,7 @@ def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
         seq_reach = sum(sm.burn_in(-digamma(alpha), h) for h in hints)
         minimum = max(seq_reach + sm.daop_reach(hints), margin) + 1
     _window_at_least(minimum, window)
+    _inputs_fit(n, window)
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
     lhs = sm.parallel_step(weight, sm.daop(tup))
@@ -192,6 +205,7 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
         minimum = max(sm.burn_in(-digamma(alpha), hints[0]) + 1,
                       sm.daop_reach(hints) + max(n - 1, 1))
     _window_at_least(minimum, window)
+    _inputs_fit(n, window)
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
     checks = []
@@ -233,6 +247,8 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
         # daop's reach is at most the array's: its burn-ins are a row's.
         minimum = grsk.triangular_reach(_hints(lams)) + 1
     _window_at_least(minimum, window)
+    # The triangular array holds its three input windows together.
+    _fits(len(lams) * (window + 1), "--window")
     checks = []
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -306,8 +322,8 @@ def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
     # The bulk starts at the burn-in margin; its vertical KS test reads
     # every 16th bulk site, as parallel-chain's does.
     _window_at_least(margin + KS_WINDOW_MIN, window)
-    # The grid holds three (levels + 1, window + 1) arrays; a gamma draw of
-    # its bottom row hashes a (3, window + 1) array of uniforms.
+    # The grid holds three (levels + 1, window + 1) arrays, and its bottom
+    # row's draw several rows of window + 1; at least three rows count.
     _fits(max(levels + 1, 3) * (window + 1), "--levels" if levels > window else "--window")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
@@ -345,7 +361,8 @@ def run_parallel_chain(alpha, rhos, window, seed) -> list[dict]:
     _input_shapes(alpha, rhos)
     with _burn_ins("--rho"):
         reach = bu.chain_reach(alpha, rhos)
-    # A gamma draw of n values hashes a (3, n) array of uniforms.
+    # The bottom-row draw and the grids hold several rows of
+    # n = window + reach + 1 values at once; three count.
     _fits(3 * (window + reach + 1), "--rho" if reach > window else "--window")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
@@ -388,6 +405,7 @@ def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
     with _burn_ins("--lam"):
         reach = bu.chain_reach(alpha, [rho, lam])
     _fits(3 * (16 * m + reach + 1), "--lam")
+    _jump_points_fit(alpha, rho, samples)
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(alpha, [lam, rho], samples, rng.spawn(1))
     checks = []
@@ -424,6 +442,7 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
     _require(0.0 <= s_lo < alpha, "--s-lo", f"{s_lo} is not in the range 0<=x<{alpha}.")
     _require(s_lo < s_hi < alpha, "--s-hi", f"{s_hi} is not in the range {s_lo}<x<{alpha}.")
     _jump_sampler(alpha, s_hi, "--s-hi")
+    _jump_points_fit(alpha, s_hi, samples)
     mu = ig.expected_jump_count(alpha, delta, (s_lo, s_hi))
     _require(mu > 0.0, "--delta", f"the expected count {mu:g} is not positive")
     rng = Rng(master_seed=seed)
@@ -440,6 +459,7 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
 def run_zero_temp(rho, samples, seed) -> list[dict]:
     _require(0.0 < rho < 1.0, "--rho", f"{rho} is not in the range 0<x<1.")
     _jump_sampler(1.0, rho, "--rho")
+    _jump_points_fit(1.0, rho, samples)
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(
         1.0, [rho], samples, rng.spawn(1), thinning=ig.zero_temp_keep_prob
@@ -480,7 +500,7 @@ def _cif_sizes(alpha, rho, replicas) -> None:
     _rho(alpha, rho)
     with _burn_ins("--rho"):
         width = bu._margin(alpha, rho) + 2
-    # A block's gamma draws hash three uniforms per site, in one array.
+    # A block holds several (block, width + 1) arrays at once; three count.
     _fits(3 * min(cifmod._BLOCK, replicas) * (width + 1), "--rho")
 
 
@@ -543,12 +563,24 @@ def run_she_check(alpha, rho, size, seed) -> list[dict]:
     return checks
 
 
+# calibrate-stats' gates: a rate of p-values below each level, and of
+# Pearson correlations outside 3 sigma, at most 3 times its nominal rate.
+CALIBRATION_LEVELS = (0.05, 0.01)
+SIGMA3_RATE = 0.0027
+# The fewest trials at which one false positive, a rate of 1 / trials,
+# passes every one of those gates.
+MIN_TRIALS = math.ceil(1.0 / (3.0 * min(*CALIBRATION_LEVELS, SIGMA3_RATE)))
+
+
 def run_calibrate_stats(trials, samples, seed) -> list[dict]:
     # Each trial's uniforms come block by block; a two-sample test pools
     # two samples, and the dispersion test draws its counts in one event.
     counts_per_trial = 50
     _fits(max(counts_per_trial * trials, 2 * samples),
           "--trials" if counts_per_trial * trials > 2 * samples else "--samples")
+    _require(trials >= MIN_TRIALS, "--trials",
+             f"{trials} is not in the range x>={MIN_TRIALS}: with fewer trials "
+             "one false positive fails a rate gate")
     rng = Rng(master_seed=seed)
     checks = []
     p_one = np.array([
@@ -563,14 +595,14 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
         del a, b  # before the next pair is drawn
     p_two, corr = np.array(p_two), np.array(corr)
     for name, pvals in (("one-sample-ks", p_one), ("two-sample-ks", p_two)):
-        for level in (0.05, 0.01):
+        for level in CALIBRATION_LEVELS:
             checks.append(_check(
                 f"{name}-fpr-at-{level}", "test-calibration",
                 float(np.mean(pvals < level)), le, 3.0 * level,
             ))
     checks.append(_check(
         "pearson-3sigma-fpr", "test-calibration",
-        float(np.mean(np.abs(corr) > 3.0 / math.sqrt(samples))), le, 3 * 0.0027,
+        float(np.mean(np.abs(corr) > 3.0 / math.sqrt(samples))), le, 3.0 * SIGMA3_RATE,
     ))
     mu = 5.0
     counts = sample_poisson(rng.spawn(4), mu, size=trials * counts_per_trial).reshape(
@@ -578,7 +610,7 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
     p_disp = np.array([
         poisson_dispersion(counts[t], mu) for t in range(trials)
     ])
-    for level in (0.05, 0.01):
+    for level in CALIBRATION_LEVELS:
         checks.append(_check(
             f"dispersion-fpr-at-{level}", "test-calibration",
             float(np.mean(p_disp < level)), le, 3.0 * level,

@@ -44,6 +44,7 @@ __all__ = [
     "marginal_check",
     "expected_jump_count",
     "envelope_peak",
+    "envelope_mass",
     "batch_increment_sums",
     "batch_jump_counts",
     "pos_temp_keep_prob",
@@ -108,15 +109,27 @@ def _band_masses(alpha: float, rho_max: float, a: np.ndarray, b: np.ndarray) -> 
     return np.exp(_log_g(a, alpha)) * (b - a) * np.expm1(b * rho_max) / b
 
 
+def _envelope(alpha: float, rho_max: float, y_min: float) -> np.ndarray:
+    """The band masses of the sampler's envelope on (0, rho_max], inf where
+    they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max, y_min))
+    return np.where(np.isnan(masses), np.inf, masses)
+
+
 def envelope_peak(alpha: float, rho_max: float, y_min: float = _DEFAULT_Y_MIN) -> float:
     """Largest band mass of the sampler's envelope on (0, rho_max], the
     largest Poisson mean it draws; inf where the envelope overflows.
 
     The masses grow with y once rho_max > alpha / _BAND_RATIO.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max, y_min))
-    return float(np.max(np.where(np.isnan(masses), np.inf, masses), initial=0.0))
+    return float(np.max(_envelope(alpha, rho_max, y_min), initial=0.0))
+
+
+def envelope_mass(alpha: float, rho_max: float, y_min: float = _DEFAULT_Y_MIN) -> float:
+    """Total mass of the envelope on (0, rho_max]: the mean number of points
+    proposed per realization, which bounds the mean number accepted."""
+    return float(np.sum(_envelope(alpha, rho_max, y_min)))
 
 
 @functools.lru_cache(maxsize=None)

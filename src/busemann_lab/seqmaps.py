@@ -47,7 +47,8 @@ __all__ = [
 _GAP_TOL = 1e-8
 # Seed errors decay like exp(-2 k gap); 40 / gap pushes them below 1e-17.
 _BURN_IN_RATE = 40.0
-# Elements per Python-float chunk of the update_raw loop.
+# Sites per chunk of a single-row update_raw: one list of Python floats
+# for the J loop and one vector step for I~.
 _CHUNK = 1024
 
 
@@ -184,8 +185,9 @@ def update_raw(
     J_{k-1} and therefore also covers k = 0..n-1 (k = 0 uses the seed).
     The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.  A (rows, n) stack
     of independent rows takes one seed per row and advances all rows one
-    column per vector step; a single row runs a Python-float loop, which
-    is faster for one long row.  Both give the same bits.
+    column per vector step; a single row runs its J recursion as a
+    Python-float loop, which is faster for one long row, and then its I~
+    in vector steps.  Both give the same bits.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     log_i = np.asarray(log_i, dtype=np.float64)
@@ -203,22 +205,25 @@ def update_raw(
             prev = log_j[:, k]
         return log_j, log_it
     n = log_w.shape[0]
-    # Python floats and local names: the same libm calls without numpy
-    # scalar boxing, in chunks so the float lists stay small;
-    # "700.0 if d > 700.0 else d" is min(d, 700.0), NaN kept.
+    # The J recursion runs on Python floats and local names: the same libm
+    # calls without numpy scalar boxing, in chunks so the float lists stay
+    # small; "700.0 if d > 700.0 else d" is min(d, 700.0), NaN kept.  Each
+    # chunk's I~ then needs only J, so it is one vector step.
     exp, log1p = math.exp, math.log1p
     prev = float(log_j_seed)
     for lo in range(0, n, _CHUNK):
-        hi = lo + _CHUNK
-        js, its = [], []
+        hi = min(lo + _CHUNK, n)
+        first, js = prev, []
         for wk, ik in zip(log_w[lo:hi].tolist(), log_i[lo:hi].tolist()):
-            d = ik - prev
-            its.append(wk + log1p(exp(700.0 if d > 700.0 else d)))
             d = prev - ik
             prev = wk + log1p(exp(700.0 if d > 700.0 else d))
             js.append(prev)
         log_j[lo:hi] = js
-        log_it[lo:hi] = its
+        d = np.empty(hi - lo)
+        d[0] = log_i[lo] - first
+        np.subtract(log_i[lo + 1:hi], log_j[lo:hi - 1], out=d[1:])
+        np.minimum(d, 700.0, out=d)
+        np.add(log_w[lo:hi], _libm(np.log1p, _libm(np.exp, d)), out=log_it[lo:hi])
     return log_j, log_it
 
 

@@ -42,6 +42,7 @@ _SALT_EVENT = _U64(0xBB67AE8584CAA73B)
 _SALT_INDEX = _U64(0x3C6EF372FE94F82B)
 _SALT_LANE = _U64(0xA54FF53A5F1D36F1)
 _CHUNK = 65_536  # keys hashed per pass: bounds the scratch memory of large draws
+_LANES = 4_096  # elements per block of the incomplete gamma and beta lane loops
 
 
 def _as_u64(value) -> np.ndarray:
@@ -274,7 +275,7 @@ def trigamma(s):
     floats.  Each array element runs the same recurrence shift and series
     as a scalar would, so both paths give the same bits.
     """
-    if np.isscalar(s) or np.ndim(s) == 0:
+    if _is_scalar(s):
         x = _check_positive("s", s)
         acc = 0.0
         while x < 12.0:
@@ -302,23 +303,8 @@ def trigamma(s):
     return acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
 
 
-def _per_element(f, x):
-    """f applied to every element of x as a Python float, keeping x's shape.
-
-    A scalar x returns f's float.  Each element goes through the same
-    scalar code (libm calls included) as a scalar call would, over
-    ``tolist()`` as in ``seqmaps.update_raw``.
-    """
-    # np.isscalar first: np.ndim alone costs a scalar call about 1.7 us.
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return f(float(x))
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.fromiter(map(f, arr.ravel().tolist()), np.float64, count=arr.size)
-    return out.reshape(arr.shape)
-
-
 # The ufuncs _libm runs and the libm functions whose bits they must give.
-_MATH = {np.exp: math.exp, np.expm1: math.expm1, np.log1p: math.log1p}
+_MATH = {np.exp: math.exp, np.expm1: math.expm1, np.log: math.log, np.log1p: math.log1p}
 
 
 def _reversed_loop(f, arr: np.ndarray) -> np.ndarray:
@@ -333,8 +319,8 @@ def _reversed_loop_is_libm() -> bool:
     """Whether _reversed_loop gives math's bits on a few hundred probes."""
     x = np.linspace(-0.75, 30.0, 256)
     return all(
-        _reversed_loop(f, x).tobytes() == np.array(list(map(m, x.tolist()))).tobytes()
-        for f, m in _MATH.items()
+        _reversed_loop(f, p).tobytes() == np.array(list(map(m, p.tolist()))).tobytes()
+        for f, m in _MATH.items() for p in [x + 1.0 if f is np.log else x]
     )
 
 
@@ -345,22 +331,128 @@ def _libm(f, x) -> np.ndarray:
     """f(x) with the bits of math's function, for f in _MATH and an array x.
 
     Vectorised where this numpy's scalar loop is libm (probed at import),
-    per element through ``_per_element`` otherwise; the values agree on
-    every input where the math function is defined.
+    one math call per element otherwise; the values agree on every input
+    where the math function is defined.
     """
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if _LIBM_VECTOR:
         return _reversed_loop(f, arr)
-    return _per_element(_MATH[f], arr)
+    return np.fromiter(map(_MATH[f], arr.ravel().tolist()), np.float64,
+                       count=arr.size).reshape(arr.shape)
+
+
+def _is_scalar(x) -> bool:
+    # np.isscalar first: np.ndim alone costs a scalar call about 1.7 us.
+    return np.isscalar(x) or np.ndim(x) == 0
+
+
+def _lanes(x, bad, scalar_f, kernel) -> np.ndarray:
+    """kernel over the elements of x in C order, _LANES at a time, in x's shape.
+
+    The first element that bad flags goes through scalar_f, which raises
+    the scalar path's ValueError for it.  The blocks keep the lane loops'
+    temporaries at a few arrays of _LANES values.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    flat = arr.ravel()
+    flags = bad(flat)
+    if flags.any():
+        scalar_f(float(flat[np.argmax(flags)]))
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.shape[0], _LANES):
+        out[lo:lo + _LANES] = kernel(flat[lo:lo + _LANES])
+    return out.reshape(arr.shape)
 
 
 def reg_inc_gamma(s: float, x):
     """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
 
-    x may be an array (the result has its shape); a scalar x returns a float.
+    x may be an array (the result has its shape); a scalar x returns a
+    float.  Array lanes run the scalar code's series or continued
+    fraction, each stopping at its own test, with math's log and exp:
+    every element has the bits of a scalar call.
     """
     s = _check_positive("s", s)
-    return _per_element(functools.partial(_p_gamma, s), x)
+    if _is_scalar(x):
+        return _p_gamma(s, float(x))
+    log_gamma_s = math.lgamma(s)
+
+    def kernel(block):
+        out = np.zeros(block.shape)
+        pos = np.flatnonzero(block > 0.0)
+        xs = block[pos]
+        front = _libm(np.exp, s * _libm(np.log, xs) - xs - log_gamma_s)
+        # fmin and fmax are Python's min(1.0, t) and max(0.0, t), NaN included.
+        series = xs < s + 1.0
+        out[pos[series]] = np.fmin(1.0, front[series] * _gamma_series(s, xs[series]))
+        frac = ~series
+        out[pos[frac]] = np.fmax(0.0, 1.0 - front[frac] * _gamma_cf(s, xs[frac]))
+        return out
+
+    return _lanes(x, lambda v: ~(np.isfinite(v) & (v >= 0.0)),
+                  functools.partial(_p_gamma, s), kernel)
+
+
+def _until(state, step, steps: int) -> np.ndarray:
+    """Run step over the lanes of state until each lane's own test stops it.
+
+    state is a tuple of equal-length arrays whose first entry is the
+    result; step(i, state) returns the next state and the lanes whose
+    test passed at iteration i = 1, 2, ...  Stopped lanes keep that
+    iteration's result and leave the loop, as a scalar loop's break
+    would; lanes still running after the last of steps iterations keep
+    their last result.
+    """
+    out = np.empty_like(state[0])
+    live = np.arange(out.shape[0])
+    for i in range(1, steps + 1):
+        if live.size == 0:
+            break
+        state, stop = step(i, state)
+        if stop.any():
+            out[live[stop]] = state[0][stop]
+            keep = ~stop
+            live = live[keep]
+            state = tuple(a[keep] for a in state)
+    out[live] = state[0]
+    return out
+
+
+def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
+    """_p_gamma's series sum, lane by lane."""
+    term = np.full(x.shape, 1.0 / s)
+    denom = [s]  # s + 1.0 + 1.0 + ..., rounded at each step as _p_gamma's is
+
+    def step(i, state):
+        total, term, x = state
+        denom[0] += 1.0
+        term = term * (x / denom[0])
+        total = total + term
+        return (total, term, x), np.abs(term) < np.abs(total) * 1e-17
+
+    return _until((term.copy(), term, x), step, 10000)
+
+
+def _gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
+    """_p_gamma's modified-Lentz continued fraction for Q, lane by lane."""
+    tiny = 1e-300
+    b = x + 1.0 - s
+    d = 1.0 / b
+
+    def step(i, state):
+        h, b, c, d = state
+        an = -i * (i - s)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        return (h, b, c, d), np.abs(delta - 1.0) < 1e-16
+
+    return _until((d, b, np.full(x.shape, 1.0 / tiny), d), step, 9999)
 
 
 def _p_gamma(s: float, x: float) -> float:
@@ -443,11 +535,58 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
 
-    x may be an array (the result has its shape); a scalar x returns a float.
+    x may be an array (the result has its shape); a scalar x returns a
+    float.  Array lanes run the scalar code's continued fraction, each
+    stopping at its own test, with math's log, log1p and exp: every
+    element has the bits of a scalar call.
     """
     a = _check_positive("a", a)
     b = _check_positive("b", b)
-    return _per_element(functools.partial(_i_beta, a, b), x)
+    if _is_scalar(x):
+        return _i_beta(a, b, float(x))
+    log_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+    def kernel(block):
+        out = np.zeros(block.shape)
+        out[block == 1.0] = 1.0
+        inner = np.flatnonzero((block > 0.0) & (block < 1.0))
+        xs = block[inner]
+        front = _libm(np.exp, log_beta + a * _libm(np.log, xs) + b * _libm(np.log1p, -xs))
+        direct = xs < (a + 1.0) / (a + b + 2.0)
+        out[inner[direct]] = front[direct] * _beta_cf_lanes(a, b, xs[direct]) / a
+        flip = ~direct
+        out[inner[flip]] = 1.0 - front[flip] * _beta_cf_lanes(b, a, 1.0 - xs[flip]) / b
+        return out
+
+    return _lanes(x, lambda v: ~((v >= 0.0) & (v <= 1.0)),
+                  functools.partial(_i_beta, a, b), kernel)
+
+
+def _beta_cf_lanes(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """_beta_cf, lane by lane."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+
+    def lentz(aa, c, d):
+        d = 1.0 + aa * d
+        d[np.abs(d) < tiny] = tiny
+        c = 1.0 + aa / c
+        c[np.abs(c) < tiny] = tiny
+        return c, 1.0 / d
+
+    def step(m, state):
+        h, c, d, x = state
+        m2 = 2 * m
+        c, d = lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
+        h = h * (d * c)
+        c, d = lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
+        delta = d * c
+        return (h * delta, c, d, x), np.abs(delta - 1.0) < 1e-16
+
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < tiny] = tiny
+    d = 1.0 / d
+    return _until((d, np.ones(x.shape), d, x), step, 9999)
 
 
 def _i_beta(a: float, b: float, x: float) -> float:
@@ -476,23 +615,35 @@ def gamma_from_keys(keys: np.ndarray, shape: float) -> np.ndarray:
     Marsaglia-Tsang squeeze/rejection for shape >= 1; shapes below 1 are
     boosted through Ga(shape + 1) times U^{1/shape}.  Each rejection attempt
     consumes three dedicated lanes of the per-key counter space, so the
-    result is a pure function of the keys.
+    result is a pure function of the keys.  Keys are drawn _CHUNK at a
+    time; every element gets the same ufunc calls on contiguous arrays
+    whatever the block, so blocks do not change the bits.
     """
     shape = _check_positive("shape", shape)
-    lane0 = 0
-    boost = None
-    if shape < 1.0:
-        boost = _lane_uniforms(keys, 0)
-        lane0 = 1
+    boosted = shape < 1.0
+    if boosted:
         shape = shape + 1.0
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = np.empty(keys.shape[0], dtype=np.float64)
-    pending = np.arange(keys.shape[0])
+    for lo in range(0, keys.shape[0], _CHUNK):
+        block, dest = keys[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        _marsaglia_tsang(block, d, c, int(boosted), dest)
+        if boosted:
+            dest *= _lane_uniforms(block, 0) ** (1.0 / (shape - 1.0))
+    return out
+
+
+def _marsaglia_tsang(keys: np.ndarray, d: float, c: float, lane0: int,
+                     out: np.ndarray) -> None:
+    """Ga(d + 1/3) draws of keys into out, attempt 0 from lane lane0 on.
+
+    A lane takes d v at the first attempt with v > 0 that passes the
+    squeeze u < 1 - 0.0331 x^4 or, failing it, the log test; only lanes
+    that reach the log test compute its two logs.
+    """
+    k, pending = keys, None
     for attempt in range(256):
-        if pending.size == 0:
-            break
-        k = keys[pending]
         base = lane0 + 3 * attempt
         lanes = np.arange(base, base + 3, dtype=_U64)[:, None]
         u1, u2, u = _hash((3, k.size), k, [(lanes, _SALT_LANE)], unit=True)
@@ -500,17 +651,19 @@ def gamma_from_keys(keys: np.ndarray, shape: float) -> np.ndarray:
         v = (1.0 + c * x) ** 3
         x2 = x * x
         ok = v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            squeeze = u < 1.0 - 0.0331 * x2 * x2
-            full = np.log(u) < 0.5 * x2 + d - d * v + d * np.log(np.where(ok, v, 1.0))
-        accept = ok & (squeeze | full)
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
-    if pending.size:  # pragma: no cover - acceptance rate makes this unreachable
-        raise RuntimeError("gamma rejection sampler failed to terminate")
-    if boost is not None:
-        out *= boost ** (1.0 / (shape - 1.0))
-    return out
+        accept = u < 1.0 - 0.0331 * x2 * x2
+        accept &= ok
+        test = np.flatnonzero(ok & ~accept)
+        vt, x2t = v[test], x2[test]
+        accept[test] = np.log(u[test]) < 0.5 * x2t + d - d * vt + d * np.log(vt)
+        rows = accept if pending is None else pending[accept]
+        out[rows] = d * v[accept]
+        pending = np.flatnonzero(~accept) if pending is None else pending[~accept]
+        if pending.size == 0:
+            return
+        k = keys[pending]
+    raise RuntimeError(  # pragma: no cover - acceptance rate makes this unreachable
+        "gamma rejection sampler failed to terminate")
 
 
 def _maybe_scalar(x: np.ndarray, size):

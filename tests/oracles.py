@@ -4,8 +4,9 @@ The one-grid-per-replica construction of the competition-interface ratio
 samples, the oracle for their batched draw and stacked update_raw rows;
 the row-by-row cocycle evolution and site-by-site anti-diagonal
 partition-function table, the oracles for the wavefront update step and
-the strided table; and the allocating splitmix64 chain, one temporary
-per step, the oracle for the fused hashing kernel.
+the strided table; the allocating splitmix64 chain, one temporary per
+step, the oracle for the fused hashing kernel; and the whole-array gamma
+sampler, every log test on every lane, the oracle for the blocked one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from busemann_lab.busemann import _margin, stationary_cocycle
 from busemann_lab.cif import _STREAM_BITS
 from busemann_lab.lattice import RhoParam, WeightField
 from busemann_lab.seqmaps import update_raw
-from busemann_lab.special_functions import _GOLDEN, _MIX1, _MIX2, _U64, Rng, _as_u64
+from busemann_lab.special_functions import (_GOLDEN, _MIX1, _MIX2, _SALT_LANE, _U64, Rng,
+                                            _as_u64, _check_positive, _hash,
+                                            _lane_uniforms)
 
 
 def per_replica_ratio_samples(
@@ -101,3 +104,41 @@ def unfused_absorb(key: np.ndarray, value, salt: np.uint64) -> np.ndarray:
 def unfused_to_unit(h: np.ndarray) -> np.ndarray:
     """Map uint64 hashes to uniforms in the open interval (0, 1)."""
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def whole_array_gamma(keys: np.ndarray, shape: float) -> np.ndarray:
+    """``gamma_from_keys`` in one pass over all keys: every attempt hashes
+    its pending keys as one array and runs the log test on every lane."""
+    shape = _check_positive("shape", shape)
+    lane0 = 0
+    boost = None
+    if shape < 1.0:
+        boost = _lane_uniforms(keys, 0)
+        lane0 = 1
+        shape = shape + 1.0
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(keys.shape[0], dtype=np.float64)
+    pending = np.arange(keys.shape[0])
+    for attempt in range(256):
+        if pending.size == 0:
+            break
+        k = keys[pending]
+        base = lane0 + 3 * attempt
+        lanes = np.arange(base, base + 3, dtype=_U64)[:, None]
+        u1, u2, u = _hash((3, k.size), k, [(lanes, _SALT_LANE)], unit=True)
+        x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        v = (1.0 + c * x) ** 3
+        x2 = x * x
+        ok = v > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            squeeze = u < 1.0 - 0.0331 * x2 * x2
+            full = np.log(u) < 0.5 * x2 + d - d * v + d * np.log(np.where(ok, v, 1.0))
+        accept = ok & (squeeze | full)
+        out[pending[accept]] = d * v[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise RuntimeError("gamma rejection sampler failed to terminate")
+    if boost is not None:
+        out *= boost ** (1.0 / (shape - 1.0))
+    return out

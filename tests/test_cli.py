@@ -254,6 +254,14 @@ class TestExitCodes:
             ["stationary-cocycle", "--levels", "100000000"],
             ["calibrate-stats", "--samples", "100000000", "--trials", "1"],
             ["calibrate-stats", "--trials", "100000000"],
+            ["check-intertwine", "--window", "1000000000"],
+            ["check-inverse", "--window", "1000000000"],
+            ["grsk-verify", "--window", "100000000"],
+            # About 18.5 accepted-point candidates per sample at alpha = 2,
+            # rho = 1.2.
+            ["ppp-busemann", "--samples", "1000000000"],
+            ["jump-count", "--samples", "1000000000"],
+            ["zero-temp", "--samples", "1000000000"],
         ],
     )
     def test_oversized_run_names_the_option(self, args):
@@ -271,6 +279,16 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert f"Invalid value for '{args[1]}'" in proc.stderr
         assert "GiB budget" in proc.stderr
+
+    def test_calibration_trials_minimum(self, runner):
+        # 124 = ceil(1 / (3 * 0.0027)): the fewest trials at which one
+        # false positive passes the Pearson rate gate, the tightest.
+        assert experiments.MIN_TRIALS == 124
+        result = runner.invoke(cli.main, ["calibrate-stats", "--trials", "20"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--trials': 20 is not in the range x>=124" in result.output
+        result = runner.invoke(cli.main, ["calibrate-stats", "--trials", "124", "--samples", "20"])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize(
         "args, minimum",

@@ -115,24 +115,37 @@ class TestUpdateRaw:
             assert np.array_equal(log_j[r], want_j, equal_nan=True)
             assert np.array_equal(log_it[r], want_it, equal_nan=True)
 
-    def test_equals_elementwise_recursion(self):
-        # The recursion on numpy scalars with min(., 700) clamping, bit for
-        # bit, through gaps past the clamp, a NaN input and chunk borders.
-        n = 9000
-        rng = np.random.default_rng(2)
-        log_w = 400.0 * rng.normal(size=n)
-        log_i = 400.0 * rng.normal(size=n)
-        log_i[n - 5] = np.nan  # NaN propagates through J, so put it last
-        log_j, log_it = update_raw(log_w, log_i, 0.3)
+    @staticmethod
+    def _check_elementwise(log_w, log_i, seed):
+        """update_raw against the recursion on numpy scalars with
+        min(., 700) clamping, bit for bit."""
+        n = log_w.shape[0]
+        log_j, log_it = update_raw(log_w, log_i, seed)
         want_j, want_it = np.empty(n), np.empty(n)
-        prev = 0.3
+        prev = seed
         for k in range(n):
             wk, ik = log_w[k], log_i[k]
             want_j[k] = wk + math.log1p(math.exp(min(prev - ik, 700.0)))
             want_it[k] = wk + math.log1p(math.exp(min(ik - prev, 700.0)))
             prev = want_j[k]
+        assert log_j.shape == log_it.shape == (n,)
         assert np.array_equal(log_j, want_j, equal_nan=True)
         assert np.array_equal(log_it, want_it, equal_nan=True)
+
+    def test_equals_elementwise_recursion(self):
+        # Through gaps past the clamp, a NaN input and chunk borders.
+        n = 9000
+        rng = np.random.default_rng(2)
+        log_w = 400.0 * rng.normal(size=n)
+        log_i = 400.0 * rng.normal(size=n)
+        log_i[n - 5] = np.nan  # NaN propagates through J, so put it last
+        self._check_elementwise(log_w, log_i, 0.3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0.3, -np.inf])
+    def test_rows_of_no_one_and_two_sites(self, n, seed):
+        rng = np.random.default_rng(n)
+        self._check_elementwise(400.0 * rng.normal(size=n), 400.0 * rng.normal(size=n), seed)
 
 
 class TestUpdate:

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as st
 
+import busemann_lab
 from busemann_lab import special_functions
+from busemann_lab.experiments import MIN_SHAPE
 from busemann_lab.special_functions import (
     _SALT_EVENT,
     _SALT_INDEX,
@@ -31,20 +37,30 @@ from busemann_lab.special_functions import (
     uniform_from_keys,
 )
 
-from oracles import unfused_absorb, unfused_mix64, unfused_to_unit
+from oracles import unfused_absorb, unfused_mix64, unfused_to_unit, whole_array_gamma
 
 
-_LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1)]
+_LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1),
+               (np.log, math.log)]
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _libm_inputs(f) -> np.ndarray:
     """10^5 inputs where math's version of f is defined, edge cases first:
     signed zeros, subnormals, the 700 cap of the update map, NaN, inf."""
     rng = np.random.default_rng(17)
-    tiny = np.finfo(np.float64).smallest_subnormal
+    tiny = _TINY
     edge = [0.0, -0.0, tiny, -tiny, 3e-310, -3e-310, 2.2e-308, 1e-300,
             700.0, np.nextafter(700.0, 0.0), 699.5, np.nan, np.inf]
-    if f is np.log1p:
+    if f is np.log:
+        edge = [tiny, 3e-310, 2.2e-308, 1e-300, 0.5, 1.0, np.nextafter(1.0, 0.0),
+                np.nextafter(1.0, 2.0), 700.0, 1e300, np.finfo(np.float64).max,
+                np.nan, np.inf]
+        body = np.concatenate((
+            np.exp(rng.uniform(-745.0, 709.0, 40_000)),
+            rng.uniform(0.5, 2.0, 40_000),
+        ))
+    elif f is np.log1p:
         edge += [-0.5, np.nextafter(-1.0, 0.0), 1e300]
         body = np.concatenate((
             rng.uniform(-1.0, 1.0, 40_000),
@@ -56,8 +72,10 @@ def _libm_inputs(f) -> np.ndarray:
             rng.uniform(-745.0, 700.0, 40_000),
             rng.normal(0.0, 2.0, 40_000),
         ))
-    body = np.concatenate((body, rng.uniform(-1e-5, 1e-5, 20_000)))
-    return np.concatenate((edge, body))[:100_000]
+    near_zero = rng.uniform(-1e-5, 1e-5, 20_000)
+    if f is np.log:
+        near_zero = np.abs(near_zero) + tiny
+    return np.concatenate((edge, body, near_zero))[:100_000]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -341,6 +359,51 @@ class TestFusedHashing:
         assert peak < 1.25 * out.nbytes
 
 
+_GAMMA_SIZES = [0, 1, special_functions._CHUNK - 1, special_functions._CHUNK + 1,
+                3 * special_functions._CHUNK + 5]
+_GAMMA_SHAPES = [MIN_SHAPE, 0.7, 1.0, 2.0, 50.0]
+
+
+class TestBlockedGamma:
+    """gamma_from_keys draws _CHUNK keys at a time and runs the log test only
+    where the squeeze fails; its bits are those of the whole-array sampler."""
+
+    @pytest.mark.parametrize("shape", _GAMMA_SHAPES)
+    @pytest.mark.parametrize("size", _GAMMA_SIZES)
+    def test_equals_the_whole_array_sampler(self, size, shape):
+        keys = _event_keys(5, _BIG_SID, 1, size)
+        assert _same(gamma_from_keys(keys, shape), whole_array_gamma(keys, shape))
+
+    def test_same_bits_in_blocks_of_seven(self, monkeypatch):
+        keys = _event_keys(6, _BIG_SID, 0, 3_001)
+        want = [whole_array_gamma(keys, shape) for shape in _GAMMA_SHAPES]
+        monkeypatch.setattr(special_functions, "_CHUNK", 7)
+        for shape, w in zip(_GAMMA_SHAPES, want):
+            assert _same(gamma_from_keys(keys, shape), w), shape
+
+    def test_same_bits_without_avx512(self):
+        # numpy picks its SIMD loops at import, so the comparison runs in a
+        # subprocess with the AVX-512 loops turned off.
+        script = (
+            "import numpy as np\n"
+            "from busemann_lab.special_functions import _CHUNK, _event_keys, gamma_from_keys\n"
+            "from oracles import whole_array_gamma\n"
+            f"for shape in {_GAMMA_SHAPES!r}:\n"
+            "    for size in (1, _CHUNK + 1):\n"
+            f"        keys = _event_keys(5, {_BIG_SID}, 1, size)\n"
+            "        got, want = gamma_from_keys(keys, shape), whole_array_gamma(keys, shape)\n"
+            "        assert np.array_equal(got, want), (shape, size)\n"
+        )
+        src = Path(busemann_lab.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), str(Path(__file__).parent),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path,
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+
 def _scalar_trigamma(s: float) -> float:
     """The scalar recurrence-and-series trigamma, the array version's oracle."""
     acc = 0.0
@@ -390,35 +453,72 @@ class TestArrayTrigamma:
             trigamma(np.array([np.nan]))
 
 
+def _scalar_calls(f, x: np.ndarray) -> np.ndarray:
+    """f on every element of x as a Python float: the scalar path."""
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _gamma_points(s: float) -> np.ndarray:
+    """10^5 points on [0, inf): the series/fraction switch x = s + 1 and
+    its neighbours, 0, 1 and subnormals first."""
+    rng = np.random.default_rng(int(1000 * s))
+    split = s + 1.0
+    edge = [0.0, 1.0, _TINY, 3e-310, split, np.nextafter(split, 0.0),
+            np.nextafter(split, np.inf)]
+    body = np.concatenate((rng.exponential(s, 50_000), rng.uniform(0.0, 3.0 * split, 40_000),
+                           np.exp(rng.uniform(-700.0, 0.0, 10_000))))
+    return np.concatenate((edge, body))[:100_000]
+
+
+def _beta_points(a: float, b: float) -> np.ndarray:
+    """10^5 points on [0, 1]: the direct/reflected switch x = (a+1)/(a+b+2)
+    and its neighbours, 0, 1 and subnormals first."""
+    rng = np.random.default_rng(int(1000 * a + b))
+    split = (a + 1.0) / (a + b + 2.0)
+    edge = [0.0, 1.0, _TINY, 3e-310, 1.0 - 2.0 ** -53, split, np.nextafter(split, 0.0),
+            np.nextafter(split, 1.0)]
+    body = np.concatenate((rng.uniform(0.0, 1.0, 50_000), rng.beta(a, b, 30_000),
+                           np.exp(rng.uniform(-700.0, 0.0, 10_000)),
+                           -np.expm1(-np.exp(rng.uniform(-36.0, 3.0, 10_000)))))
+    return np.concatenate((edge, body))[:100_000]
+
+
 class TestArrayIncomplete:
-    """Array x runs the scalar code per element: equal results, same shape."""
+    """Array x runs the scalar loops lane by lane, each lane stopping at its
+    own test: every element has the bits of a scalar call."""
 
-    X_GAMMA = np.concatenate(([0.0], np.geomspace(1e-8, 400.0, 3000)))
-    X_BETA = np.concatenate((
-        [0.0, 1.0], np.linspace(0.0, 1.0, 2001), np.geomspace(1e-12, 1e-2, 500),
-        1.0 - np.geomspace(1e-12, 1e-2, 500),
-    ))
+    @staticmethod
+    def _check_views(f, x: np.ndarray) -> None:
+        want = _scalar_calls(f, x)
+        assert _same_bits(f(x), want)
+        # Reversed and strided views, 2-d blocks and an empty array.
+        assert _same_bits(f(x[::-1]), want[::-1])
+        assert _same_bits(f(x[1::3]), want[1::3])
+        assert _same_bits(f(x.reshape(400, 250)), want.reshape(400, 250))
+        assert _same_bits(f(x.reshape(400, 250).T[::2]), want.reshape(400, 250).T[::2])
+        for shape in [(0,), (0, 3)]:
+            assert f(np.empty(shape)).shape == shape
 
-    @pytest.mark.parametrize("s", [0.2, 1.0, 2.5, 11.0])
+    # At s = 1/3, s + 1 + ... + 1 rounds apart from s + i from i = 2 on.
+    @pytest.mark.parametrize("s", [0.2, 1.0 / 3.0, 1.0, 2.5, 11.0])
     def test_gamma_array_equals_scalars(self, s):
+        x = _gamma_points(s)
         # Both sides of x = s + 1: the series and the continued fraction.
-        assert np.any(self.X_GAMMA < s + 1.0) and np.any(self.X_GAMMA > s + 1.0)
-        want = np.array([reg_inc_gamma(s, float(v)) for v in self.X_GAMMA])
-        assert np.array_equal(reg_inc_gamma(s, self.X_GAMMA), want)
+        assert np.any(x < s + 1.0) and np.any(x == s + 1.0) and np.any(x > s + 1.0)
+        self._check_views(lambda v: reg_inc_gamma(s, v), x)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.8, 0.8), (2.0, 3.0), (10.0, 0.3)])
     def test_beta_array_equals_scalars(self, a, b):
+        x = _beta_points(a, b)
         # Both sides of x = (a + 1) / (a + b + 2): direct and reflected.
         split = (a + 1.0) / (a + b + 2.0)
-        assert np.any(self.X_BETA < split) and np.any(self.X_BETA > split)
-        want = np.array([reg_inc_beta(a, b, float(v)) for v in self.X_BETA])
-        assert np.array_equal(reg_inc_beta(a, b, self.X_BETA), want)
+        assert np.any(x < split) and np.any(x == split) and np.any(x > split)
+        self._check_views(lambda v: reg_inc_beta(a, b, v), x)
 
     def test_shapes(self):
         x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
         assert reg_inc_gamma(1.5, x).shape == (2, 3)
         assert reg_inc_beta(2.0, 3.0, x).shape == (2, 3)
-        assert reg_inc_gamma(1.5, np.empty(0)).shape == (0,)
         for x0 in (np.float64(0.3), np.array(0.3), 0.3):
             assert type(reg_inc_gamma(1.5, x0)) is float
             assert type(reg_inc_beta(2.0, 3.0, x0)) is float
@@ -432,6 +532,20 @@ class TestArrayIncomplete:
             reg_inc_beta(1.0, 1.0, np.array([[0.5], [1.5]]))
         with pytest.raises(ValueError):
             reg_inc_beta(1.0, 1.0, np.array([np.nan]))
+
+    @pytest.mark.parametrize("f, bad", [
+        (lambda v: reg_inc_gamma(1.0, v), lambda v: not (math.isfinite(v) and v >= 0.0)),
+        (lambda v: reg_inc_beta(1.0, 1.0, v), lambda v: not 0.0 <= v <= 1.0),
+    ], ids=["gamma", "beta"])
+    def test_first_bad_element_raises_the_scalar_error(self, f, bad):
+        x = np.array([[0.5, -0.1, 0.2], [np.inf, 1.5, np.nan]])
+        for view in (x, x[::-1, ::-1], x.T, x[:, 2:]):
+            first = next(v for v in view.ravel().tolist() if bad(v))
+            with pytest.raises(ValueError) as want:
+                f(first)
+            with pytest.raises(ValueError) as got:
+                f(view)
+            assert str(got.value) == str(want.value)
 
 
 class TestSamplerLaws:
