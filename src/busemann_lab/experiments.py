@@ -25,8 +25,8 @@ from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
 from .bruteforce import brute_force_log_partition, brute_force_ratio_array
-from .special_functions import (Rng, _libm, digamma, reg_inc_beta, reg_inc_gamma,
-                                sample_poisson)
+from .special_functions import (POISSON_MEAN_MAX, Rng, _libm, digamma, reg_inc_beta,
+                                reg_inc_gamma, sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
@@ -40,9 +40,6 @@ KS_WINDOW_MIN = 16 * (20 - 1)
 MIN_SHAPE = 54 / (sys.float_info.max_exp // 2)
 # The largest single array a run may allocate.
 MEMORY_BUDGET = 2 ** 30
-# poisson_from_keys multiplies uniforms down to e^{-mean}; past this mean
-# that is no longer a normal double, and the counts stop growing.
-POISSON_MEAN_MAX = -math.log(sys.float_info.min)
 
 
 class ConfigError(Exception):
@@ -147,11 +144,27 @@ def _jump_points_fit(alpha: float, rho_max: float, samples: int) -> None:
     _fits(math.ceil(samples * ig.envelope_mass(alpha, rho_max)), "--samples")
 
 
-# -- experiments -----------------------------------------------------------
+# A gamma draw of one window holds at most this many arrays of its size
+# at once: its keys, the draws, their reciprocals and logs, and a hashing
+# pass of three lanes with its scratch (special_functions._CHUNK keys at a
+# time, so fewer past that size).
+_DRAW_ARRAYS = 11
 
-def _inputs_fit(n: int, window: int) -> None:
-    """The n input windows of window + 1 values each are held together."""
-    _fits(n * (window + 1), "--n" if n > window else "--window")
+
+def _daop_arrays(n: int) -> int:
+    """Arrays of the window's size that daop holds besides its n inputs:
+    the components before the last, the previous update's three outputs
+    and an update's own five (its outputs and temporaries)."""
+    return n + 6
+
+
+def _windows_fit(arrays: int, window: int, option: str) -> None:
+    """A run that holds at most this many arrays of window + 1 values at
+    once, and one more for its small arrays."""
+    _fits((arrays + 1) * (window + 1), option)
+
+
+# -- experiments -----------------------------------------------------------
 
 
 def _ig_windows(lams, window, seed) -> sm.SeqTuple:
@@ -179,7 +192,11 @@ def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
         seq_reach = sum(sm.burn_in(-digamma(alpha), h) for h in hints)
         minimum = max(seq_reach + sm.daop_reach(hints), margin) + 1
     _window_at_least(minimum, window)
-    _inputs_fit(n, window)
+    # The weight is drawn while the n inputs are held.  The peak comes in
+    # the sequential side's daop, on top of the inputs, the weight and
+    # both sides' n outputs.
+    _windows_fit(max(n + _DRAW_ARRAYS, 3 * n + 1 + _daop_arrays(n)), window,
+                 "--n" if n > window else "--window")
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
     lhs = sm.parallel_step(weight, sm.daop(tup))
@@ -205,7 +222,13 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
         minimum = max(sm.burn_in(-digamma(alpha), hints[0]) + 1,
                       sm.daop_reach(hints) + max(n - 1, 1))
     _window_at_least(minimum, window)
-    _inputs_fit(n, window)
+    # The inputs, the weight and the first update's three outputs stay
+    # held.  On top of them come daop's arrays, then daop's n - 1 outputs
+    # with the n (n - 1) / 2 windows that haop peels over all its levels
+    # and an inverse's four temporaries.
+    peel = n - 1 + n * (n - 1) // 2 + 4
+    _windows_fit(max(n + _DRAW_ARRAYS, n + 4 + max(_daop_arrays(n), peel)), window,
+                 "--n" if n > window else "--window")
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
     checks = []
@@ -247,8 +270,9 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
         # daop's reach is at most the array's: its burn-ins are a row's.
         minimum = grsk.triangular_reach(_hints(lams)) + 1
     _window_at_least(minimum, window)
-    # The triangular array holds its three input windows together.
-    _fits(len(lams) * (window + 1), "--window")
+    # The three inputs and the triangular array's six cells stay held
+    # while daop runs on the inputs.
+    _windows_fit(max(2 + _DRAW_ARRAYS, 3 + 6 + _daop_arrays(3)), window, "--window")
     checks = []
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -607,9 +631,7 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
     mu = 5.0
     counts = sample_poisson(rng.spawn(4), mu, size=trials * counts_per_trial).reshape(
         trials, counts_per_trial)
-    p_disp = np.array([
-        poisson_dispersion(counts[t], mu) for t in range(trials)
-    ])
+    p_disp = poisson_dispersion(counts, mu)
     for level in CALIBRATION_LEVELS:
         checks.append(_check(
             f"dispersion-fpr-at-{level}", "test-calibration",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 __all__ = [
     "Rng",
     "keys_for_sites",
-    "uniform_from_keys",
     "gamma_from_keys",
     "poisson_from_keys",
     "digamma",
@@ -43,6 +43,10 @@ _SALT_INDEX = _U64(0x3C6EF372FE94F82B)
 _SALT_LANE = _U64(0xA54FF53A5F1D36F1)
 _CHUNK = 65_536  # keys hashed per pass: bounds the scratch memory of large draws
 _LANES = 4_096  # elements per block of the incomplete gamma and beta lane loops
+# poisson_from_keys multiplies uniforms down to e^{-mean}; past this mean
+# that is no longer a normal double and the counts would stop growing, so
+# it refuses larger means.
+POISSON_MEAN_MAX = -math.log(sys.float_info.min)
 
 
 def _as_u64(value) -> np.ndarray:
@@ -206,11 +210,6 @@ def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:
     return _hash(shape, base, [(xs, _SALT_EVENT), (ys, _SALT_INDEX)])
 
 
-def uniform_from_keys(keys: np.ndarray) -> np.ndarray:
-    """One uniform in (0, 1) per key."""
-    return _lane_uniforms(keys, 0)
-
-
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ def digamma(s: float) -> float:
 
 
 def _trigamma_series(inv, inv2):
-    """sum_n B_{2n} / s^{2n+1} from inv = 1/s and inv2 = 1/s^2 (floats or arrays)."""
+    """sum_n B_{2n} / s^{2n+1} from inv = 1/s and inv2 = 1/s^2."""
     return inv * inv2 * (
         1.0 / 6.0
         - inv2 * (
@@ -271,20 +270,10 @@ def _trigamma_series(inv, inv2):
 def trigamma(s):
     """psi_1(s) = psi_0'(s) for s > 0, strictly decreasing.
 
-    s may be an array; a scalar s returns a float and runs on Python
-    floats.  Each array element runs the same recurrence shift and series
-    as a scalar would, so both paths give the same bits.
+    s may be an array, and the result has its shape; a scalar s returns a
+    float.  Each element shifts by the recurrence to s >= 12 and then sums
+    the asymptotic series.
     """
-    if _is_scalar(s):
-        x = _check_positive("s", s)
-        acc = 0.0
-        while x < 12.0:
-            acc += 1.0 / (x * x)
-            x += 1.0
-        inv = 1.0 / x
-        inv2 = inv * inv
-        # 1/s + 1/(2 s^2) + sum_n B_{2n} / s^{2n+1}
-        return acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
     arr = np.asarray(s, dtype=np.float64)
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if np.any(bad):
@@ -300,7 +289,9 @@ def trigamma(s):
             shift = arr < 12.0
     inv = 1.0 / arr
     inv2 = inv * inv
-    return acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
+    # 1/s + 1/(2 s^2) + sum_n B_{2n} / s^{2n+1}
+    out = acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
+    return float(out) if out.ndim == 0 else out
 
 
 # The ufuncs _libm runs and the libm functions whose bits they must give.
@@ -341,40 +332,34 @@ def _libm(f, x) -> np.ndarray:
                        count=arr.size).reshape(arr.shape)
 
 
-def _is_scalar(x) -> bool:
-    # np.isscalar first: np.ndim alone costs a scalar call about 1.7 us.
-    return np.isscalar(x) or np.ndim(x) == 0
+def _lanes(x, bad, message: str, kernel):
+    """kernel over the elements of x in C order, _LANES at a time, in x's
+    shape; a scalar x returns a float.
 
-
-def _lanes(x, bad, scalar_f, kernel) -> np.ndarray:
-    """kernel over the elements of x in C order, _LANES at a time, in x's shape.
-
-    The first element that bad flags goes through scalar_f, which raises
-    the scalar path's ValueError for it.  The blocks keep the lane loops'
-    temporaries at a few arrays of _LANES values.
+    The first element that bad flags raises ValueError(message.format(v))
+    for its value v.  The blocks keep the lane loops' temporaries at a few
+    arrays of _LANES values.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
     flags = bad(flat)
     if flags.any():
-        scalar_f(float(flat[np.argmax(flags)]))
+        raise ValueError(message.format(float(flat[np.argmax(flags)])))
     out = np.empty(flat.shape)
     for lo in range(0, flat.shape[0], _LANES):
         out[lo:lo + _LANES] = kernel(flat[lo:lo + _LANES])
-    return out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def reg_inc_gamma(s: float, x):
     """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
 
     x may be an array (the result has its shape); a scalar x returns a
-    float.  Array lanes run the scalar code's series or continued
-    fraction, each stopping at its own test, with math's log and exp:
-    every element has the bits of a scalar call.
+    float.  Below x = s + 1 the series for P, from there on the modified
+    Lentz continued fraction for Q = 1 - P; each lane stops at its own
+    convergence test, and the prefactor uses math's log and exp.
     """
     s = _check_positive("s", s)
-    if _is_scalar(x):
-        return _p_gamma(s, float(x))
     log_gamma_s = math.lgamma(s)
 
     def kernel(block):
@@ -390,7 +375,7 @@ def reg_inc_gamma(s: float, x):
         return out
 
     return _lanes(x, lambda v: ~(np.isfinite(v) & (v >= 0.0)),
-                  functools.partial(_p_gamma, s), kernel)
+                  "x must be a finite nonnegative real, got {!r}", kernel)
 
 
 def _until(state, step, steps: int) -> np.ndarray:
@@ -419,9 +404,10 @@ def _until(state, step, steps: int) -> np.ndarray:
 
 
 def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """_p_gamma's series sum, lane by lane."""
+    """The series sum_i x^i / (s (s + 1) ... (s + i)) of P e^x x^-s Gamma(s),
+    lane by lane."""
     term = np.full(x.shape, 1.0 / s)
-    denom = [s]  # s + 1.0 + 1.0 + ..., rounded at each step as _p_gamma's is
+    denom = [s]  # s + 1.0 + 1.0 + ..., rounded at each step
 
     def step(i, state):
         total, term, x = state
@@ -434,7 +420,7 @@ def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
-    """_p_gamma's modified-Lentz continued fraction for Q, lane by lane."""
+    """The modified-Lentz continued fraction of Q e^x x^-s Gamma(s), lane by lane."""
     tiny = 1e-300
     b = x + 1.0 - s
     d = 1.0 / b
@@ -455,95 +441,17 @@ def _gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
     return _until((d, b, np.full(x.shape, 1.0 / tiny), d), step, 9999)
 
 
-def _p_gamma(s: float, x: float) -> float:
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"x must be a finite nonnegative real, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    log_front = s * math.log(x) - x - math.lgamma(s)
-    if x < s + 1.0:
-        # Series expansion of P.
-        term = 1.0 / s
-        total = term
-        denom = s
-        for _ in range(10000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        return min(1.0, math.exp(log_front) * total)
-    # Continued fraction for Q (modified Lentz).
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return max(0.0, 1.0 - math.exp(log_front) * h)
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 10000):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
 def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
 
     x may be an array (the result has its shape); a scalar x returns a
-    float.  Array lanes run the scalar code's continued fraction, each
-    stopping at its own test, with math's log, log1p and exp: every
-    element has the bits of a scalar call.
+    float.  The modified-Lentz continued fraction, of I_x(a, b) below
+    x = (a + 1) / (a + b + 2) and of I_{1-x}(b, a) from there on; each lane
+    stops at its own convergence test, and the prefactor uses math's log,
+    log1p and exp.
     """
     a = _check_positive("a", a)
     b = _check_positive("b", b)
-    if _is_scalar(x):
-        return _i_beta(a, b, float(x))
     log_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
 
     def kernel(block):
@@ -559,11 +467,11 @@ def reg_inc_beta(a: float, b: float, x):
         return out
 
     return _lanes(x, lambda v: ~((v >= 0.0) & (v <= 1.0)),
-                  functools.partial(_i_beta, a, b), kernel)
+                  "x must lie in [0, 1], got {!r}", kernel)
 
 
 def _beta_cf_lanes(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """_beta_cf, lane by lane."""
+    """The continued fraction of I_x(a, b) B(a, b) a x^-a (1 - x)^-b, lane by lane."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
 
@@ -587,22 +495,6 @@ def _beta_cf_lanes(a: float, b: float, x: np.ndarray) -> np.ndarray:
     d[np.abs(d) < tiny] = tiny
     d = 1.0 / d
     return _until((d, np.ones(x.shape), d, x), step, 9999)
-
-
-def _i_beta(a: float, b: float, x: float) -> float:
-    if not math.isfinite(x) or x < 0.0 or x > 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
 
 
 # ---------------------------------------------------------------------------
@@ -666,20 +558,14 @@ def _marsaglia_tsang(keys: np.ndarray, d: float, c: float, lane0: int,
         "gamma rejection sampler failed to terminate")
 
 
-def _maybe_scalar(x: np.ndarray, size):
-    return float(x[0]) if size is None else x
+def sample_gamma(rng: Rng, shape: float, size: int) -> np.ndarray:
+    """size draws from Ga(shape) with unit scale, one event of the stream."""
+    return gamma_from_keys(rng._next_event(int(size)), shape)
 
 
-def sample_gamma(rng: Rng, shape: float, size: int | None = None):
-    """Draw from Ga(shape) with unit scale; scalar unless size is given."""
-    n = 1 if size is None else int(size)
-    return _maybe_scalar(gamma_from_keys(rng._next_event(n), shape), size)
-
-
-def sample_inverse_gamma(rng: Rng, shape: float, size: int | None = None):
-    """Reciprocal of a Ga(shape) draw from the same stream position."""
-    n = 1 if size is None else int(size)
-    return _maybe_scalar(1.0 / gamma_from_keys(rng._next_event(n), shape), size)
+def sample_inverse_gamma(rng: Rng, shape: float, size: int) -> np.ndarray:
+    """Reciprocals of the Ga(shape) draws of sample_gamma at the same position."""
+    return 1.0 / gamma_from_keys(rng._next_event(int(size)), shape)
 
 
 def poisson_from_keys(keys: np.ndarray, mean) -> np.ndarray:
@@ -689,12 +575,16 @@ def poisson_from_keys(keys: np.ndarray, mean) -> np.ndarray:
     the uniforms of its lanes 0, 1, ... until the product falls to
     e^{-mean}, so the result is a pure function of the keys.  Intended
     for the modest means that arise in point-process band sampling; cost
-    grows linearly with the mean.
+    grows linearly with the mean.  A mean above POISSON_MEAN_MAX raises
+    ValueError: its e^{-mean} is not a normal double.
     """
     n = keys.shape[0]
     means = np.broadcast_to(np.asarray(mean, dtype=np.float64), (n,))
     if np.any(means < 0.0) or not np.all(np.isfinite(means)):
         raise ValueError("Poisson mean must be finite and nonnegative")
+    if np.any(means > POISSON_MEAN_MAX):
+        raise ValueError(f"Poisson mean must be at most {POISSON_MEAN_MAX:.4g}, "
+                         f"got {float(np.max(means)):.4g}")
     limit = np.exp(-means)
     prod = np.ones(n)
     counts = np.full(n, -1, dtype=np.int64)
@@ -711,13 +601,11 @@ def poisson_from_keys(keys: np.ndarray, mean) -> np.ndarray:
     return counts
 
 
-def sample_poisson(rng: Rng, mean, size: int | None = None):
-    """Poisson draws from one event of the stream; mean may be an array."""
+def sample_poisson(rng: Rng, mean, size: int) -> np.ndarray:
+    """size Poisson draws from one event of the stream; mean may be an array
+    of length size."""
     means = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    n = means.shape[0] if size is None else int(size)
+    n = int(size)
     if means.shape[0] not in (1, n):
         raise ValueError("mean must be scalar or of length size")
-    counts = poisson_from_keys(rng._next_event(n), means)
-    if size is None and np.isscalar(mean):
-        return int(counts[0])
-    return counts
+    return poisson_from_keys(rng._next_event(n), means)

@@ -101,19 +101,22 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float(da @ db) / denom
 
 
-def poisson_dispersion(counts: Sequence[int], mean: float) -> float:
+def poisson_dispersion(counts: Sequence[int] | np.ndarray, mean: float) -> float | np.ndarray:
     """Two-sided chi-square dispersion p-value for Poisson counts.
 
     The statistic sum (c - mean)^2 / mean is compared with a chi-square
-    distribution on len(counts) degrees of freedom (the mean is given, not
-    estimated), flagging both over- and under-dispersion.
+    distribution on n degrees of freedom (the mean is given, not
+    estimated), flagging both over- and under-dispersion.  counts of
+    shape (n,) give a float; a (trials, n) stack gives one p-value per row,
+    each with the bits of that row's own call.
     """
     c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.shape[0] < 2:
-        raise ValueError("need a 1-d array of at least 2 counts")
+    if c.ndim not in (1, 2) or c.shape[-1] < 2:
+        raise ValueError("need (n,) or (trials, n) counts with n >= 2")
     if mean <= 0.0:
         raise ValueError("mean must be positive")
-    stat = float(np.sum((c - mean) ** 2) / mean)
+    stat = np.sum((c - mean) ** 2, axis=-1) / mean
     # The chi-square CDF with n degrees of freedom.
-    lower = reg_inc_gamma(c.shape[0] / 2.0, stat / 2.0)
-    return min(1.0, 2.0 * min(lower, 1.0 - lower))
+    lower = reg_inc_gamma(c.shape[-1] / 2.0, stat / 2.0)
+    p = np.minimum(1.0, 2.0 * np.minimum(lower, 1.0 - lower))
+    return float(p) if c.ndim == 1 else p

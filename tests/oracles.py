@@ -5,8 +5,10 @@ samples, the oracle for their batched draw and stacked update_raw rows;
 the row-by-row cocycle evolution and site-by-site anti-diagonal
 partition-function table, the oracles for the wavefront update step and
 the strided table; the allocating splitmix64 chain, one temporary per
-step, the oracle for the fused hashing kernel; and the whole-array gamma
-sampler, every log test on every lane, the oracle for the blocked one.
+step, the oracle for the fused hashing kernel; the whole-array gamma
+sampler, every log test on every lane, the oracle for the blocked one;
+and the scalar incomplete gamma and beta functions, one Python-float
+loop per point, the oracles for their lane kernels.
 """
 
 from __future__ import annotations
@@ -142,3 +144,96 @@ def whole_array_gamma(keys: np.ndarray, shape: float) -> np.ndarray:
     if boost is not None:
         out *= boost ** (1.0 / (shape - 1.0))
     return out
+
+
+def _p_gamma(s: float, x: float) -> float:
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"x must be a finite nonnegative real, got {x!r}")
+    if x == 0.0:
+        return 0.0
+    log_front = s * math.log(x) - x - math.lgamma(s)
+    if x < s + 1.0:
+        # Series expansion of P.
+        term = 1.0 / s
+        total = term
+        denom = s
+        for _ in range(10000):
+            denom += 1.0
+            term *= x / denom
+            total += term
+            if abs(term) < abs(total) * 1e-17:
+                break
+        return min(1.0, math.exp(log_front) * total)
+    # Continued fraction for Q (modified Lentz).
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return max(0.0, 1.0 - math.exp(log_front) * h)
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 10000):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _i_beta(a: float, b: float, x: float) -> float:
+    if not math.isfinite(x) or x < 0.0 or x > 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_cf(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b

@@ -28,7 +28,7 @@ from busemann_lab.igamma_process import (
     zero_temp_couple,
     zero_temp_keep_prob,
 )
-from busemann_lab.special_functions import Rng, sample_gamma, sample_poisson
+from busemann_lab.special_functions import POISSON_MEAN_MAX, Rng, sample_gamma, sample_poisson
 
 
 def intensity(s, y, alpha):
@@ -94,6 +94,11 @@ class TestQuadratures:
         # No band reaches past the cutoff: nothing is drawn.
         assert envelope_peak(1e300, 0.5) == 0.0
 
+    def test_sampler_refuses_means_it_cannot_draw_exactly(self):
+        assert envelope_peak(1.0, 0.9) > POISSON_MEAN_MAX
+        with pytest.raises(ValueError, match="Poisson mean must be at most"):
+            sample_ppp(1.0, 0.9, rng=Rng(master_seed=13))
+
     def test_cached_nodes_are_shared_and_read_only(self):
         x, w = _legendre_nodes(32)
         assert _legendre_nodes(32)[0] is x
@@ -156,7 +161,7 @@ def _oracle_points(alpha, rho_max, y_min, n, rng):
 
 def _oracle_sample(alpha, rho, rng):
     """sample_ppp(alpha, rho, rng=rng), from _oracle_points."""
-    z0 = -math.log(sample_gamma(rng.spawn(0), alpha))
+    z0 = -math.log(sample_gamma(rng.spawn(0), alpha, size=1)[0])
     _, s, y, u = _oracle_points(alpha, rho, 1e-6, 1, rng)
     order = np.argsort(s, kind="stable")
     return JumpProcessSample(
@@ -297,7 +302,7 @@ class TestZeroTemperature:
         assert np.all(pa >= p0 - 1e-12)
 
     def test_couple_gap_nonnegative(self):
-        smp = sample_ppp(1.0, 0.9, rng=Rng(master_seed=13))
+        smp = sample_ppp(1.0, 0.8, rng=Rng(master_seed=13))
         grid, prof_a, prof_0 = zero_temp_couple(smp, 0.3)
         assert np.all(prof_a - prof_0 >= -1e-12)
         assert prof_a[0] == 0.0 and prof_0[0] == 0.0
@@ -315,7 +320,7 @@ class TestZeroTemperature:
         assert gaps[0] > gaps[1] > gaps[2] >= 0.0
 
     def test_couple_validation(self):
-        smp = sample_ppp(1.0, 0.9, rng=Rng(master_seed=15))
+        smp = sample_ppp(1.0, 0.8, rng=Rng(master_seed=15))
         with pytest.raises(ValueError):
             zero_temp_couple(smp, 1.5)
         other = sample_ppp(2.0, 0.9, rng=Rng(master_seed=15))

@@ -7,6 +7,10 @@ block, instead of building temporaries of their size.
 
 import tracemalloc
 
+# Imported here: grsk-verify's first use would import it inside a traced run.
+import numpy.random  # noqa: F401
+import pytest
+
 from busemann_lab import busemann as bu
 from busemann_lab import experiments as ex
 
@@ -19,6 +23,21 @@ def _peak(run, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("window", [5000, 10000])
+@pytest.mark.parametrize("run, args", [
+    (ex.run_check_intertwine, lambda w: (3, 2.0, [0.5, 1.0, 1.5], w, 0, 7)),
+    (ex.run_check_inverse, lambda w: (3, 2.0, [0.5, 1.0, 1.5], w, 7)),
+    # From n = 4 on, haop's peeled windows outnumber daop's arrays.
+    (ex.run_check_inverse, lambda w: (4, 2.0, [0.5, 1.0, 1.5, 0.25], w, 7)),
+    (ex.run_grsk_verify, lambda w: (2.0, w, 7)),
+], ids=["check-intertwine", "check-inverse", "check-inverse-n4", "grsk-verify"])
+def test_window_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, window):
+    counted = []
+    monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
+    peak = _peak(run, *args(window))
+    assert peak <= 8 * max(counted)
 
 
 def test_stationary_cocycle_holds_its_grids():

@@ -18,6 +18,7 @@ from busemann_lab.special_functions import (
     _SALT_INDEX,
     _SALT_LANE,
     _SALT_STREAM,
+    POISSON_MEAN_MAX,
     Rng,
     _as_u64,
     _event_keys,
@@ -34,10 +35,10 @@ from busemann_lab.special_functions import (
     sample_inverse_gamma,
     sample_poisson,
     trigamma,
-    uniform_from_keys,
 )
 
-from oracles import unfused_absorb, unfused_mix64, unfused_to_unit, whole_array_gamma
+from oracles import (_i_beta, _p_gamma, unfused_absorb, unfused_mix64, unfused_to_unit,
+                     whole_array_gamma)
 
 
 _LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1),
@@ -187,10 +188,6 @@ class TestRngDeterminism:
         u = Rng(master_seed=1).uniforms(10000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
-    def test_uniform_from_keys_deterministic(self):
-        k = keys_for_sites(2, 7, 3, 4)
-        assert uniform_from_keys(k) == uniform_from_keys(k)
-
 
 class TestUniformRows:
     # Many blocks; one row wider than a hashing pass; one-element rows.
@@ -321,7 +318,6 @@ class TestFusedHashing:
         keys = _unfused_event_keys(4, 1, 0, size)
         for lane in (0, 5):
             assert _same(_lane_uniforms(keys, lane), _unfused_uniforms(keys, lane))
-        assert _same(uniform_from_keys(keys), _unfused_uniforms(keys, 0))
         want = _unfused_uniforms(_unfused_event_keys(4, _BIG_SID, 3, size), 0)
         assert _same(Rng(4, _BIG_SID, 3).uniforms(size), want)
         got = _event_keys(4, self.SIDS[:, None], 3, np.arange(size), unit=True)
@@ -454,20 +450,20 @@ class TestArrayTrigamma:
 
 
 def _scalar_calls(f, x: np.ndarray) -> np.ndarray:
-    """f on every element of x as a Python float: the scalar path."""
+    """f on every element of x as a Python float."""
     return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _gamma_points(s: float) -> np.ndarray:
-    """10^5 points on [0, inf): the series/fraction switch x = s + 1 and
-    its neighbours, 0, 1 and subnormals first."""
+def _gamma_points(s: float, n: int = 100_000) -> np.ndarray:
+    """n points on [0, inf), n a multiple of 250: the series/fraction switch
+    x = s + 1 and its neighbours, 0, 1 and subnormals first."""
     rng = np.random.default_rng(int(1000 * s))
     split = s + 1.0
     edge = [0.0, 1.0, _TINY, 3e-310, split, np.nextafter(split, 0.0),
             np.nextafter(split, np.inf)]
-    body = np.concatenate((rng.exponential(s, 50_000), rng.uniform(0.0, 3.0 * split, 40_000),
-                           np.exp(rng.uniform(-700.0, 0.0, 10_000))))
-    return np.concatenate((edge, body))[:100_000]
+    body = np.concatenate((rng.exponential(s, n // 2), rng.uniform(0.0, 3.0 * split, 2 * n // 5),
+                           np.exp(rng.uniform(-700.0, 0.0, n // 10))))
+    return np.concatenate((edge, body))[:n]
 
 
 def _beta_points(a: float, b: float) -> np.ndarray:
@@ -484,28 +480,32 @@ def _beta_points(a: float, b: float) -> np.ndarray:
 
 
 class TestArrayIncomplete:
-    """Array x runs the scalar loops lane by lane, each lane stopping at its
-    own test: every element has the bits of a scalar call."""
+    """The lane kernels run the scalar loops of tests/oracles.py lane by
+    lane, each lane stopping at its own test: every element has the bits
+    of the scalar oracle's call."""
 
     @staticmethod
-    def _check_views(f, x: np.ndarray) -> None:
-        want = _scalar_calls(f, x)
+    def _check_views(f, oracle, x: np.ndarray) -> None:
+        want = _scalar_calls(oracle, x)
         assert _same_bits(f(x), want)
         # Reversed and strided views, 2-d blocks and an empty array.
+        blocks = x.reshape(-1, 250)
         assert _same_bits(f(x[::-1]), want[::-1])
         assert _same_bits(f(x[1::3]), want[1::3])
-        assert _same_bits(f(x.reshape(400, 250)), want.reshape(400, 250))
-        assert _same_bits(f(x.reshape(400, 250).T[::2]), want.reshape(400, 250).T[::2])
+        assert _same_bits(f(blocks), want.reshape(blocks.shape))
+        assert _same_bits(f(blocks.T[::2]), want.reshape(blocks.shape).T[::2])
         for shape in [(0,), (0, 3)]:
             assert f(np.empty(shape)).shape == shape
 
     # At s = 1/3, s + 1 + ... + 1 rounds apart from s + i from i = 2 on.
-    @pytest.mark.parametrize("s", [0.2, 1.0 / 3.0, 1.0, 2.5, 11.0])
+    # s = 25 and 1,000 are the dispersion test's n / 2 in calibrate-stats
+    # and jump-count; their series run hundreds of terms, so fewer points.
+    @pytest.mark.parametrize("s", [0.2, 1.0 / 3.0, 1.0, 2.5, 11.0, 25.0, 1000.0])
     def test_gamma_array_equals_scalars(self, s):
-        x = _gamma_points(s)
+        x = _gamma_points(s, 20_000 if s >= 25.0 else 100_000)
         # Both sides of x = s + 1: the series and the continued fraction.
         assert np.any(x < s + 1.0) and np.any(x == s + 1.0) and np.any(x > s + 1.0)
-        self._check_views(lambda v: reg_inc_gamma(s, v), x)
+        self._check_views(lambda v: reg_inc_gamma(s, v), lambda v: _p_gamma(s, v), x)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.8, 0.8), (2.0, 3.0), (10.0, 0.3)])
     def test_beta_array_equals_scalars(self, a, b):
@@ -513,7 +513,7 @@ class TestArrayIncomplete:
         # Both sides of x = (a + 1) / (a + b + 2): direct and reflected.
         split = (a + 1.0) / (a + b + 2.0)
         assert np.any(x < split) and np.any(x == split) and np.any(x > split)
-        self._check_views(lambda v: reg_inc_beta(a, b, v), x)
+        self._check_views(lambda v: reg_inc_beta(a, b, v), lambda v: _i_beta(a, b, v), x)
 
     def test_shapes(self):
         x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
@@ -533,19 +533,22 @@ class TestArrayIncomplete:
         with pytest.raises(ValueError):
             reg_inc_beta(1.0, 1.0, np.array([np.nan]))
 
-    @pytest.mark.parametrize("f, bad", [
-        (lambda v: reg_inc_gamma(1.0, v), lambda v: not (math.isfinite(v) and v >= 0.0)),
-        (lambda v: reg_inc_beta(1.0, 1.0, v), lambda v: not 0.0 <= v <= 1.0),
+    @pytest.mark.parametrize("f, oracle, bad", [
+        (lambda v: reg_inc_gamma(1.0, v), lambda v: _p_gamma(1.0, v),
+         lambda v: not (math.isfinite(v) and v >= 0.0)),
+        (lambda v: reg_inc_beta(1.0, 1.0, v), lambda v: _i_beta(1.0, 1.0, v),
+         lambda v: not 0.0 <= v <= 1.0),
     ], ids=["gamma", "beta"])
-    def test_first_bad_element_raises_the_scalar_error(self, f, bad):
+    def test_first_bad_element_raises_the_scalar_error(self, f, oracle, bad):
         x = np.array([[0.5, -0.1, 0.2], [np.inf, 1.5, np.nan]])
         for view in (x, x[::-1, ::-1], x.T, x[:, 2:]):
             first = next(v for v in view.ravel().tolist() if bad(v))
             with pytest.raises(ValueError) as want:
-                f(first)
-            with pytest.raises(ValueError) as got:
-                f(view)
-            assert str(got.value) == str(want.value)
+                oracle(first)
+            for arg in (view, first):
+                with pytest.raises(ValueError) as got:
+                    f(arg)
+                assert str(got.value) == str(want.value)
 
 
 class TestSamplerLaws:
@@ -568,11 +571,6 @@ class TestSamplerLaws:
         means = np.array([0.0, 0.5, 4.0])
         c = sample_poisson(Rng(master_seed=16), np.tile(means, 5000), size=15000)
         assert np.all(c[::3] == 0)
-
-    def test_scalar_draws(self):
-        r = Rng(master_seed=17)
-        assert isinstance(sample_gamma(r, 2.0), float)
-        assert isinstance(sample_poisson(Rng(master_seed=17), 2.0), int)
 
     @pytest.mark.parametrize("mean", [0.0, 0.3, 3.7, 40.0])
     def test_poisson_from_keys_equals_sample_poisson(self, mean):
@@ -600,8 +598,18 @@ class TestSamplerLaws:
             gamma_from_keys(keys, 1.3), gamma_from_keys(keys, 1.3)
         )
 
+    def test_poisson_from_keys_rejects_means_past_the_exact_range(self):
+        # e^{-708} is still a normal double, e^{-709} is not.
+        assert 708.0 < POISSON_MEAN_MAX < 709.0
+        keys = _event_keys(1, 0, 0, 3)
+        counts = poisson_from_keys(keys, 708.0)
+        assert np.all(np.abs(counts - 708.0) < 6.0 * math.sqrt(708.0))
+        for mean in (709.0, np.array([1.0, 709.0, 2.0])):
+            with pytest.raises(ValueError, match="at most 708.4"):
+                poisson_from_keys(keys, mean)
+
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
-            sample_gamma(Rng(master_seed=1), 0.0)
+            sample_gamma(Rng(master_seed=1), 0.0, size=1)
         with pytest.raises(ValueError):
-            sample_poisson(Rng(master_seed=1), -1.0)
+            sample_poisson(Rng(master_seed=1), -1.0, size=1)

@@ -108,3 +108,18 @@ class TestPoissonDispersion:
     def test_bad_mean(self):
         with pytest.raises(ValueError):
             poisson_dispersion(np.array([1, 2, 3]), 0.0)
+
+    # calibrate-stats' 50 counts at mean 5, and jump-count's regime.
+    @pytest.mark.parametrize("trials, n, mean", [(1000, 50, 5.0), (40, 2000, 0.22)])
+    def test_rows_equal_one_dimensional_calls(self, trials, n, mean):
+        counts = np.random.default_rng(n).poisson(mean, size=(trials, n))
+        got = poisson_dispersion(counts, mean)
+        assert got.shape == (trials,)
+        want = np.array([poisson_dispersion(row, mean) for row in counts])
+        assert got.tobytes() == want.tobytes()
+        assert type(poisson_dispersion(counts[0], mean)) is float
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1,), (2, 2, 2), ()])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="counts"):
+            poisson_dispersion(np.ones(shape), 1.0)

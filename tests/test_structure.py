@@ -3,7 +3,8 @@
 Only the command-line front end imports click, and it catches no error
 that it cannot name: a bad option reaches it as experiments.ConfigError,
 and anything else is a crash.  Every check's pass is the comparison of
-its value with its threshold.
+its value with its threshold.  The array special functions are called
+once per array, never once per item of a loop.
 """
 
 import ast
@@ -60,3 +61,27 @@ def test_every_check_compares_value_and_threshold():
     for call in calls:
         assert len(call.args) == 5 and not call.keywords, f"line {call.lineno}"
         assert ast.unparse(call.args[3]) in ("lt", "le", "gt", "ge"), f"line {call.lineno}"
+
+
+# Each takes an array and runs its own lane loop over it.
+ARRAY_FUNCTIONS = {"reg_inc_gamma", "reg_inc_beta", "trigamma", "poisson_dispersion"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_array_function_called_per_item(path):
+    for loop in ast.walk(_tree(path)):
+        if not isinstance(loop, LOOPS):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) and _called_name(node) in ARRAY_FUNCTIONS:
+                raise AssertionError(
+                    f"{path.name}:{node.lineno} calls {_called_name(node)} inside the "
+                    f"loop of line {loop.lineno}; pass it the whole array"
+                )
