@@ -1,8 +1,8 @@
-"""Brute-force reference computations.
+"""Brute-force reference computation.
 
-Exponential-cost sums over lattice paths, used as oracles for the
+Exponential-cost sums over lattice paths, used as the oracle for the
 geometric RSK array: the disjoint-path partition functions that seed a
-triangular array, and the log-domain point-to-point partition function.
+triangular array.
 """
 
 from __future__ import annotations
@@ -65,21 +65,3 @@ def brute_force_ratio_array(weights: np.ndarray, n: int) -> grsk.FullArray:
         ]
         cols.append(np.array(col))
     return grsk.FullArray(n, tuple(cols))
-
-
-def brute_force_log_partition(weights: np.ndarray, m: int, k: int) -> float:
-    """log of the path sum from (1,1) to (m,k), initial weight included."""
-    lw = np.log(weights[:m, :k])
-    z = np.full((m, k), -np.inf)
-    z[0, 0] = lw[0, 0]
-    for i in range(m):
-        for j in range(k):
-            if i == 0 and j == 0:
-                continue
-            acc = -np.inf
-            if i > 0:
-                acc = np.logaddexp(acc, z[i - 1, j])
-            if j > 0:
-                acc = np.logaddexp(acc, z[i, j - 1])
-            z[i, j] = acc + lw[i, j]
-    return float(z[m - 1, k - 1])

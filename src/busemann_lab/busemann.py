@@ -22,9 +22,9 @@ from .lattice import (
     _check_point,
     _log_partition_table,
 )
-from .seqmaps import SeqTuple, _update_step, burn_in, daop_reach, ig_window, update_raw
+from .seqmaps import SeqTuple, _update_step, burn_in, ig_window, update_raw
 from .special_functions import Rng, digamma
-from .grsk import build_triangular
+from .grsk import build_triangular, triangular_reach
 
 __all__ = [
     "CocycleGrid",
@@ -68,25 +68,6 @@ class CocycleGrid:
     def t_max(self) -> int:
         return self.i_vals.shape[0] - 1
 
-    def _col(self, k: int) -> int:
-        if not (self.k_lo <= k <= self.k_hi):
-            raise ValueError(f"k={k} outside [{self.k_lo}, {self.k_hi}]")
-        return k - self.k_lo
-
-    def log_i(self, k: int, t: int) -> float:
-        return float(self.i_vals[t, self._col(k)])
-
-    def log_j(self, k: int, t: int) -> float:
-        return float(self.j_vals[t, self._col(k)])
-
-    def log_w(self, k: int, t: int) -> float:
-        return float(self.w_vals[t, self._col(k)])
-
-    def bulk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I, J, W) log-values on the bulk, shape (t_max, width)."""
-        c = self.bulk_k_lo - self.k_lo
-        return self.i_vals[1:, c:], self.j_vals[1:, c:], self.w_vals[1:, c:]
-
 
 @dataclass(frozen=True)
 class EternalSolution:
@@ -100,9 +81,6 @@ class EternalSolution:
     k0: int
     t0: int
     log_z: np.ndarray
-
-    def value(self, k: int, t: int) -> float:
-        return float(self.log_z[t - self.t0, k - self.k0])
 
 
 def _margin(alpha: float, rho: float) -> int:
@@ -204,16 +182,16 @@ def stationary_cocycle(
 def parallel_chain(
     field: WeightField, rhos, rect, rng: Rng
 ) -> list[CocycleGrid]:
-    """Jointly coupled stationary grids for several directions.
+    """Jointly coupled stationary grids for two or more directions.
 
-    rhos must be strictly decreasing.  The bottom rows are drawn from the
-    joint stationary law of the simultaneous update chain (the diagonal of
-    the triangular array over independent inverse-gamma inputs), and every
-    component is then evolved with the same field rows.
+    The RhoParams in rhos must be strictly decreasing.  The bottom rows are
+    drawn from the joint stationary law of the simultaneous update chain
+    (the diagonal of the triangular array over independent inverse-gamma
+    inputs), and every component is then evolved with the same field rows.
     """
     k_lo, k_hi, t_max = (int(r) for r in rect)
-    rhos = [RhoParam(r.rho, r.alpha) if isinstance(r, RhoParam) else
-            RhoParam(float(r), field.alpha) for r in rhos]
+    if len(rhos) < 2:
+        raise ValueError("need at least two rhos")
     for a, b in zip(rhos, rhos[1:]):
         if not b.rho < a.rho:
             raise ValueError("rhos must be strictly decreasing")
@@ -222,9 +200,6 @@ def parallel_chain(
     alpha = field.alpha
     margin = max(_margin(alpha, r.rho) for r in rhos)
     n_comp = len(rhos)
-    if n_comp == 1:
-        grid = stationary_cocycle(field, rhos[0], rect, rng)
-        return [grid]
     # The triangular-array construction wants components with strictly
     # increasing Cesaro means, i.e. increasing rho; build in that order
     # and return grids in the caller's order.
@@ -259,11 +234,10 @@ def chain_reach(alpha: float, rhos) -> int:
     """Sites left of k_lo that parallel_chain draws for two or more rhos.
 
     The widest burn-in margin, then room for the joint bottom-row draw:
-    component i of the triangular array's diagonal spends one burn-in
-    per update in its chain, built in increasing rho.
+    the burn-ins build_triangular spends on inputs in increasing rho.
     """
     margin = max(_margin(alpha, r) for r in rhos)
-    return margin + daop_reach([-digamma(alpha - r) for r in sorted(rhos)]) + 1
+    return margin + triangular_reach([-digamma(alpha - r) for r in sorted(rhos)]) + 1
 
 
 def busemann_ratio_estimate(

@@ -24,7 +24,7 @@ from . import grsk
 from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
-from .bruteforce import brute_force_log_partition, brute_force_ratio_array
+from .bruteforce import brute_force_ratio_array
 from .special_functions import (POISSON_MEAN_MAX, Rng, _libm, digamma, reg_inc_beta,
                                 reg_inc_gamma, sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
@@ -138,10 +138,21 @@ def _fits(elements: int, option: str) -> None:
              f"{MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
+# The jump sampler's accepted points are four arrays (sample index, s, y,
+# u), held twice over while they are gathered from the bands.
+_POINT_ARRAYS = 8
+# A band's Poisson draw of one count per sample holds at most this many
+# arrays of samples at once: its keys, limits, products, counts, pending
+# indices and a hashing pass.
+_COUNT_ARRAYS = 11
+
+
 def _jump_points_fit(alpha: float, rho_max: float, samples: int) -> None:
     """The jump sampler holds the accepted points of all samples together,
-    about samples times the envelope's total mass of them."""
-    _fits(math.ceil(samples * ig.envelope_mass(alpha, rho_max)), "--samples")
+    about samples times the envelope's total mass of them, and draws each
+    band's counts on top of them."""
+    mass = ig.envelope_mass(alpha, rho_max)
+    _fits(math.ceil(samples * (_POINT_ARRAYS * mass + _COUNT_ARRAYS)), "--samples")
 
 
 # A gamma draw of one window holds at most this many arrays of its size
@@ -233,7 +244,7 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
     weight = _weight(alpha, window, seed)
     checks = []
     out = sm.update(weight, tup.windows[0])
-    w_out = weight.restrict(out.valid_lo, window)
+    w_out = weight.restrict(out.i_tilde.lo, window)
     single = _inverse_gap(lambda: sm.SeqTuple((sm.inverse_h(w_out, out.i_tilde),)), tup)
     checks.append(_below(
         "single-inverse-max-gap", "update-map-inverse", single, 1e-10,
@@ -278,13 +289,13 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
     worst = 0.0
     for n in (3, 4):
         weights = 1.0 / rng.gamma(alpha, size=(n + 3, n))
+        # Entry (m - 1, k - 1) is log Z from (1, 1) to (m, k), both weights in.
+        logz = lat._log_partition_table(np.log(weights), True)
         arr = brute_force_ratio_array(weights, n)
         for m in range(n + 1, n + 4):
             arr = grsk.array_insert(arr, grsk.Word(1, np.log(weights[m - 1])))
             for k in range(1, n + 1):
-                worst = max(worst, abs(
-                    arr.cell(k, 1) - brute_force_log_partition(weights, m, k)
-                ))
+                worst = max(worst, abs(arr.cell(k, 1) - logz[m - 1, k - 1]))
     checks.append(_below(
         "partition-identity-max-gap", "insertion-array-partition-function",
         worst, 1e-10,
@@ -460,8 +471,8 @@ def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
 
 def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
     _require(0.0 < alpha < math.inf, "--alpha", f"{alpha} is not in the range 0<x<inf.")
-    _require(ig._DEFAULT_Y_MIN < delta < math.inf, "--delta",
-             f"{delta} is not in the range {ig._DEFAULT_Y_MIN:g}<x<inf: "
+    _require(ig.Y_MIN < delta < math.inf, "--delta",
+             f"{delta} is not in the range {ig.Y_MIN:g}<x<inf: "
              "smaller jumps are not sampled")
     _require(0.0 <= s_lo < alpha, "--s-lo", f"{s_lo} is not in the range 0<=x<{alpha}.")
     _require(s_lo < s_hi < alpha, "--s-hi", f"{s_hi} is not in the range {s_lo}<x<{alpha}.")

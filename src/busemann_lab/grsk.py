@@ -50,10 +50,6 @@ class Word:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    @classmethod
-    def empty(cls, start: int) -> "Word":
-        return cls(start=start, entries=np.empty(0))
-
 
 @dataclass(frozen=True)
 class FullArray:

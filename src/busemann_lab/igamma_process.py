@@ -6,8 +6,8 @@ plus the jumps of an inhomogeneous Poisson point process on
 e^{-y}).  Points are sampled exactly by banded rejection: on each y-band
 [a, b) the intensity is dominated by g(a) e^{bs} with g(y) = e^{-y
 alpha} / (1 - e^{-y}) decreasing, and the dominating product measure is
-sampled in closed form.  Jumps below a small cutoff y_min are replaced
-by their deterministic mean.
+sampled in closed form.  Jumps below the cutoff Y_MIN are replaced by
+their deterministic mean.
 
 Also here: batched counts of large jumps and their quadrature mean, the
 thinning coupling between the scaled positive-temperature profile and its
@@ -52,9 +52,12 @@ __all__ = [
     "zero_temp_couple",
     "reparam_bound",
     "small_jump_compensator",
+    "Y_MIN",
 ]
 
-_DEFAULT_Y_MIN = 1e-6
+# Jumps below this size are not sampled; small_jump_compensator gives
+# their mean total mass.
+Y_MIN = 1e-6
 _BAND_RATIO = 1.25
 _TAIL_EXPONENT = 60.0
 # Gauss-Legendre order per geometric panel of expected_jump_count.
@@ -66,8 +69,7 @@ class JumpProcessSample:
     """One realization of the marked jump process on (0, rho_max].
 
     s, y, u are equal-length arrays sorted by s; u are independent
-    uniform marks.  Jumps with y < y_min are not listed;
-    small_jump_compensator gives their mean total mass.
+    uniform marks.  Jumps with y < Y_MIN are not listed.
     """
 
     alpha: float
@@ -76,7 +78,6 @@ class JumpProcessSample:
     y: np.ndarray
     u: np.ndarray
     rho_max: float
-    y_min: float
 
     def __post_init__(self):
         for name in ("s", "y", "u"):
@@ -89,10 +90,10 @@ class JumpProcessSample:
             raise ValueError("points must be sorted by s")
 
 
-def _bands(alpha: float, rho_max: float, y_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric y-band edges covering [y_min, y_max]."""
+def _bands(alpha: float, rho_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric y-band edges covering [Y_MIN, y_max]."""
     y_max = _TAIL_EXPONENT / (alpha - rho_max)
-    edges = [y_min]
+    edges = [Y_MIN]
     while edges[-1] < y_max:
         edges.append(edges[-1] * _BAND_RATIO)
     e = np.array(edges)
@@ -109,27 +110,27 @@ def _band_masses(alpha: float, rho_max: float, a: np.ndarray, b: np.ndarray) -> 
     return np.exp(_log_g(a, alpha)) * (b - a) * np.expm1(b * rho_max) / b
 
 
-def _envelope(alpha: float, rho_max: float, y_min: float) -> np.ndarray:
+def _envelope(alpha: float, rho_max: float) -> np.ndarray:
     """The band masses of the sampler's envelope on (0, rho_max], inf where
     they overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max, y_min))
+        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max))
     return np.where(np.isnan(masses), np.inf, masses)
 
 
-def envelope_peak(alpha: float, rho_max: float, y_min: float = _DEFAULT_Y_MIN) -> float:
+def envelope_peak(alpha: float, rho_max: float) -> float:
     """Largest band mass of the sampler's envelope on (0, rho_max], the
     largest Poisson mean it draws; inf where the envelope overflows.
 
     The masses grow with y once rho_max > alpha / _BAND_RATIO.
     """
-    return float(np.max(_envelope(alpha, rho_max, y_min), initial=0.0))
+    return float(np.max(_envelope(alpha, rho_max), initial=0.0))
 
 
-def envelope_mass(alpha: float, rho_max: float, y_min: float = _DEFAULT_Y_MIN) -> float:
+def envelope_mass(alpha: float, rho_max: float) -> float:
     """Total mass of the envelope on (0, rho_max]: the mean number of points
     proposed per realization, which bounds the mean number accepted."""
-    return float(np.sum(_envelope(alpha, rho_max, y_min)))
+    return float(np.sum(_envelope(alpha, rho_max)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,21 +142,20 @@ def _legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_legendre(f, lo: float, hi: float, order: int = 64) -> float:
-    x, w = _legendre_nodes(order)
+def _gauss_legendre(f, lo: float, hi: float) -> float:
+    """32-point Gauss-Legendre rule for the integral of f over [lo, hi]."""
+    x, w = _legendre_nodes(32)
     t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     return 0.5 * (hi - lo) * float(np.sum(w * f(t)))
 
 
-def small_jump_compensator(
-    alpha: float, rho: float, y_min: float, thinning=None
-) -> float:
-    """Mean total jump mass below y_min up to direction parameter rho.
+def small_jump_compensator(alpha: float, rho: float, thinning=None) -> float:
+    """Mean total jump mass below Y_MIN up to direction parameter rho.
 
     Integrates y sigma(s, y) (times an optional thinning probability in
-    y) over (0, rho] x (0, y_min].
+    y) over (0, rho] x (0, Y_MIN].
     """
-    if rho <= 0.0 or y_min <= 0.0:
+    if rho <= 0.0:
         return 0.0
 
     def inner(y: np.ndarray) -> np.ndarray:
@@ -166,13 +166,12 @@ def small_jump_compensator(
             val = val * thinning(y)
         return val
 
-    return _gauss_legendre(inner, 0.0, y_min, order=32)
+    return _gauss_legendre(inner, 0.0, Y_MIN)
 
 
 def _accepted_points(
     alpha: float,
     rho_max: float,
-    y_min: float,
     n: int,
     seed: int,
     streams: np.ndarray,
@@ -186,7 +185,7 @@ def _accepted_points(
     of event 1 for its mark.  Points come band by band, in sample-index
     order within a band.
     """
-    a, b = _bands(alpha, rho_max, y_min)
+    a, b = _bands(alpha, rho_max)
     masses = _band_masses(alpha, rho_max, a, b)
     m = streams.shape[0]
     empty = np.empty(0)
@@ -222,18 +221,14 @@ def _accepted_points(
 
 
 def _realizations(
-    alpha: float, rho_max: float, y_min: float, seed: int, streams: np.ndarray
+    alpha: float, rho_max: float, seed: int, streams: np.ndarray
 ) -> list[JumpProcessSample]:
     """One realization of the jump process from each stream id in streams."""
     if not (0.0 < rho_max < alpha):
         raise ValueError("need 0 < rho_max < alpha")
-    if y_min <= 0.0:
-        raise ValueError(
-            "infinite mass: y_min = 0 requires the compensated small-jump policy"
-        )
     z0_keys = _event_keys(seed, _spawn_ids(streams, 0), 0, 1).ravel()
     z0 = [-math.log(g) for g in gamma_from_keys(z0_keys, alpha).tolist()]
-    owner, s, y, u = _accepted_points(alpha, rho_max, y_min, 1, seed, streams)
+    owner, s, y, u = _accepted_points(alpha, rho_max, 1, seed, streams)
     # Sorting by (owner, s) is each realization's stable sort by s.
     order = np.lexsort((s, owner))
     owner, s, y, u = owner[order], s[order], y[order], u[order]
@@ -241,23 +236,15 @@ def _realizations(
     return [
         JumpProcessSample(
             alpha=alpha, z0=z0[r], s=s[lo:hi], y=y[lo:hi], u=u[lo:hi],
-            rho_max=rho_max, y_min=y_min,
+            rho_max=rho_max,
         )
         for r, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist()))
     ]
 
 
-def sample_ppp(
-    alpha: float,
-    rho_max: float,
-    y_min: float = _DEFAULT_Y_MIN,
-    rng: Rng | None = None,
-) -> JumpProcessSample:
+def sample_ppp(alpha: float, rho_max: float, rng: Rng) -> JumpProcessSample:
     """Draw one marked realization of the jump process on (0, rho_max]."""
-    if rng is None:
-        raise ValueError("an Rng is required")
-    streams = _as_u64(rng.stream_id)
-    return _realizations(alpha, rho_max, y_min, rng.master_seed, streams)[0]
+    return _realizations(alpha, rho_max, rng.master_seed, _as_u64(rng.stream_id))[0]
 
 
 def sample_ppp_replicas(
@@ -265,17 +252,16 @@ def sample_ppp_replicas(
     rho_max: float,
     n: int,
     rng: Rng,
-    y_min: float = _DEFAULT_Y_MIN,
 ) -> list[JumpProcessSample]:
     """n independent realizations of the jump process, drawn together.
 
-    Replica i is bit for bit ``sample_ppp(alpha, rho_max, y_min,
-    rng.spawn(i))``: every draw is a pure hash of (seed, stream id,
-    counter), so the replicas are the realizations of the n child stream
-    ids, and each band makes one draw over all of them.
+    Replica i is bit for bit ``sample_ppp(alpha, rho_max, rng.spawn(i))``:
+    every draw is a pure hash of (seed, stream id, counter), so the
+    replicas are the realizations of the n child stream ids, and each band
+    makes one draw over all of them.
     """
     ids = _spawn_ids(rng.stream_id, np.arange(n, dtype=np.uint64))
-    return _realizations(alpha, rho_max, y_min, rng.master_seed, ids)
+    return _realizations(alpha, rho_max, rng.master_seed, ids)
 
 
 def batch_increment_sums(
@@ -283,7 +269,6 @@ def batch_increment_sums(
     breaks,
     n: int,
     rng: Rng,
-    y_min: float = _DEFAULT_Y_MIN,
     thinning=None,
 ) -> np.ndarray:
     """Jump sums over consecutive s-intervals for n independent copies.
@@ -300,7 +285,7 @@ def batch_increment_sums(
         raise ValueError("breaks must be increasing inside (0, alpha)")
     rho_max = float(breaks[-1])
     owner, s, y, u = _accepted_points(
-        alpha, rho_max, y_min, n, rng.master_seed, _as_u64(rng.stream_id)
+        alpha, rho_max, n, rng.master_seed, _as_u64(rng.stream_id)
     )
     if thinning is not None and owner.shape[0]:
         keep = u <= thinning(y)
@@ -310,7 +295,7 @@ def batch_increment_sums(
     interval = np.searchsorted(breaks, s, side="left")
     np.add.at(out, (owner, interval), y)
     comps = np.array(
-        [small_jump_compensator(alpha, r, y_min, thinning=thinning) for r in breaks]
+        [small_jump_compensator(alpha, r, thinning=thinning) for r in breaks]
     )
     out += np.diff(np.concatenate(([0.0], comps)))
     return out
@@ -322,14 +307,13 @@ def batch_jump_counts(
     s_interval,
     n: int,
     rng: Rng,
-    y_min: float = _DEFAULT_Y_MIN,
 ) -> np.ndarray:
     """Per-replica counts of points with y >= delta and s in the interval."""
-    if delta <= y_min:
+    if delta <= Y_MIN:
         raise ValueError("delta must exceed the small-jump cutoff")
     s1, s2 = float(s_interval[0]), float(s_interval[1])
     owner, s, y, _ = _accepted_points(
-        alpha, s2, y_min, n, rng.master_seed, _as_u64(rng.stream_id)
+        alpha, s2, n, rng.master_seed, _as_u64(rng.stream_id)
     )
     keep = (y >= delta) & (s > s1) & (s <= s2)
     return np.bincount(owner[keep], minlength=n)
@@ -382,13 +366,11 @@ def zero_temp_keep_prob(y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _coupling_rates(alpha: float, y_min: float) -> tuple[float, float]:
+def _coupling_rates(alpha: float) -> tuple[float, float]:
     """Small-jump compensator rates of the alpha- and zero-temperature profiles."""
     return (
-        small_jump_compensator(
-            1.0, 1.0, y_min, thinning=lambda y: pos_temp_keep_prob(y, alpha)
-        ),
-        small_jump_compensator(1.0, 1.0, y_min, thinning=zero_temp_keep_prob),
+        small_jump_compensator(1.0, 1.0, thinning=lambda y: pos_temp_keep_prob(y, alpha)),
+        small_jump_compensator(1.0, 1.0, thinning=zero_temp_keep_prob),
     )
 
 
@@ -413,7 +395,7 @@ def zero_temp_couple(
     rho_grid = np.linspace(0.0, sample.rho_max, 1001)
     keep_a = sample.u <= pos_temp_keep_prob(sample.y, alpha)
     keep_0 = sample.u <= zero_temp_keep_prob(sample.y)
-    comp_a, comp_0 = _coupling_rates(alpha, sample.y_min)
+    comp_a, comp_0 = _coupling_rates(alpha)
 
     def profile(keep: np.ndarray, comp_rate: float) -> np.ndarray:
         cum = np.concatenate(([0.0], np.cumsum(sample.y[keep])))
@@ -429,8 +411,8 @@ def _zero_temp_rho(xi1: np.ndarray) -> np.ndarray:
     return r1 / (r1 + r2)
 
 
-def reparam_bound(alpha: float, grid_size: int = 10_000) -> float:
-    """Sup over a xi-grid of the l1 direction-reparametrization gap.
+def reparam_bound(alpha: float) -> float:
+    """Sup over a 10,000-point xi-grid of the l1 direction-reparametrization gap.
 
     For each direction xi, maps the zero-temperature parameter s0(xi)
     into the alpha-polymer direction through rho = alpha s0(xi) and
@@ -438,7 +420,7 @@ def reparam_bound(alpha: float, grid_size: int = 10_000) -> float:
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    xi1 = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    xi1 = np.linspace(0.0, 1.0, 10_002)[1:-1]
     rho = alpha * _zero_temp_rho(xi1)
     t1 = trigamma(rho)
     t2 = trigamma(alpha - rho)

@@ -41,10 +41,6 @@ class Direction:
         if not (0.0 < self.xi1 < 1.0):
             raise ValueError(f"xi1 must lie strictly between 0 and 1, got {self.xi1!r}")
 
-    @property
-    def xi2(self) -> float:
-        return 1.0 - self.xi1
-
 
 @dataclass(frozen=True)
 class RhoParam:
@@ -93,12 +89,10 @@ class WeightField:
         return -np.log(gamma_from_keys(keys, self.alpha))
 
 
-def log_partition(field, u, v, include_initial: bool = False) -> float:
+def log_partition(field, u, v) -> float:
     """log Z_{u,v} summed over up-right paths from u to v.
 
-    By default the weight at the initial point u is excluded, so that
-    log Z_{v,v} = 0; include_initial=True switches to the convention where
-    every visited site, u included, contributes its weight.
+    The weight at the initial point u is excluded, so that log Z_{v,v} = 0.
     """
     u1, u2 = _check_point(u)
     v1, v2 = _check_point(v)
@@ -106,14 +100,15 @@ def log_partition(field, u, v, include_initial: bool = False) -> float:
     if m < 0 or n < 0:
         raise ValueError(f"unordered endpoints: {u!r} !<= {v!r}")
     w = field.log_weight_block((u1, u2), (m + 1, n + 1))
-    return float(_log_partition_table(w, include_initial)[m, n])
+    return float(_log_partition_table(w, False)[m, n])
 
 
 def _log_partition_table(w: np.ndarray, include_initial: bool) -> np.ndarray:
     """log Z from the block's corner [0, 0] to every site of the block.
 
-    w holds the block's log-weights; the anti-diagonal recursion and the
-    include_initial convention are those of log_partition.
+    w holds the block's log-weights.  With include_initial the corner's
+    weight counts too, as in the first column of grsk's arrays;
+    log_partition leaves it out.
     """
     m, n = w.shape[0] - 1, w.shape[1] - 1
     # logz[i + 1, j + 1] is log Z to site (i, j); the -inf border stands in

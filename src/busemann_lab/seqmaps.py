@@ -117,12 +117,11 @@ class SeqTuple:
 
 @dataclass(frozen=True)
 class UpdateOutput:
-    """The three update outputs, valid on the common range [valid_lo, hi]."""
+    """The three update outputs, valid on one common range."""
 
     i_tilde: LogSeqWindow
     j: LogSeqWindow
     w_tilde: LogSeqWindow
-    valid_lo: int
 
 
 def cesaro_mean(i: LogSeqWindow) -> float:
@@ -257,7 +256,6 @@ def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
         i_tilde=LogSeqWindow(valid_lo, w.hi, log_it[cut:], cesaro_hint=ci),
         j=LogSeqWindow(valid_lo, w.hi, log_j[cut:], cesaro_hint=None),
         w_tilde=LogSeqWindow(valid_lo, w.hi, log_wt[cut:], cesaro_hint=cw),
-        valid_lo=valid_lo,
     )
 
 
@@ -341,7 +339,7 @@ def haop(inputs: SeqTuple) -> SeqTuple:
 def parallel_step(w: LogSeqWindow, state: SeqTuple) -> SeqTuple:
     """Apply the update with one common weight window to every component."""
     outs = [update(w.restrict(state.lo, state.hi), comp) for comp in state.windows]
-    lo = max(o.valid_lo for o in outs)
+    lo = max(o.i_tilde.lo for o in outs)
     return SeqTuple(tuple(o.i_tilde.restrict(lo, state.hi) for o in outs))
 
 

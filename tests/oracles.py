@@ -43,7 +43,7 @@ def per_replica_ratio_samples(
         field = WeightField(alpha, rng.master_seed, stream_id=base + 3 * r)
         init = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 1)
         grid = stationary_cocycle(field, RhoParam(rho, alpha), (0, width, 1), init)
-        ratio = math.exp(grid.log_w(width, 1) - grid.log_i(width, 1))
+        ratio = math.exp(grid.w_vals[1, width] - grid.i_vals[1, width])
         if indicator:
             u = Rng(master_seed=rng.master_seed, stream_id=base + 3 * r + 2)
             out[r] = 1.0 if u.uniforms(1)[0] <= ratio else 0.0

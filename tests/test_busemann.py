@@ -37,7 +37,8 @@ def test_margin_is_the_burn_in_rule():
 class TestStationaryCocycle:
     def test_recovery_identity(self):
         grid = make_grid()
-        i_blk, j_blk, w_blk = grid.bulk()
+        c = grid.bulk_k_lo - grid.k_lo
+        i_blk, j_blk, w_blk = (a[1:, c:] for a in (grid.i_vals, grid.j_vals, grid.w_vals))
         res = np.exp(-i_blk) + np.exp(-j_blk) - np.exp(-w_blk)
         assert np.max(np.abs(res)) < 1e-13
 
@@ -68,9 +69,7 @@ class TestStationaryCocycle:
     def test_accessors_and_bounds(self):
         grid = make_grid()
         assert grid.k_hi == 600 and grid.t_max == 4
-        assert grid.log_i(50, 1) == grid.i_vals[1, 50]
-        with pytest.raises(ValueError):
-            grid.log_i(601, 1)
+        assert grid.i_vals.shape == grid.j_vals.shape == grid.w_vals.shape == (5, 601)
 
     def test_alpha_mismatch(self):
         field = WeightField(2.0, master_seed=0)
@@ -189,11 +188,21 @@ class TestParallelChain:
                 assert np.array_equal(a, b, equal_nan=True)
 
     def test_single_component(self):
+        # One direction is stationary_cocycle's job.
         field = WeightField(2.0, master_seed=6)
-        (grid,) = parallel_chain(
-            field, [RhoParam(1.0, 2.0)], (0, 500, 2), Rng(master_seed=6)
-        )
-        assert grid.rho.rho == 1.0
+        with pytest.raises(ValueError, match="at least two rhos"):
+            parallel_chain(field, [RhoParam(1.0, 2.0)], (0, 500, 2), Rng(master_seed=6))
+
+    @pytest.mark.parametrize("rhos", [(1.2, 0.8, 0.4), (1.5, 1.0, 0.5, 0.25)])
+    def test_grids_start_the_widest_margin_left_of_the_bulk(self, rhos):
+        # The joint bottom-row draw reaches as far left as build_triangular
+        # spends, so every bulk site is past its row's burn-in.
+        field = WeightField(2.0, master_seed=3)
+        grids = parallel_chain(field, [RhoParam(r, 2.0) for r in rhos], (0, 2000, 1),
+                               Rng(master_seed=3, stream_id=1))
+        margin = max(busemann._margin(2.0, r) for r in rhos)
+        for grid in grids:
+            assert grid.k_lo <= grid.bulk_k_lo - margin
 
     def test_ordering_validation(self):
         field = WeightField(2.0, master_seed=0)
@@ -228,18 +237,15 @@ class TestEternalSolution:
         grid = make_grid(k_hi=160, t_max=10, seed=8)
         base = (grid.bulk_k_lo + 5, 4)
         es = eternal_from_cocycle(grid, base)
-        assert es.value(*base) == 0.0
+        assert es.log_z[base[1] - es.t0, base[0] - es.k0] == 0.0
 
     def test_increments_match_cocycle(self):
         grid = make_grid(k_hi=160, t_max=10, seed=9)
         es = eternal_from_cocycle(grid, (grid.bulk_k_lo + 5, 4))
-        k = grid.bulk_k_lo + 20
-        assert es.value(k + 1, 6) - es.value(k, 6) == pytest.approx(
-            grid.log_i(k + 1, 6), abs=1e-12
-        )
-        assert es.value(k, 7) - es.value(k, 6) == pytest.approx(
-            grid.log_j(k, 7), abs=1e-12
-        )
+        # Site (k, t) = (k0 + 20, 6) is log_z[5, 20] and grid column c.
+        lz, c = es.log_z, es.k0 + 20 - grid.k_lo
+        assert lz[5, 21] - lz[5, 20] == pytest.approx(grid.i_vals[6, c + 1], abs=1e-12)
+        assert lz[6, 20] - lz[5, 20] == pytest.approx(grid.j_vals[7, c], abs=1e-12)
 
     def test_base_outside_bulk(self):
         grid = make_grid(k_hi=160, t_max=10, seed=9)

@@ -6,9 +6,15 @@ writes with ``--output`` to the file of the same name in
 and requires the same exit code.  The cases are the configurations of
 ``test_cli.py::TestExperimentRuns``, all twelve experiments at their defaults
 (``check-inverse`` fails its inverse gaps, a known conditioning defect,
-and exits 1), one CSV report, and the benchmark's deep grid
+and exits 1), one CSV report, the benchmark's deep grid
 ``stationary-cocycle --window 6000 --levels 400``, the largest grid
-that the anti-diagonal ``_evolve`` runs in any report.
+that the anti-diagonal ``_evolve`` runs in any report, and a
+``parallel-chain`` of three rhos.
+
+The cases not at the defaults run once more under the benchmark's layer
+tracer (``perfbench/layers.py``), which wraps the package's functions by
+name and counts from their arguments and results: the reports must stay
+the same, and a renamed target or a changed signature fails here.
 
 A change that means to alter the numerics regenerates the golden files
 with ``PYTHONPATH=src python tests/test_golden.py`` and explains in its
@@ -25,6 +31,7 @@ from click.testing import CliRunner
 from busemann_lab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # (file name, argv, exit code)
 CASES = [
@@ -35,6 +42,8 @@ CASES = [
     ("stationary-cocycle-deep.json", ["stationary-cocycle", "--window", "6000",
                                       "--levels", "400"], 0),
     ("parallel-chain.json", ["parallel-chain", "--window", "8000"], 0),
+    ("parallel-chain-three-rhos.json", ["parallel-chain", "--rho", "1.2,0.8,0.4",
+                                        "--window", "8000"], 0),
     ("ppp-busemann.json", ["ppp-busemann", "--samples", "4000"], 0),
     ("jump-count.json", ["jump-count", "--samples", "2000"], 0),
     ("zero-temp.json", ["zero-temp", "--samples", "120"], 0),
@@ -75,6 +84,20 @@ def _run(argv, path: Path) -> int:
 def test_report_matches_golden(tmp_path, name, argv, code):
     out = tmp_path / name
     assert _run(argv, out) == code
+    assert _normalized(out.read_text()) == _normalized((GOLDEN / name).read_text())
+
+
+TRACED = [c for c in CASES if "-defaults" not in c[0]]
+
+
+@pytest.mark.parametrize("name, argv, code", TRACED, ids=[c[0] for c in TRACED])
+def test_traced_report_matches_golden(tmp_path, monkeypatch, name, argv, code):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import Tracer
+
+    out = tmp_path / name
+    with Tracer():
+        assert _run(argv, out) == code
     assert _normalized(out.read_text()) == _normalized((GOLDEN / name).read_text())
 
 

@@ -40,7 +40,7 @@ def ig_window(shape, lo, hi, seed, stream=0):
 
 class TestWord:
     def test_empty_sentinel(self):
-        w = Word.empty(4)
+        w = Word(4, np.empty(0))
         assert w.is_empty and len(w) == 0 and w.start == 4
 
     def test_nonfinite_rejected(self):

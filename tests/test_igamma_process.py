@@ -8,7 +8,7 @@ import scipy.special as sps
 import scipy.stats as st
 
 from busemann_lab.igamma_process import (
-    _DEFAULT_Y_MIN,
+    Y_MIN,
     JumpProcessSample,
     _accepted_points,
     _band_masses,
@@ -32,35 +32,30 @@ from busemann_lab.special_functions import POISSON_MEAN_MAX, Rng, sample_gamma, 
 
 
 def intensity(s, y, alpha):
-    return math.exp(-y * (alpha - s)) / (1.0 - math.exp(-y))
+    return math.exp(-y * (alpha - s)) / -math.expm1(-y)
 
 
 class TestQuadratures:
     def test_compensator_matches_dblquad(self):
-        alpha, rho, y_min = 2.0, 1.2, 1e-3
-        ours = small_jump_compensator(alpha, rho, y_min)
+        alpha, rho = 2.0, 1.2
+        ours = small_jump_compensator(alpha, rho)
         ref, _ = si.dblquad(
-            lambda y, s: y * intensity(s, y, alpha), 0.0, rho, 0.0, y_min
+            lambda y, s: y * intensity(s, y, alpha), 0.0, rho, 0.0, Y_MIN,
+            epsabs=0.0, epsrel=1e-13,
         )
         assert ours == pytest.approx(ref, rel=1e-10)
 
     def test_compensator_with_thinning(self):
-        alpha, rho, y_min = 1.0, 0.8, 1e-3
-        ours = small_jump_compensator(
-            alpha, rho, y_min, thinning=zero_temp_keep_prob
-        )
+        alpha, rho = 1.0, 0.8
+        ours = small_jump_compensator(alpha, rho, thinning=zero_temp_keep_prob)
         ref, _ = si.dblquad(
             lambda y, s: y * intensity(s, y, alpha) * (1.0 - math.exp(-y)),
-            0.0,
-            rho,
-            0.0,
-            y_min,
+            0.0, rho, 0.0, Y_MIN, epsabs=0.0, epsrel=1e-13,
         )
         assert ours == pytest.approx(ref, rel=1e-10)
 
     def test_compensator_trivial_cases(self):
-        assert small_jump_compensator(2.0, 0.0, 1e-6) == 0.0
-        assert small_jump_compensator(2.0, 1.0, 0.0) == 0.0
+        assert small_jump_compensator(2.0, 0.0) == 0.0
 
     def test_expected_count_matches_quad(self):
         # Down to twice the small-jump cutoff, where the integrand's 1/y
@@ -72,7 +67,7 @@ class TestQuadratures:
             return (math.exp(-y * (alpha - s2)) * -math.expm1(-y * (s2 - s1))
                     / -math.expm1(-y))
 
-        for delta in (1.0, 1e-2, 1e-4, 2 * _DEFAULT_Y_MIN):
+        for delta in (1.0, 1e-2, 1e-4, 2 * Y_MIN):
             # At alpha = 2 and s in (0, 1] the intensity integrates over s
             # to e^{-y} / y, so the count is the exponential integral E1.
             ours = expected_jump_count(2.0, delta, (0.0, 1.0))
@@ -87,7 +82,7 @@ class TestQuadratures:
     def test_envelope_peak(self):
         # Flat in y up to rho_max = alpha / 1.25, growing past it, and
         # overflowing (0 * inf in the band masses) near alpha.
-        a, b = _bands(1.0, 0.5, _DEFAULT_Y_MIN)
+        a, b = _bands(1.0, 0.5)
         assert envelope_peak(1.0, 0.5) == np.max(_band_masses(1.0, 0.5, a, b)) < 1.0
         assert 1e27 < envelope_peak(1.0, 0.9) < np.inf
         assert envelope_peak(1.0, 0.95) == np.inf
@@ -119,26 +114,22 @@ class TestSampler:
         smp = sample_ppp(2.0, 1.5, rng=Rng(master_seed=6))
         assert np.all(np.diff(smp.s) >= 0)
         assert np.all((smp.s > 0) & (smp.s <= 1.5))
-        assert np.all(smp.y >= smp.y_min)
+        assert np.all(smp.y >= Y_MIN)
         assert np.all((smp.u > 0) & (smp.u < 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_ppp(2.0, 2.5, rng=Rng(master_seed=0))
-        with pytest.raises(ValueError, match="infinite mass"):
-            sample_ppp(2.0, 1.0, y_min=0.0, rng=Rng(master_seed=0))
-        with pytest.raises(ValueError):
-            sample_ppp(2.0, 1.0)
 
 
-def _oracle_points(alpha, rho_max, y_min, n, rng):
+def _oracle_points(alpha, rho_max, n, rng):
     """Accepted (sample index, s, y, u) of n realizations drawn from rng.
 
     The one-stream band layout written with the public stream API only,
     one band after another: band b draws its n counts from rng.spawn(2b + 1)
     and its k proposals' 3k uniforms, then k marks, from rng.spawn(2b + 2).
     """
-    a, b = _bands(alpha, rho_max, y_min)
+    a, b = _bands(alpha, rho_max)
     masses = _band_masses(alpha, rho_max, a, b)
     parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0))]
     for band in range(a.shape[0]):
@@ -162,11 +153,10 @@ def _oracle_points(alpha, rho_max, y_min, n, rng):
 def _oracle_sample(alpha, rho, rng):
     """sample_ppp(alpha, rho, rng=rng), from _oracle_points."""
     z0 = -math.log(sample_gamma(rng.spawn(0), alpha, size=1)[0])
-    _, s, y, u = _oracle_points(alpha, rho, 1e-6, 1, rng)
+    _, s, y, u = _oracle_points(alpha, rho, 1, rng)
     order = np.argsort(s, kind="stable")
     return JumpProcessSample(
         alpha=alpha, z0=z0, s=s[order], y=y[order], u=u[order], rho_max=rho,
-        y_min=1e-6,
     )
 
 
@@ -187,8 +177,8 @@ class TestOracle:
     def test_one_stream_points_equal_oracle(self, n, alpha, rho):
         rng = Rng(5, 2**40 + 3)
         streams = np.array([rng.stream_id], dtype=np.uint64)
-        got = _accepted_points(alpha, rho, 1e-6, n, 5, streams)
-        want = _oracle_points(alpha, rho, 1e-6, n, rng)
+        got = _accepted_points(alpha, rho, n, 5, streams)
+        want = _oracle_points(alpha, rho, n, rng)
         assert got[0].dtype == want[0].dtype
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -218,7 +208,6 @@ class TestReplicaPpp:
             want = _replica_reference(alpha, rho, seed, stream_id, i)
             assert got[i].z0 == want.z0
             assert (got[i].alpha, got[i].rho_max) == (alpha, rho)
-            assert got[i].y_min == want.y_min
             for name in ("s", "y", "u"):
                 assert np.array_equal(getattr(got[i], name), getattr(want, name))
 
@@ -252,8 +241,6 @@ class TestReplicaPpp:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_ppp_replicas(2.0, 2.5, 3, Rng(master_seed=0))
-        with pytest.raises(ValueError, match="infinite mass"):
-            sample_ppp_replicas(2.0, 1.0, 3, Rng(master_seed=0), y_min=0.0)
         assert sample_ppp_replicas(2.0, 1.0, 0, Rng(master_seed=0)) == []
 
 
@@ -346,7 +333,7 @@ class TestReparamBound:
 
     def test_matches_direct_computation(self):
         alpha = 0.5
-        xi1 = np.linspace(0.0, 1.0, 1002)[1:-1]
+        xi1 = np.linspace(0.0, 1.0, 10_002)[1:-1]
         r1 = np.sqrt(1 - xi1)
         s0 = r1 / (r1 + np.sqrt(xi1))
         rho = alpha * s0
@@ -354,9 +341,7 @@ class TestReparamBound:
             sps.polygamma(1, rho) + sps.polygamma(1, alpha - rho)
         )
         direct = float(np.max(2 * np.abs(u1 - xi1)))
-        assert reparam_bound(alpha, grid_size=1000) == pytest.approx(
-            direct, rel=1e-10
-        )
+        assert reparam_bound(alpha) == pytest.approx(direct, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Peak memory of the grid- and trial-sized checks, seen by tracemalloc.
+"""Peak memory of the grid-, trial- and sample-sized checks, seen by tracemalloc.
 
 tracemalloc sees numpy's buffers.  A run may hold the arrays its checks
 read and little more: the checks stream them row by row, or block by
-block, instead of building temporaries of their size.
+block, instead of building temporaries of their size.  A run that sizes
+itself with experiments._fits holds at most what it counts there.
 """
 
 import tracemalloc
@@ -13,6 +14,8 @@ import pytest
 
 from busemann_lab import busemann as bu
 from busemann_lab import experiments as ex
+from busemann_lab import igamma_process as ig
+from busemann_lab.special_functions import Rng
 
 
 def _peak(run, *args) -> int:
@@ -38,6 +41,30 @@ def test_window_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, windo
     monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
     peak = _peak(run, *args(window))
     assert peak <= 8 * max(counted)
+
+
+@pytest.mark.parametrize("samples", [20000, 40000])
+@pytest.mark.parametrize("run, args", [
+    (ex.run_jump_count, lambda n: (2.0, 1.0, 0.0, 1.0, n, 7)),
+    (ex.run_jump_count, lambda n: (1.0, 0.5, 0.0, 0.5, n, 7)),
+    (ex.run_zero_temp, lambda n: (0.5, n, 7)),
+], ids=["jump-count", "jump-count-alpha-1", "zero-temp"])
+def test_jump_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, samples):
+    counted = []
+    monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
+    peak = _peak(run, *args(samples))
+    assert peak <= 8 * max(counted)
+
+
+@pytest.mark.parametrize("samples", [20000, 40000])
+@pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (1.0, 0.5), (1.0, 0.8)])
+def test_increment_sums_hold_at_most_what_fits_counts(monkeypatch, alpha, rho, samples):
+    # ppp-busemann's --samples part; its parallel_chain rows are counted apart.
+    counted = []
+    monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
+    ex._jump_points_fit(alpha, rho, samples)
+    peak = _peak(ig.batch_increment_sums, alpha, [rho], samples, Rng(master_seed=7))
+    assert peak <= 8 * counted[0]
 
 
 def test_stationary_cocycle_holds_its_grids():

@@ -164,7 +164,7 @@ class TestUpdate:
         i = ig_window(1.0, 0, 400, seed=3, stream=1)
         gap = digamma(2.0) - digamma(1.0)
         assert burn_in(-digamma(2.0), -digamma(1.0)) == math.ceil(40.0 / gap)
-        assert update(w, i).valid_lo == math.ceil(40.0 / gap)
+        assert update(w, i).i_tilde.lo == math.ceil(40.0 / gap)
 
     def test_ig_window_is_the_hinted_draw(self):
         win = seqmaps.ig_window(Rng(master_seed=3, stream_id=1), 1.5, -4, 200)
@@ -178,7 +178,7 @@ class TestUpdate:
         w = ig_window(2.0, 0, 400, seed=1, stream=0)
         i = ig_window(1.0, 0, 400, seed=1, stream=1)
         out = update(w, i)
-        log_i = i.restrict(out.valid_lo + 1, i.hi).values
+        log_i = i.restrict(out.i_tilde.lo + 1, i.hi).values
         expected = -np.logaddexp(-log_i, -out.j.values[:-1])
         assert np.max(np.abs(out.w_tilde.values[1:] - expected)) < 1e-13
 
@@ -209,7 +209,7 @@ class TestInverse:
         w = ig_window(2.5, 0, 3000, seed=8, stream=0)
         i = ig_window(1.0, 0, 3000, seed=8, stream=1)
         out = update(w, i)
-        rec = inverse_h(w.restrict(out.valid_lo, 3000), out.i_tilde)
+        rec = inverse_h(w.restrict(out.i_tilde.lo, 3000), out.i_tilde)
         ref = i.restrict(rec.lo, rec.hi)
         assert np.max(np.abs(rec.values - ref.values)) < 1e-11
 
@@ -275,7 +275,7 @@ class TestIteratedMaps:
         lhs = update(w.restrict(inner.lo, inner.hi), inner).i_tilde
         first = update(w, i1)
         second = update(
-            first.w_tilde, i2.restrict(first.valid_lo, 3000)
+            first.w_tilde, i2.restrict(first.i_tilde.lo, 3000)
         ).i_tilde
         rhs = update(
             first.i_tilde.restrict(second.lo, second.hi), second
