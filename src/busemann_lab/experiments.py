@@ -38,6 +38,9 @@ KS_WINDOW_MIN = 16 * (20 - 1)
 # covers the Ga(shape + 1) factor, so every gamma draw and its reciprocal
 # are finite and nonzero.
 MIN_SHAPE = 54 / (sys.float_info.max_exp // 2)
+# Past this shape alpha - MIN_SHAPE rounds back to alpha, so --rho's range
+# (0, alpha - MIN_SHAPE] would admit rho = alpha, a stationary shape of 0.
+MAX_SHAPE = 2.0 ** 50
 # The largest single array a run may allocate.
 MEMORY_BUDGET = 2 ** 30
 
@@ -77,9 +80,9 @@ def _require(ok: bool, option: str, message: str) -> None:
 
 
 def _alpha(alpha: float, floor: float = MIN_SHAPE) -> None:
-    """alpha is a finite shape of at least floor; NaN is not."""
-    _require(floor <= alpha < math.inf, "--alpha",
-             f"{alpha} is not in the range {floor:.6g}<=x<inf.")
+    """alpha is a shape in [floor, MAX_SHAPE]; NaN is not."""
+    _require(floor <= alpha <= MAX_SHAPE, "--alpha",
+             f"{alpha} is not in the range {floor:.6g}<=x<={MAX_SHAPE:.6g}.")
 
 
 def _rho(alpha: float, rho: float) -> None:
@@ -478,6 +481,10 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
     _require(s_lo < s_hi < alpha, "--s-hi", f"{s_hi} is not in the range {s_lo}<x<{alpha}.")
     _jump_sampler(alpha, s_hi, "--s-hi")
     _jump_points_fit(alpha, s_hi, samples)
+    # The count falls with delta, so if it is 0 at the smallest, alpha is to blame.
+    _require(ig.expected_jump_count(alpha, ig.Y_MIN, (s_lo, s_hi)) > 0.0, "--alpha",
+             f"{alpha} leaves no jumps with s in [{s_lo}, {s_hi}]: the expected "
+             "count is 0 at every --delta")
     mu = ig.expected_jump_count(alpha, delta, (s_lo, s_hi))
     _require(mu > 0.0, "--delta", f"the expected count {mu:g} is not positive")
     rng = Rng(master_seed=seed)
@@ -607,6 +614,16 @@ SIGMA3_RATE = 0.0027
 MIN_TRIALS = math.ceil(1.0 / (3.0 * min(*CALIBRATION_LEVELS, SIGMA3_RATE)))
 
 
+def _per_block(stat, *blocks) -> np.ndarray:
+    """stat's per-row results over blocks of rows drawn side by side,
+    concatenated along the rows; one set of blocks is held at a time."""
+    out = []
+    for block in zip(*blocks):
+        out.append(np.asarray(stat(*block)))
+        del block  # before the next blocks are drawn
+    return np.concatenate(out, axis=-1)
+
+
 def run_calibrate_stats(trials, samples, seed) -> list[dict]:
     # Each trial's uniforms come block by block; a two-sample test pools
     # two samples, and the dispersion test draws its counts in one event.
@@ -618,17 +635,11 @@ def run_calibrate_stats(trials, samples, seed) -> list[dict]:
              "one false positive fails a rate gate")
     rng = Rng(master_seed=seed)
     checks = []
-    p_one = np.array([
-        ks_one_sample(u, lambda v: np.clip(v, 0.0, 1.0)).p_value
-        for block in rng.spawn(1).uniform_rows(trials, samples) for u in block
-    ])
-    p_two, corr = [], []
-    for a, b in zip(rng.spawn(2).uniform_rows(trials, samples),
-                    rng.spawn(3).uniform_rows(trials, samples)):
-        p_two += [ks_two_sample(x, y).p_value for x, y in zip(a, b)]
-        corr += [pearson(x, y) for x, y in zip(a, b)]
-        del a, b  # before the next pair is drawn
-    p_two, corr = np.array(p_two), np.array(corr)
+    p_one = _per_block(lambda u: ks_one_sample(u, lambda v: np.clip(v, 0.0, 1.0)).p_value,
+                       rng.spawn(1).uniform_rows(trials, samples))
+    p_two, corr = _per_block(lambda a, b: (ks_two_sample(a, b).p_value, pearson(a, b)),
+                             rng.spawn(2).uniform_rows(trials, samples),
+                             rng.spawn(3).uniform_rows(trials, samples))
     for name, pvals in (("one-sample-ks", p_one), ("two-sample-ks", p_two)):
         for level in CALIBRATION_LEVELS:
             checks.append(_check(

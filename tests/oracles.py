@@ -7,8 +7,10 @@ partition-function table, the oracles for the wavefront update step and
 the strided table; the allocating splitmix64 chain, one temporary per
 step, the oracle for the fused hashing kernel; the whole-array gamma
 sampler, every log test on every lane, the oracle for the blocked one;
-and the scalar incomplete gamma and beta functions, one Python-float
-loop per point, the oracles for their lane kernels.
+the scalar incomplete gamma and beta functions, one Python-float
+loop per point, the oracles for their lane kernels; and the two-sample
+KS test by two searches of the pooled sample, the oracle for the
+label-tagged sort of stacked rows.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from busemann_lab.seqmaps import update_raw
 from busemann_lab.special_functions import (_GOLDEN, _MIX1, _MIX2, _SALT_LANE, _U64, Rng,
                                             _as_u64, _check_positive, _hash,
                                             _lane_uniforms)
+from busemann_lab.stats import KsResult, _ks_pvalue
 
 
 def per_replica_ratio_samples(
@@ -237,3 +240,16 @@ def _i_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(log_front) * _beta_cf(a, b, x) / a
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
+
+
+def searched_ks_two_sample(a, b) -> KsResult:
+    """``stats.ks_two_sample`` of one pair of 1-d samples, by searchsorted."""
+    xa = np.sort(np.asarray(a, dtype=np.float64))
+    xb = np.sort(np.asarray(b, dtype=np.float64))
+    na, nb = xa.shape[0], xb.shape[0]
+    pooled = np.concatenate([xa, xb])
+    cdf_a = np.searchsorted(xa, pooled, side="right") / na
+    cdf_b = np.searchsorted(xb, pooled, side="right") / nb
+    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    n_eff = na * nb / (na + nb)
+    return KsResult(statistic=d, p_value=_ks_pvalue(d, n_eff), n=na + nb)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -170,6 +171,13 @@ NAMED_ERRORS = [
     ["jump-count", "--s-hi", "1.9"],
     # The expected count underflows to 0.
     ["jump-count", "--delta", "1000"],
+    # Far past MAX_SHAPE the burn-ins, and past about 1e9 the expected
+    # count at the smallest delta, fail at the other options' defaults.
+    ["ppp-busemann", "--alpha", "1e300"],
+    ["jump-count", "--alpha", "1e300"],
+    ["cif-eta", "--alpha", "1e300"],
+    # Past MAX_SHAPE, --rho's range admitted rho = alpha and the run crashed.
+    ["cif-eta", "--alpha", "2e15", "--rho", "2e15"],
 ]
 
 # A cap on the address space of the subprocesses below.
@@ -286,6 +294,12 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert f"Invalid value for '{args[1]}'" in proc.stderr
         assert "GiB budget" in proc.stderr
+
+    def test_max_shape_is_the_last_that_keeps_min_shape_below_it(self):
+        top = experiments.MAX_SHAPE
+        assert top - experiments.MIN_SHAPE < top
+        above = math.nextafter(top, math.inf)
+        assert above - experiments.MIN_SHAPE == above
 
     def test_calibration_trials_minimum(self, runner):
         # 124 = ceil(1 / (3 * 0.0027)): the fewest trials at which one

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats as st
+from oracles import searched_ks_two_sample
 
 from busemann_lab.stats import (
     ks_one_sample,
@@ -8,6 +9,41 @@ from busemann_lab.stats import (
     pearson,
     poisson_dispersion,
 )
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _uniform_cdf(v):
+    return np.clip(v, 0.0, 1.0)
+
+
+def _grid(rng, shape):
+    """Values on a 1/50 grid in [0, 1]: every row is heavily tied."""
+    return rng.integers(0, 51, size=shape) / 50.0
+
+
+def _zeros_and_inf(rng, shape):
+    """Tied non-negative values, with -0.0, +0.0 and +inf among them."""
+    x = _grid(rng, shape)
+    x[rng.uniform(size=shape) < 0.1] = -0.0
+    x[rng.uniform(size=shape) < 0.1] = 0.0
+    x[rng.uniform(size=shape) < 0.05] = np.inf
+    return x
+
+
+# (a, b, whether the pairs are too wide for the label bit and search b).
+_TWO_SAMPLE_CASES = {
+    "uniforms": (lambda r: (r.uniform(size=(40, 500)), r.uniform(size=(40, 500))), False),
+    "zeros-and-inf": (lambda r: (_zeros_and_inf(r, (40, 300)), _zeros_and_inf(r, (40, 400))),
+                      False),
+    "grid-ties": (lambda r: (_grid(r, (40, 500)), _grid(r, (40, 700))), False),
+    "unequal-sizes": (lambda r: (r.uniform(size=(30, 200)), r.uniform(size=(30, 350))), False),
+    "negatives": (lambda r: (-r.exponential(size=(20, 300)), -r.uniform(size=(20, 250))), False),
+    "normals": (lambda r: (r.normal(size=(20, 300)), r.normal(size=(20, 400))), True),
+    "normals-1e5": (lambda r: (1e5 * r.normal(size=(20, 300)), r.normal(size=(20, 400))), True),
+}
 
 
 class TestKsOneSample:
@@ -123,3 +159,110 @@ class TestPoissonDispersion:
     def test_bad_shapes(self, shape):
         with pytest.raises(ValueError, match="counts"):
             poisson_dispersion(np.ones(shape), 1.0)
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize("case", sorted(_TWO_SAMPLE_CASES))
+    def test_two_sample_rows_equal_the_searched_oracle(self, monkeypatch, case):
+        make, searched = _TWO_SAMPLE_CASES[case]
+        a, b = make(np.random.default_rng(len(case)))
+        searches = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: searches.append(1) or real(*args, **kw))
+        got = ks_two_sample(a, b)
+        monkeypatch.undo()
+        assert bool(searches) == searched
+        assert got.statistic.shape == got.p_value.shape == (a.shape[0],)
+        want = [searched_ks_two_sample(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(_bits(got.statistic), _bits([w.statistic for w in want]))
+        assert np.array_equal(_bits(got.p_value), _bits([w.p_value for w in want]))
+        assert got.n == a.shape[1] + b.shape[1]
+        # Each row alone, as a 1-d call, gives the same bits too.
+        one = ks_two_sample(a[-1], b[-1])
+        assert (one.statistic, one.p_value) == (want[-1].statistic, want[-1].p_value)
+
+    @pytest.mark.parametrize("case", ["uniforms", "grid-ties", "normals"])
+    def test_equal_samples_have_statistic_zero(self, case):
+        a, _ = _TWO_SAMPLE_CASES[case][0](np.random.default_rng(0))
+        got = ks_two_sample(a, a)
+        assert np.all(got.statistic == 0.0) and np.all(got.p_value == 1.0)
+        assert ks_two_sample(a[0], a[0]).statistic == 0.0
+
+    def test_one_sample_rows_equal_one_dimensional_calls(self):
+        u = np.random.default_rng(8).uniform(size=(70, 400))
+        calls = []
+
+        def cdf(v):
+            calls.append(v.shape)
+            return _uniform_cdf(v)
+
+        got = ks_one_sample(u, cdf)
+        assert calls == [u.shape]
+        want = [ks_one_sample(row, _uniform_cdf) for row in u]
+        assert np.array_equal(_bits(got.statistic), _bits([w.statistic for w in want]))
+        assert np.array_equal(_bits(got.p_value), _bits([w.p_value for w in want]))
+
+    def test_pearson_rows_equal_one_dimensional_calls(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(200, 300))
+        b = 0.3 * a + rng.normal(size=(200, 300))
+        b[5] = 1.0  # a constant row has no correlation
+        got = pearson(a, b)
+        want = [pearson(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got[5] == 0.0
+
+    def test_one_dimensional_results_are_floats(self):
+        x = np.random.default_rng(10).uniform(size=(2, 100))
+        one = ks_one_sample(x[0], _uniform_cdf)
+        two = ks_two_sample(x[0], x[1])
+        for res in (one, two):
+            assert type(res.statistic) is float and type(res.p_value) is float
+        assert type(pearson(x[0], x[1])) is float
+
+    def test_mismatched_rows_error(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="same rows"):
+            ks_two_sample(rng.uniform(size=(3, 50)), rng.uniform(size=(4, 50)))
+        with pytest.raises(ValueError, match="rows, n"):
+            ks_two_sample(rng.uniform(size=(2, 3, 50)), rng.uniform(size=(2, 3, 50)))
+        with pytest.raises(ValueError):
+            pearson(rng.uniform(size=(3, 50)), rng.uniform(size=(4, 50)))
+
+
+class TestNanSamples:
+    def test_two_sample_nan_gives_nan_and_zero(self):
+        x = np.linspace(0.1, 0.9, 50)
+        y = x.copy()
+        y[7] = np.nan
+        for a, b in ((x, y), (y, x)):
+            res = ks_two_sample(a, b)
+            assert np.isnan(res.statistic) and res.p_value == 0.0
+
+    def test_one_sample_nan_gives_nan_and_zero(self):
+        y = np.linspace(0.1, 0.9, 50)
+        y[7] = np.nan
+        res = ks_one_sample(y, _uniform_cdf)
+        assert np.isnan(res.statistic) and res.p_value == 0.0
+
+    @pytest.mark.parametrize("nan", [np.nan, -np.nan, np.uint64(0xFFF0_0000_0000_0001)])
+    def test_stacked_nan_marks_only_its_row(self, monkeypatch, nan):
+        # A negative or signalling NaN among non-negative samples neither
+        # widens the pair past the label bit nor moves the other rows.
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(size=(6, 200)), rng.uniform(size=(6, 300))
+        clean = ks_two_sample(a, b)
+        bits = np.asarray(nan).view(np.float64) if isinstance(nan, np.uint64) else nan
+        b[2, 17] = bits
+        searches = []
+        monkeypatch.setattr(np, "searchsorted", lambda *args, **kw: searches.append(1))
+        got = ks_two_sample(a, b)
+        assert not searches
+        assert np.isnan(got.statistic[2]) and got.p_value[2] == 0.0
+        keep = np.arange(6) != 2
+        assert np.array_equal(_bits(got.statistic[keep]), _bits(clean.statistic[keep]))
+        assert np.array_equal(_bits(got.p_value[keep]), _bits(clean.p_value[keep]))
+        one = ks_one_sample(b, _uniform_cdf)
+        assert np.isnan(one.statistic[2]) and one.p_value[2] == 0.0
+        assert not np.isnan(one.statistic[keep]).any()
