@@ -144,18 +144,24 @@ def _fits(elements: int, option: str) -> None:
 # The jump sampler's accepted points are four arrays (sample index, s, y,
 # u), held twice over while they are gathered from the bands.
 _POINT_ARRAYS = 8
-# A band's Poisson draw of one count per sample holds at most this many
-# arrays of samples at once: its keys, limits, products, counts, pending
+# A pass of the sampler's Poisson draw holds at most this many arrays of
+# its counts at once: their keys, means, limits, products, counts, pending
 # indices and a hashing pass.
 _COUNT_ARRAYS = 11
+# ... and then this many arrays of its proposals: their indices, stream
+# ids, bands, three uniforms and their keys, band edges, s, y and the
+# acceptance ratio with its temporaries.
+_PROPOSAL_ARRAYS = 20
 
 
 def _jump_points_fit(alpha: float, rho_max: float, samples: int) -> None:
     """The jump sampler holds the accepted points of all samples together,
-    about samples times the envelope's total mass of them, and draws each
-    band's counts on top of them."""
+    about samples times the envelope's total mass of them, and draws the
+    counts and proposals of one pass of bands on top of them."""
     mass = ig.envelope_mass(alpha, rho_max)
-    _fits(math.ceil(samples * (_POINT_ARRAYS * mass + _COUNT_ARRAYS)), "--samples")
+    counts, proposals = ig.pass_load(alpha, rho_max, samples)
+    _fits(math.ceil(samples * _POINT_ARRAYS * mass + _COUNT_ARRAYS * counts
+                    + _PROPOSAL_ARRAYS * proposals), "--samples")
 
 
 # A gamma draw of one window holds at most this many arrays of its size

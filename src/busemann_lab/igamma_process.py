@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
+    _CHUNK,
     Rng,
     _as_u64,
     _event_keys,
@@ -45,6 +46,7 @@ __all__ = [
     "expected_jump_count",
     "envelope_peak",
     "envelope_mass",
+    "pass_load",
     "batch_increment_sums",
     "batch_jump_counts",
     "pos_temp_keep_prob",
@@ -133,6 +135,24 @@ def envelope_mass(alpha: float, rho_max: float) -> float:
     return float(np.sum(_envelope(alpha, rho_max)))
 
 
+def _bands_per_pass(draws: int) -> int:
+    """Bands that one pass of _accepted_points draws together when each
+    band has draws counts (n samples of m streams): about _CHUNK counts a
+    pass, the rule by which Rng.uniform_rows sizes its blocks."""
+    return max(1, _CHUNK // max(draws, 1))
+
+
+def pass_load(alpha: float, rho_max: float, draws: int) -> tuple[int, float]:
+    """The most counts one pass of the sampler on (0, rho_max] draws, for
+    draws samples over all streams, and the most proposals it expects: the
+    envelope mass of its bands times draws."""
+    masses = _envelope(alpha, rho_max)
+    per_pass = _bands_per_pass(draws)
+    group_masses = np.add.reduceat(masses, np.arange(0, masses.shape[0], per_pass))
+    return (min(per_pass, masses.shape[0]) * draws,
+            draws * float(np.max(group_masses, initial=0.0)))
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only, per order."""
@@ -182,40 +202,46 @@ def _accepted_points(
     of a stream draws its n counts from event 0 of the stream's child
     2b + 1.  Its c proposals read event 0 of child 2b + 2: point j takes
     element j for y, c + j for s and 2c + j for acceptance, and element j
-    of event 1 for its mark.  Points come band by band, in sample-index
-    order within a band.
+    of event 1 for its mark.  Consecutive bands are drawn together,
+    max(1, _CHUNK // (m n)) of them per pass: a pass makes one hashing call
+    for the counts of all its bands and streams, one Poisson draw, one
+    hashing call for all their proposals and one for their marks.  Points
+    come band by band, in sample-index order within a band.
     """
     a, b = _bands(alpha, rho_max)
     masses = _band_masses(alpha, rho_max, a, b)
-    m = streams.shape[0]
+    # s has density proportional to e^{b s} on (0, rho_max]
+    s_scale = np.expm1(b * rho_max)
+    draws = streams.shape[0] * n
+    per_pass = _bands_per_pass(draws)
     empty = np.empty(0)
     parts = [(np.empty(0, dtype=np.int64), empty, empty, empty)]
-    for band in range(a.shape[0]):
-        count_keys = _event_keys(seed, _spawn_ids(streams, 2 * band + 1), 0, n)
-        counts = poisson_from_keys(count_keys.ravel(), masses[band])
+    for first in range(0, a.shape[0], per_pass):
+        bands = np.arange(first, min(first + per_pass, a.shape[0]))
+        children = 2 * bands.astype(np.uint64)[:, None]
+        counts = poisson_from_keys(
+            _event_keys(seed, _spawn_ids(streams, children + 1), 0, n).ravel(),
+            np.repeat(masses[bands], draws),
+        )
         k = int(counts.sum())
         if k == 0:
             continue
-        owner = np.repeat(np.arange(m * n), counts)
-        per_stream = counts.reshape(m, n).sum(axis=1)
-        j = np.arange(k) - np.repeat(np.cumsum(per_stream) - per_stream, per_stream)
-        c = np.repeat(per_stream, per_stream)
-        ids = _spawn_ids(streams, 2 * band + 2)
-        # A lone stream's id broadcasts: _event_keys hashes every id it gets.
-        if m > 1:
-            ids = np.repeat(ids, per_stream)
+        owner = np.repeat(np.arange(counts.shape[0]) % draws, counts)
+        # Proposals per (band, stream), band-major.
+        per_event = counts.reshape(-1, n).sum(axis=1)
+        j = np.arange(k) - np.repeat(np.cumsum(per_event) - per_event, per_event)
+        c = np.repeat(per_event, per_event)
+        ids = np.repeat(_spawn_ids(streams, children + 2).ravel(), per_event)
+        band = np.repeat(bands, per_event.reshape(bands.shape[0], -1).sum(axis=1))
         idx = np.stack((j, c + j, 2 * c + j))
         us = _event_keys(seed, ids, 0, idx, unit=True)
         lo, hi = a[band], b[band]
         y = lo + (hi - lo) * us[0]
-        # s has density proportional to e^{b s} on (0, rho_max]
-        s = np.log1p(us[1] * np.expm1(hi * rho_max)) / hi
+        s = np.log1p(us[1] * s_scale[band]) / hi
         # accept with probability sigma(s, y) / (g(a) e^{b s})
-        log_g_lo = _log_g(np.full_like(y, lo), alpha)
-        log_ratio = _log_g(y, alpha) + y * s - log_g_lo - hi * s
+        log_ratio = _log_g(y, alpha) + y * s - _log_g(lo, alpha) - hi * s
         keep = us[2] < np.exp(log_ratio)
-        mark_ids = ids[keep] if m > 1 else ids
-        marks = _event_keys(seed, mark_ids, 1, j[keep], unit=True)
+        marks = _event_keys(seed, ids[keep], 1, j[keep], unit=True)
         parts.append((owner[keep], s[keep], y[keep], marks))
     return tuple(np.concatenate(p) for p in zip(*parts))
 

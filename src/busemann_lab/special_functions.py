@@ -586,10 +586,11 @@ def poisson_from_keys(keys: np.ndarray, mean) -> np.ndarray:
         raise ValueError(f"Poisson mean must be at most {POISSON_MEAN_MAX:.4g}, "
                          f"got {float(np.max(means)):.4g}")
     limit = np.exp(-means)
-    prod = np.ones(n)
-    counts = np.full(n, -1, dtype=np.int64)
-    pending = np.arange(n)
-    lane = 0
+    # Lane 0 over every key: the product of one uniform is the uniform.
+    prod = _lane_uniforms(keys, 0)
+    counts = np.zeros(n, dtype=np.int64)
+    pending = np.flatnonzero(~(prod <= limit))
+    lane = 1
     while pending.size:
         prod[pending] *= _lane_uniforms(keys[pending], lane)
         counts[pending] += 1

@@ -10,7 +10,8 @@ sampler, every log test on every lane, the oracle for the blocked one;
 the scalar incomplete gamma and beta functions, one Python-float
 loop per point, the oracles for their lane kernels; and the two-sample
 KS test by two searches of the pooled sample, the oracle for the
-label-tagged sort of stacked rows.
+label-tagged sort of stacked rows; and the Poisson draw one key and one
+lane at a time, the oracle for the lane loop of poisson_from_keys.
 """
 
 from __future__ import annotations
@@ -240,6 +241,21 @@ def _i_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(log_front) * _beta_cf(a, b, x) / a
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
+
+
+def per_key_poisson(keys: np.ndarray, mean) -> np.ndarray:
+    """``poisson_from_keys``, one key at a time: multiply the key's lane
+    uniforms until the product reaches exp(-mean); the count is the last lane."""
+    means = np.broadcast_to(np.asarray(mean, dtype=np.float64), keys.shape).tolist()
+    counts = np.empty(keys.shape[0], dtype=np.int64)
+    for i, m in enumerate(means):
+        limit = math.exp(-m)
+        prod, lane = float(_lane_uniforms(keys[i:i + 1], 0)[0]), 0
+        while not prod <= limit:
+            lane += 1
+            prod *= float(_lane_uniforms(keys[i:i + 1], lane)[0])
+        counts[i] = lane
+    return counts
 
 
 def searched_ks_two_sample(a, b) -> KsResult:

@@ -172,7 +172,9 @@ class TestOracle:
     with the sampler, but not its band loop or its stream layout.
     """
 
-    @pytest.mark.parametrize("n", [1, 7, 300])
+    # At n = 30000 a pass draws 2 bands, and (0.7, 0.3)'s 85 bands end in
+    # a pass of one.
+    @pytest.mark.parametrize("n", [1, 7, 300, 30000])
     @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (0.7, 0.3)])
     def test_one_stream_points_equal_oracle(self, n, alpha, rho):
         rng = Rng(5, 2**40 + 3)
@@ -195,8 +197,8 @@ class TestOracle:
 class TestReplicaPpp:
     """sample_ppp_replicas against the oracle on rng.spawn(i), bit for bit.
 
-    One reference replica takes about 15 ms, so batches of 257 and 400
-    are compared at every 25th replica and the last two; the other
+    One reference replica takes about 15 ms, so batches of 257, 400 and
+    1,000 are compared at every 25th replica and the last two; the other
     replicas are compared with a smaller batch, and the
     zero-temp-defaults golden report covers all 400 replicas of
     zero-temp's own configuration end to end.
@@ -211,9 +213,10 @@ class TestReplicaPpp:
             for name in ("s", "y", "u"):
                 assert np.array_equal(getattr(got[i], name), getattr(want, name))
 
+    # 1,000 replicas draw 65 bands a pass, then the last 17 to 20 bands.
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("alpha, rho", [(1.0, 0.5), (2.0, 1.2), (0.7, 0.3)])
-    @pytest.mark.parametrize("n", [1, 2, 257, 400])
+    @pytest.mark.parametrize("n", [1, 2, 257, 400, 1000])
     def test_replicas_equal_sample_ppp(self, n, alpha, rho, seed):
         got = sample_ppp_replicas(alpha, rho, n, Rng(seed, 3))
         assert len(got) == n

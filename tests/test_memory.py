@@ -43,7 +43,8 @@ def test_window_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, windo
     assert peak <= 8 * max(counted)
 
 
-@pytest.mark.parametrize("samples", [20000, 40000])
+# At 2,000 samples one pass draws the counts of 32 bands.
+@pytest.mark.parametrize("samples", [2000, 20000, 40000])
 @pytest.mark.parametrize("run, args", [
     (ex.run_jump_count, lambda n: (2.0, 1.0, 0.0, 1.0, n, 7)),
     (ex.run_jump_count, lambda n: (1.0, 0.5, 0.0, 0.5, n, 7)),

@@ -37,8 +37,8 @@ from busemann_lab.special_functions import (
     trigamma,
 )
 
-from oracles import (_i_beta, _p_gamma, unfused_absorb, unfused_mix64, unfused_to_unit,
-                     whole_array_gamma)
+from oracles import (_i_beta, _p_gamma, per_key_poisson, unfused_absorb, unfused_mix64,
+                     unfused_to_unit, whole_array_gamma)
 
 
 _LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1),
@@ -583,6 +583,20 @@ class TestSamplerLaws:
         want = sample_poisson(Rng(master_seed=16), means, size=300)
         got = poisson_from_keys(_event_keys(16, 0, 0, 300), means)
         assert np.array_equal(got, want)
+
+    # Enough keys that the small means draw some nonzero counts.
+    @pytest.mark.parametrize("mean, n", [(0.0, 100), (1e-4, 30000), (0.3, 3000),
+                                         (3.7, 1000), (40.0, 200), (708.0, 10)])
+    def test_poisson_from_keys_equals_per_key_oracle(self, mean, n):
+        keys = _event_keys(15, 4, 2, n)
+        got = poisson_from_keys(keys, mean)
+        assert np.array_equal(got, per_key_poisson(keys, mean))
+        assert mean == 0.0 or np.any(got > 0)
+
+    def test_poisson_from_keys_vector_means_equal_per_key_oracle(self):
+        means = np.tile([0.0, 1e-4, 0.3, 3.7, 40.0, 708.0], 20)
+        keys = _event_keys(16, 0, 0, means.shape[0])
+        assert np.array_equal(poisson_from_keys(keys, means), per_key_poisson(keys, means))
 
     @pytest.mark.parametrize("mean", [math.nan, math.inf, -1.0, -1e-300])
     def test_poisson_from_keys_rejects_bad_means(self, mean):
