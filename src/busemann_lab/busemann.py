@@ -23,7 +23,7 @@ from .lattice import (
     _log_partition_table,
 )
 from .seqmaps import SeqTuple, _update_step, burn_in, ig_window, update_raw
-from .special_functions import Rng, digamma
+from .special_functions import _CHUNK, Rng, digamma
 from .grsk import build_triangular, triangular_reach
 
 __all__ = [
@@ -89,10 +89,20 @@ def _margin(alpha: float, rho: float) -> int:
 
 
 def _weight_rows(field: WeightField, k_lo: int, k_hi: int, t_max: int) -> np.ndarray:
-    """Log-weights of field rows 1..t_max on [k_lo, k_hi]; row 0 is NaN."""
-    w_vals = np.full((t_max + 1, k_hi - k_lo + 1), np.nan)
-    for t in range(1, t_max + 1):
-        w_vals[t] = field.log_weight_row(k_lo, k_hi, t)
+    """Log-weights of field rows 1..t_max on [k_lo, k_hi]; row 0 is NaN.
+
+    One weight-block draw covers max(1, _CHUNK // n) rows of n sites (fewer
+    in the last), the rule of Rng.uniform_rows: the per-call cost of the
+    hashing and of the gamma sampler's rejection rounds is paid once per
+    block instead of once per row.  Each site's weight is a pure function
+    of its key, so the rows have the bits of field.log_weight_row.
+    """
+    n = k_hi - k_lo + 1
+    w_vals = np.full((t_max + 1, n), np.nan)
+    step = max(1, _CHUNK // n)
+    for t in range(1, t_max + 1, step):
+        rows = min(step, t_max + 1 - t)
+        w_vals[t:t + rows] = field.log_weight_block((k_lo, t), (n, rows)).T
     return w_vals
 
 
@@ -102,7 +112,11 @@ def _evolve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the update recursion bottom-to-top over field rows 1..t_max.
 
-    w_vals, if given, holds those rows as ``_weight_rows`` draws them.
+    w_vals, if given, holds those rows as ``_weight_rows`` draws them;
+    otherwise they are drawn here, in blocks of rows.  A grid whose shorter
+    side has at least _WAVEFRONT_MIN sites is swept by anti-diagonals
+    (_sweep_diagonals), a smaller one row by row with update_raw; both
+    give the same bits.
     """
     n = k_hi - k_lo + 1
     if w_vals is None:
@@ -131,12 +145,13 @@ def _sweep_diagonals(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray)
     method), and the values are the bits of the row loop.  In the flat
     C-order arrays diagonal s is a slice of stride n - 1, with I(t - 1, k)
     at offset -n and J(t, k - 1) at offset -1; the site (s, 0) takes the
-    weight seed instead.
+    weight seed instead.  The step's two buffers are allocated once for
+    the longest diagonal, and each step works in their leading slices.
     """
     t_max, n = i_vals.shape[0] - 1, i_vals.shape[1]
     i_flat, j_flat, w_flat = i_vals.reshape(-1), j_vals.reshape(-1), w_vals.reshape(-1)
     step = n - 1
-    buf = np.empty(2 * min(t_max, n))
+    buf, scratch = np.empty(2 * min(t_max, n)), np.empty(2 * min(t_max, n))
     for s in range(1, t_max + n):
         t_lo, t_hi = max(1, s - step), min(t_max, s)
         lo, hi = s + t_lo * step, s + t_hi * step + 1
@@ -146,7 +161,7 @@ def _sweep_diagonals(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray)
         np.subtract(log_i, j_flat[lo - 1:hi - 1:step], out=d)
         if t_hi == s:
             d[-1] = log_i[-1] - w_flat[s * n]
-        _update_step(buf[:2 * size], w_flat[lo:hi:step],
+        _update_step(buf[:2 * size], scratch[:2 * size], w_flat[lo:hi:step],
                      i_flat[lo:hi:step], j_flat[lo:hi:step])
 
 

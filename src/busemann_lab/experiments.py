@@ -154,14 +154,21 @@ _COUNT_ARRAYS = 11
 _PROPOSAL_ARRAYS = 20
 
 
-def _jump_points_fit(alpha: float, rho_max: float, samples: int) -> None:
+# reparam_bound's trigamma holds at most this many arrays of its grid at
+# once: the grid, rho, the first trigamma's values and, in the second, its
+# argument, sums, shift mask and the shift loop's temporaries.
+_REPARAM_ARRAYS = 14
+
+
+def _jump_points_fit(alpha: float, rho_max: float, samples: int, other: int = 0) -> None:
     """The jump sampler holds the accepted points of all samples together,
     about samples times the envelope's total mass of them, and draws the
-    counts and proposals of one pass of bands on top of them."""
+    counts and proposals of one pass of bands on top of them; other counts
+    the elements of what else the run holds, such as zero-temp's grid."""
     mass = ig.envelope_mass(alpha, rho_max)
     counts, proposals = ig.pass_load(alpha, rho_max, samples)
     _fits(math.ceil(samples * _POINT_ARRAYS * mass + _COUNT_ARRAYS * counts
-                    + _PROPOSAL_ARRAYS * proposals), "--samples")
+                    + _PROPOSAL_ARRAYS * proposals) + other, "--samples")
 
 
 # A gamma draw of one window holds at most this many arrays of its size
@@ -507,7 +514,7 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
 def run_zero_temp(rho, samples, seed) -> list[dict]:
     _require(0.0 < rho < 1.0, "--rho", f"{rho} is not in the range 0<x<1.")
     _jump_sampler(1.0, rho, "--rho")
-    _jump_points_fit(1.0, rho, samples)
+    _jump_points_fit(1.0, rho, samples, _REPARAM_ARRAYS * ig.REPARAM_POINTS)
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(
         1.0, [rho], samples, rng.spawn(1), thinning=ig.zero_temp_keep_prob

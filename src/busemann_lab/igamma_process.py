@@ -437,8 +437,12 @@ def _zero_temp_rho(xi1: np.ndarray) -> np.ndarray:
     return r1 / (r1 + r2)
 
 
+# Directions on reparam_bound's xi-grid.
+REPARAM_POINTS = 10_000
+
+
 def reparam_bound(alpha: float) -> float:
-    """Sup over a 10,000-point xi-grid of the l1 direction-reparametrization gap.
+    """Sup over a REPARAM_POINTS-point xi-grid of the l1 direction-reparametrization gap.
 
     For each direction xi, maps the zero-temperature parameter s0(xi)
     into the alpha-polymer direction through rho = alpha s0(xi) and
@@ -446,7 +450,7 @@ def reparam_bound(alpha: float) -> float:
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    xi1 = np.linspace(0.0, 1.0, 10_002)[1:-1]
+    xi1 = np.linspace(0.0, 1.0, REPARAM_POINTS + 2)[1:-1]
     rho = alpha * _zero_temp_rho(xi1)
     t1 = trigamma(rho)
     t2 = trigamma(alpha - rho)

@@ -77,10 +77,11 @@ class WeightField:
         """Log-weights on the block origin + [0, shape0) x [0, shape1)."""
         x1, x2 = _check_point(origin)
         n1, n2 = int(shape[0]), int(shape[1])
-        xs = x1 + np.repeat(np.arange(n1), n2)
-        ys = x2 + np.tile(np.arange(n2), n1)
+        # keys_for_sites broadcasts the column against the row.
+        xs = x1 + np.arange(n1)[:, None]
+        ys = x2 + np.arange(n2)[None, :]
         keys = keys_for_sites(self.master_seed, self.stream_id, xs, ys)
-        return -np.log(gamma_from_keys(keys, self.alpha)).reshape(n1, n2)
+        return -np.log(gamma_from_keys(keys.reshape(-1), self.alpha)).reshape(n1, n2)
 
     def log_weight_row(self, k_lo: int, k_hi: int, t: int) -> np.ndarray:
         """Log-weights at sites (k, t) for k in [k_lo, k_hi]."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import Rng, _libm, digamma, sample_inverse_gamma
+from .special_functions import Rng, _log1p_exp, digamma, sample_inverse_gamma
 
 __all__ = [
     "LogSeqWindow",
@@ -157,21 +157,23 @@ def ig_window(rng: Rng, shape: float, lo: int, hi: int) -> LogSeqWindow:
     return LogSeqWindow(lo, hi, vals, cesaro_hint=-digamma(shape))
 
 
-def _update_step(both: np.ndarray, log_w, log_it, log_j) -> None:
+def _update_step(both: np.ndarray, scratch: np.ndarray, log_w, log_it, log_j) -> None:
     """One column k of the update recursion for a vector of independent rows.
 
-    On entry the first half of ``both`` holds d = log I_k - log J_{k-1},
-    one entry per row; ``both`` is then scratch.  Writes
+    On entry the first half of ``both``, a contiguous array, holds
+    d = log I_k - log J_{k-1}, one entry per row; ``both`` and ``scratch``,
+    a separate array of its size, are then scratch.  Writes
     log I~_k = log W_k + log1p(exp(min(d, 700))) into log_it and
     log J_k = log W_k + log1p(exp(min(-d, 700))) into log_j, with libm's
-    exp and log1p, so every element has the bits of update_raw's row loop.
+    exp and log1p in place (_log1p_exp), so every element has the bits of
+    update_raw's row loop and the step allocates nothing.
     """
     size = both.shape[0] // 2
     np.negative(both[:size], out=both[size:])
     np.minimum(both, 700.0, out=both)
-    out = _libm(np.log1p, _libm(np.exp, both))
-    np.add(out[:size], log_w, out=log_it)
-    np.add(out[size:], log_w, out=log_j)
+    _log1p_exp(both, scratch)
+    np.add(both[:size], log_w, out=log_it)
+    np.add(both[size:], log_w, out=log_j)
 
 
 def update_raw(
@@ -196,11 +198,11 @@ def update_raw(
     log_it = np.empty(log_w.shape)
     if log_w.ndim == 2:
         rows, n = log_w.shape
-        both = np.empty(2 * rows)
+        both, scratch = np.empty(2 * rows), np.empty(2 * rows)
         prev = np.asarray(log_j_seed, dtype=np.float64)
         for k in range(n):
             np.subtract(log_i[:, k], prev, out=both[:rows])
-            _update_step(both, log_w[:, k], log_it[:, k], log_j[:, k])
+            _update_step(both, scratch, log_w[:, k], log_it[:, k], log_j[:, k])
             prev = log_j[:, k]
         return log_j, log_it
     n = log_w.shape[0]
@@ -210,6 +212,7 @@ def update_raw(
     # chunk's I~ then needs only J, so it is one vector step.
     exp, log1p = math.exp, math.log1p
     prev = float(log_j_seed)
+    scratch = np.empty(min(n, _CHUNK))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         first, js = prev, []
@@ -222,7 +225,8 @@ def update_raw(
         d[0] = log_i[lo] - first
         np.subtract(log_i[lo + 1:hi], log_j[lo:hi - 1], out=d[1:])
         np.minimum(d, 700.0, out=d)
-        np.add(log_w[lo:hi], _libm(np.log1p, _libm(np.exp, d)), out=log_it[lo:hi])
+        _log1p_exp(d, scratch[:hi - lo])
+        np.add(log_w[lo:hi], d, out=log_it[lo:hi])
     return log_j, log_it
 
 

@@ -306,16 +306,45 @@ def _reversed_loop(f, arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(f(flat[::-1])[::-1]).reshape(arr.shape)
 
 
+def _reversed_softplus(x: np.ndarray, scratch: np.ndarray) -> None:
+    # exp reads x backwards into scratch and log1p reads scratch backwards
+    # into x, so the reversals cancel; each loop has a negative-stride input
+    # and a contiguous output, as in _reversed_loop, and nothing is copied.
+    np.exp(x[::-1], out=scratch)
+    np.log1p(scratch[::-1], out=x)
+
+
 def _reversed_loop_is_libm() -> bool:
-    """Whether _reversed_loop gives math's bits on a few hundred probes."""
+    """Whether _reversed_loop and _reversed_softplus give math's bits on a
+    few hundred probes."""
     x = np.linspace(-0.75, 30.0, 256)
-    return all(
+    d = np.linspace(-40.0, 40.0, 256)
+    soft = d.copy()
+    _reversed_softplus(soft, np.empty_like(d))
+    want = np.array([math.log1p(math.exp(v)) for v in d.tolist()])
+    return soft.tobytes() == want.tobytes() and all(
         _reversed_loop(f, p).tobytes() == np.array(list(map(m, p.tolist()))).tobytes()
         for f, m in _MATH.items() for p in [x + 1.0 if f is np.log else x]
     )
 
 
 _LIBM_VECTOR = _reversed_loop_is_libm()
+
+
+def _log1p_exp(x: np.ndarray, scratch: np.ndarray) -> None:
+    """x = log1p(exp(x)) in place, with the bits of math's two functions.
+
+    x is a contiguous 1-d float64 array with no finite value above 709
+    (math.exp overflows past log(DBL_MAX)); scratch is a float64 array of its size
+    that does not overlap it, and its contents are left undefined.  Two
+    reversed ufunc loops where _LIBM_VECTOR holds, one math call pair per
+    element otherwise.
+    """
+    if _LIBM_VECTOR:
+        _reversed_softplus(x, scratch)
+    else:
+        exp, log1p = math.exp, math.log1p
+        x[:] = [log1p(exp(v)) for v in x.tolist()]
 
 
 def _libm(f, x) -> np.ndarray:

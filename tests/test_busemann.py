@@ -86,6 +86,29 @@ class TestStationaryCocycle:
             )
 
 
+class TestWeightRows:
+    """Blocks of field rows give the bits of one log_weight_row draw per row."""
+
+    @pytest.mark.parametrize("n, t_max", [
+        (6001, 25),  # ten rows a block, the last block five
+        (70_001, 2),  # wider than _CHUNK: one row a block
+        (6001, 1),  # one row, as parallel_chain draws it
+    ])
+    def test_blocks_equal_row_draws(self, monkeypatch, n, t_max):
+        field = WeightField(2.0, master_seed=5)
+        blocks = []
+        draw = field.log_weight_block
+        monkeypatch.setattr(field, "log_weight_block",
+                            lambda *a: blocks.append(a) or draw(*a))
+        k_lo = -7
+        w_vals = busemann._weight_rows(field, k_lo, k_lo + n - 1, t_max)
+        assert w_vals.shape == (t_max + 1, n) and np.all(np.isnan(w_vals[0]))
+        for t in range(1, t_max + 1):
+            assert np.array_equal(w_vals[t], field.log_weight_row(k_lo, k_lo + n - 1, t))
+        step = max(1, busemann._CHUNK // n)
+        assert len(blocks) == -(-t_max // step)
+
+
 class TestEvolve:
     """The anti-diagonal sweep gives the bits of the row-by-row loop."""
 

@@ -8,7 +8,9 @@ itself with experiments._fits holds at most what it counts there.
 
 import tracemalloc
 
-# Imported here: grsk-verify's first use would import it inside a traced run.
+# Imported here: grsk-verify's and the quadratures' first uses would import
+# them inside a traced run.
+import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 import pytest
 
@@ -54,6 +56,14 @@ def test_jump_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, samples
     counted = []
     monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
     peak = _peak(run, *args(samples))
+    assert peak <= 8 * max(counted)
+
+
+def test_zero_temp_counts_its_reparametrization_grid(monkeypatch):
+    # At 80 samples, reparam_bound's trigamma grid outweighs the jump sampler.
+    counted = []
+    monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
+    peak = _peak(ex.run_zero_temp, 0.5, 80, 7)
     assert peak <= 8 * max(counted)
 
 

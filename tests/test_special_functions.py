@@ -24,6 +24,7 @@ from busemann_lab.special_functions import (
     _event_keys,
     _lane_uniforms,
     _libm,
+    _log1p_exp,
     _spawn_ids,
     digamma,
     gamma_from_keys,
@@ -105,6 +106,28 @@ class TestLibm:
         monkeypatch.setattr(special_functions, "_LIBM_VECTOR", False)
         assert _same_bits(_libm(f, x), fast)
         assert _same_bits(_libm(f, x[::-1]), fast[::-1])
+
+    @pytest.mark.parametrize("vector", [True, False], ids=["vector", "math"])
+    def test_log1p_exp_matches_math(self, monkeypatch, vector):
+        monkeypatch.setattr(special_functions, "_LIBM_VECTOR", vector)
+        # The update map's 700 cap, exp's underflow, signed zeros and
+        # subnormals, and where log1p(e^x) starts to round to x.
+        edge = [700.0, -745.0, -np.inf, np.nan, 0.0, -0.0, _TINY, -_TINY]
+        x = np.concatenate((edge, np.linspace(36.6, 36.8, 201), _libm_inputs(np.exp)))
+        ref = np.array([math.log1p(math.exp(v)) for v in x.tolist()])
+        got = x.copy()
+        _log1p_exp(got, np.empty_like(x))
+        assert _same_bits(got, ref)
+
+    def test_probe_rejects_a_softplus_off_by_one_ulp(self, monkeypatch):
+        soft = special_functions._reversed_softplus
+
+        def off(x, scratch):
+            soft(x, scratch)
+            x[:] = np.nextafter(x, np.inf)
+
+        monkeypatch.setattr(special_functions, "_reversed_softplus", off)
+        assert special_functions._reversed_loop_is_libm() is False
 
     def test_probe_rejects_a_loop_off_by_one_ulp(self, monkeypatch):
         loop = special_functions._reversed_loop

@@ -63,9 +63,10 @@ def test_every_check_compares_value_and_threshold():
         assert ast.unparse(call.args[3]) in ("lt", "le", "gt", "ge"), f"line {call.lineno}"
 
 
-# Each takes an array, or a stack of rows, and runs its own loop over it.
+# Each takes an array, or a stack of rows, and runs its own loop over it;
+# a loop over field rows draws them as blocks with log_weight_block.
 ARRAY_FUNCTIONS = {"reg_inc_gamma", "reg_inc_beta", "trigamma", "poisson_dispersion",
-                   "ks_one_sample", "ks_two_sample", "pearson"}
+                   "ks_one_sample", "ks_two_sample", "pearson", "log_weight_row"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
