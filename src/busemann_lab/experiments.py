@@ -25,8 +25,8 @@ from . import igamma_process as ig
 from . import lattice as lat
 from . import seqmaps as sm
 from .bruteforce import brute_force_ratio_array
-from .special_functions import (POISSON_MEAN_MAX, Rng, _libm, digamma, reg_inc_beta,
-                                reg_inc_gamma, sample_poisson)
+from .special_functions import (_CHUNK, POISSON_MEAN_MAX, Rng, _libm, digamma,
+                                reg_inc_beta, reg_inc_gamma, sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
@@ -41,7 +41,7 @@ MIN_SHAPE = 54 / (sys.float_info.max_exp // 2)
 # Past this shape alpha - MIN_SHAPE rounds back to alpha, so --rho's range
 # (0, alpha - MIN_SHAPE] would admit rho = alpha, a stationary shape of 0.
 MAX_SHAPE = 2.0 ** 50
-# The largest single array a run may allocate.
+# The most bytes of arrays a run may hold at once.
 MEMORY_BUDGET = 2 ** 30
 
 
@@ -116,14 +116,6 @@ def _window_at_least(minimum: int, window: int) -> None:
     _require(window >= minimum, "--window", f"{window} is not in the range x>={minimum}.")
 
 
-def _jump_sampler(alpha: float, rho_max: float, option: str) -> None:
-    """The jump sampler's envelope on (0, rho_max] has means it draws exactly."""
-    peak = ig.envelope_peak(alpha, rho_max)
-    _require(peak <= POISSON_MEAN_MAX, option,
-             f"{rho_max} is too close to alpha = {alpha}: the jump sampler's "
-             f"envelope needs Poisson means up to {peak:.3g}, over {POISSON_MEAN_MAX:.4g}")
-
-
 def _max_abs_rows(rows) -> float:
     """The largest |x| over an iterable of arrays, NaN if any x is NaN.
 
@@ -133,62 +125,63 @@ def _max_abs_rows(rows) -> float:
     return float(np.max([np.max(np.abs(r)) for r in rows], initial=0.0))
 
 
+# Arrays of _CHUNK elements that the blocked kernels hold at most on top
+# of a run's own arrays (7.3 traced): hashing passes, gamma and Poisson
+# draws, blocks of weight rows or uniform rows and reparam_bound's grid
+# each work on about _CHUNK elements at a time.
+_BLOCK_ARRAYS = 10
+
+
 def _fits(elements: int, option: str) -> None:
-    """Refuse a run whose float64 arrays of this many elements exceed
-    MEMORY_BUDGET: its largest array, or arrays it must hold together."""
-    _require(8 * elements <= MEMORY_BUDGET, option,
-             f"needs {8 * elements / 2 ** 30:.3g} GiB of float64 arrays, over the "
+    """Refuse a run whose float64 arrays exceed MEMORY_BUDGET: the elements
+    it counts for every array it holds at once, and _BLOCK_ARRAYS * _CHUNK
+    for the blocked kernels."""
+    total = elements + _BLOCK_ARRAYS * _CHUNK
+    _require(8 * total <= MEMORY_BUDGET, option,
+             f"needs {8 * total / 2 ** 30:.3g} GiB of float64 arrays, over the "
              f"{MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
-# The jump sampler's accepted points are four arrays (sample index, s, y,
-# u), held twice over while they are gathered from the bands.
-_POINT_ARRAYS = 8
-# A pass of the sampler's Poisson draw holds at most this many arrays of
-# its counts at once: their keys, means, limits, products, counts, pending
-# indices and a hashing pass.
-_COUNT_ARRAYS = 11
-# ... and then this many arrays of its proposals: their indices, stream
-# ids, bands, three uniforms and their keys, band edges, s, y and the
-# acceptance ratio with its temporaries.
-_PROPOSAL_ARRAYS = 20
+def _windows(n: int, width: int) -> int:
+    """Elements that a window run over n inputs of width values holds at
+    most, 4n + 8 windows: its inputs and weight, the outputs it keeps, and
+    those of the update or inverse then running, with its temporary."""
+    return (4 * n + 8) * width
 
 
-# reparam_bound's trigamma holds at most this many arrays of its grid at
-# once: the grid, rho, the first trigamma's values and, in the second, its
-# argument, sums, shift mask and the shift loop's temporaries.
-_REPARAM_ARRAYS = 14
+# Rows of its width that a grid run's draws and row-by-row checks hold.
+_ROW_ARRAYS = 8
 
 
-def _jump_points_fit(alpha: float, rho_max: float, samples: int, other: int = 0) -> None:
-    """The jump sampler holds the accepted points of all samples together,
-    about samples times the envelope's total mass of them, and draws the
-    counts and proposals of one pass of bands on top of them; other counts
-    the elements of what else the run holds, such as zero-temp's grid."""
-    mass = ig.envelope_mass(alpha, rho_max)
-    counts, proposals = ig.pass_load(alpha, rho_max, samples)
-    _fits(math.ceil(samples * _POINT_ARRAYS * mass + _COUNT_ARRAYS * counts
-                    + _PROPOSAL_ARRAYS * proposals) + other, "--samples")
+def _grids(arrays: int, rows: int, width: int) -> int:
+    """Elements of arrays grids of rows x width values, and of _ROW_ARRAYS
+    rows more."""
+    return (arrays * rows + _ROW_ARRAYS) * width
 
 
-# A gamma draw of one window holds at most this many arrays of its size
-# at once: its keys, the draws, their reciprocals and logs, and a hashing
-# pass of three lanes with its scratch (special_functions._CHUNK keys at a
-# time, so fewer past that size).
-_DRAW_ARRAYS = 11
+def _chain(rhos: int, width: int) -> int:
+    """Elements that parallel_chain holds for rhos directions on rows of
+    width sites: the joint bottom-row draw, a window run over rhos inputs,
+    and the two rows of every direction's I and J grids and of the weights
+    they share."""
+    return _windows(rhos, width) + _grids(2 * rhos + 1, 2, width)
 
 
-def _daop_arrays(n: int) -> int:
-    """Arrays of the window's size that daop holds besides its n inputs:
-    the components before the last, the previous update's three outputs
-    and an update's own five (its outputs and temporaries)."""
-    return n + 6
+# A pass of the jump sampler holds at most this many arrays of its counts
+# and expected proposals (19.5 traced where proposals outnumber counts); a
+# run's arrays of its samples are fewer.
+_PASS_ARRAYS = 20
 
 
-def _windows_fit(arrays: int, window: int, option: str) -> None:
-    """A run that holds at most this many arrays of window + 1 values at
-    once, and one more for its small arrays."""
-    _fits((arrays + 1) * (window + 1), option)
+def _jump_sampler(alpha: float, rho_max: float, samples: int, option: str) -> None:
+    """The jump sampler's envelope on (0, rho_max] has means it draws
+    exactly, and its heaviest pass fits: a pass draws at most
+    max(_CHUNK, samples (1 + envelope_peak)) counts and expected proposals."""
+    peak = ig.envelope_peak(alpha, rho_max)
+    _require(peak <= POISSON_MEAN_MAX, option,
+             f"{rho_max} is too close to alpha = {alpha}: the jump sampler's "
+             f"envelope needs Poisson means up to {peak:.3g}, over {POISSON_MEAN_MAX:.4g}")
+    _fits(_PASS_ARRAYS * max(_CHUNK, math.ceil(samples * (1.0 + peak))), "--samples")
 
 
 # -- experiments -----------------------------------------------------------
@@ -219,11 +212,7 @@ def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
         seq_reach = sum(sm.burn_in(-digamma(alpha), h) for h in hints)
         minimum = max(seq_reach + sm.daop_reach(hints), margin) + 1
     _window_at_least(minimum, window)
-    # The weight is drawn while the n inputs are held.  The peak comes in
-    # the sequential side's daop, on top of the inputs, the weight and
-    # both sides' n outputs.
-    _windows_fit(max(n + _DRAW_ARRAYS, 3 * n + 1 + _daop_arrays(n)), window,
-                 "--n" if n > window else "--window")
+    _fits(_windows(n, window + 1), "--n" if n > window else "--window")
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
     lhs = sm.parallel_step(weight, sm.daop(tup))
@@ -249,27 +238,22 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
         minimum = max(sm.burn_in(-digamma(alpha), hints[0]) + 1,
                       sm.daop_reach(hints) + max(n - 1, 1))
     _window_at_least(minimum, window)
-    # The inputs, the weight and the first update's three outputs stay
-    # held.  On top of them come daop's arrays, then daop's n - 1 outputs
-    # with the n (n - 1) / 2 windows that haop peels over all its levels
-    # and an inverse's four temporaries.
-    peel = n - 1 + n * (n - 1) // 2 + 4
-    _windows_fit(max(n + _DRAW_ARRAYS, n + 4 + max(_daop_arrays(n), peel)), window,
-                 "--n" if n > window else "--window")
+    _fits(_windows(n, window + 1), "--n" if n > window else "--window")
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
     checks = []
-    out = sm.update(weight, tup.windows[0])
-    w_out = weight.restrict(out.i_tilde.lo, window)
-    single = _inverse_gap(lambda: sm.SeqTuple((sm.inverse_h(w_out, out.i_tilde),)), tup)
+    d_out = sm.update(weight, tup.windows[0]).i_tilde
+    w_out = weight.restrict(d_out.lo, window)
+    single = _inverse_gap(lambda: sm.SeqTuple((sm.inverse_h(w_out, d_out),)), tup)
     checks.append(_below(
         "single-inverse-max-gap", "update-map-inverse", single, 1e-10,
     ))
-    d_gap = float(np.min(out.i_tilde.values - w_out.values))
+    d_gap = float(np.min(d_out.values - w_out.values))
     checks.append(_check(
         "d-dominates-weight", "update-output-strictly-above-weight",
         d_gap, gt, 0.0,
     ))
+    del d_out  # before daop and haop run
     err = _inverse_gap(lambda: sm.haop(sm.daop(tup)), tup)
     checks.append(_below(
         "tuple-inverse-max-gap", "iterated-map-inverse", err, 1e-10
@@ -297,9 +281,7 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
         # daop's reach is at most the array's: its burn-ins are a row's.
         minimum = grsk.triangular_reach(_hints(lams)) + 1
     _window_at_least(minimum, window)
-    # The three inputs and the triangular array's six cells stay held
-    # while daop runs on the inputs.
-    _windows_fit(max(2 + _DRAW_ARRAYS, 3 + 6 + _daop_arrays(3)), window, "--window")
+    _fits(_windows(3, window + 1), "--window")
     checks = []
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -373,9 +355,8 @@ def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
     # The bulk starts at the burn-in margin; its vertical KS test reads
     # every 16th bulk site, as parallel-chain's does.
     _window_at_least(margin + KS_WINDOW_MIN, window)
-    # The grid holds three (levels + 1, window + 1) arrays, and its bottom
-    # row's draw several rows of window + 1; at least three rows count.
-    _fits(max(levels + 1, 3) * (window + 1), "--levels" if levels > window else "--window")
+    # The grid's I, J and W arrays.
+    _fits(_grids(3, levels + 1, window + 1), "--levels" if levels > window else "--window")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     grid = bu.stationary_cocycle(
@@ -412,9 +393,7 @@ def run_parallel_chain(alpha, rhos, window, seed) -> list[dict]:
     _input_shapes(alpha, rhos)
     with _burn_ins("--rho"):
         reach = bu.chain_reach(alpha, rhos)
-    # The bottom-row draw and the grids hold several rows of
-    # n = window + reach + 1 values at once; three count.
-    _fits(3 * (window + reach + 1), "--rho" if reach > window else "--window")
+    _fits(_chain(len(rhos), window + reach + 1), "--rho" if reach > window else "--window")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     grids = bu.parallel_chain(
@@ -451,12 +430,12 @@ def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
     _alpha(alpha)
     _rho(alpha, rho)
     _require(0.0 < lam < rho, "--lam", f"need 0 < lambda < rho, got {lam}")
-    _jump_sampler(alpha, rho, "--rho")
+    _jump_sampler(alpha, rho, samples, "--rho")
     m = min(20000, samples)
     with _burn_ins("--lam"):
         reach = bu.chain_reach(alpha, [rho, lam])
-    _fits(3 * (16 * m + reach + 1), "--lam")
-    _jump_points_fit(alpha, rho, samples)
+    # The chain runs while the two columns of increment sums are held.
+    _fits(_chain(2, 16 * m + reach + 1) + 2 * samples, "--lam")
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(alpha, [lam, rho], samples, rng.spawn(1))
     checks = []
@@ -492,8 +471,7 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
              "smaller jumps are not sampled")
     _require(0.0 <= s_lo < alpha, "--s-lo", f"{s_lo} is not in the range 0<=x<{alpha}.")
     _require(s_lo < s_hi < alpha, "--s-hi", f"{s_hi} is not in the range {s_lo}<x<{alpha}.")
-    _jump_sampler(alpha, s_hi, "--s-hi")
-    _jump_points_fit(alpha, s_hi, samples)
+    _jump_sampler(alpha, s_hi, samples, "--s-hi")
     # The count falls with delta, so if it is 0 at the smallest, alpha is to blame.
     _require(ig.expected_jump_count(alpha, ig.Y_MIN, (s_lo, s_hi)) > 0.0, "--alpha",
              f"{alpha} leaves no jumps with s in [{s_lo}, {s_hi}]: the expected "
@@ -513,8 +491,7 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
 
 def run_zero_temp(rho, samples, seed) -> list[dict]:
     _require(0.0 < rho < 1.0, "--rho", f"{rho} is not in the range 0<x<1.")
-    _jump_sampler(1.0, rho, "--rho")
-    _jump_points_fit(1.0, rho, samples, _REPARAM_ARRAYS * ig.REPARAM_POINTS)
+    _jump_sampler(1.0, rho, samples, "--rho")
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(
         1.0, [rho], samples, rng.spawn(1), thinning=ig.zero_temp_keep_prob
@@ -555,8 +532,11 @@ def _cif_sizes(alpha, rho, replicas) -> None:
     _rho(alpha, rho)
     with _burn_ins("--rho"):
         width = bu._margin(alpha, rho) + 2
-    # A block holds several (block, width + 1) arrays at once; three count.
-    _fits(3 * min(cifmod._BLOCK, replicas) * (width + 1), "--rho")
+    # A block of replicas holds 12 arrays of (block, width + 1) values:
+    # the keys, draws and logs of its weights and bottom rows, update_raw's
+    # two outputs and their temporaries.  The replicas' results and their
+    # standard deviation's temporary are two arrays more.
+    _fits(_grids(12, min(cifmod._BLOCK, replicas), width + 1) + 2 * replicas, "--rho")
 
 
 def run_cif_eta(alpha, rho, replicas, seed) -> list[dict]:
@@ -594,7 +574,8 @@ def run_she_check(alpha, rho, size, seed) -> list[dict]:
     _rho(alpha, rho)
     with _burn_ins("--rho"):
         margin = bu._margin(alpha, rho)
-    _fits((size + 1) * (margin + size + 1), "--rho" if margin > size else "--size")
+    # The grid's I, J and W arrays and the eternal solution's log Z.
+    _fits(_grids(4, size + 1, margin + size + 1), "--rho" if margin > size else "--size")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
     grid = bu.stationary_cocycle(
@@ -638,11 +619,14 @@ def _per_block(stat, *blocks) -> np.ndarray:
 
 
 def run_calibrate_stats(trials, samples, seed) -> list[dict]:
-    # Each trial's uniforms come block by block; a two-sample test pools
-    # two samples, and the dispersion test draws its counts in one event.
+    # The dispersion test draws every trial's counts in one event, and the
+    # Poisson draw and the statistic hold about 12 arrays of them.  The
+    # uniforms come block by block, about _CHUNK at a time; a row longer
+    # than that is a block, and a two-sample test holds about 10 arrays of
+    # its samples (two rows, then their pooled, sorted and labelled form).
     counts_per_trial = 50
-    _fits(max(counts_per_trial * trials, 2 * samples),
-          "--trials" if counts_per_trial * trials > 2 * samples else "--samples")
+    counts, pooled = _grids(12, trials, counts_per_trial), 10 * samples
+    _fits(counts + pooled, "--trials" if counts > pooled else "--samples")
     _require(trials >= MIN_TRIALS, "--trials",
              f"{trials} is not in the range x>={MIN_TRIALS}: with fewer trials "
              "one false positive fails a rate gate")

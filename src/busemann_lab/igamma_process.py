@@ -45,8 +45,6 @@ __all__ = [
     "marginal_check",
     "expected_jump_count",
     "envelope_peak",
-    "envelope_mass",
-    "pass_load",
     "batch_increment_sums",
     "batch_jump_counts",
     "pos_temp_keep_prob",
@@ -112,45 +110,15 @@ def _band_masses(alpha: float, rho_max: float, a: np.ndarray, b: np.ndarray) -> 
     return np.exp(_log_g(a, alpha)) * (b - a) * np.expm1(b * rho_max) / b
 
 
-def _envelope(alpha: float, rho_max: float) -> np.ndarray:
-    """The band masses of the sampler's envelope on (0, rho_max], inf where
-    they overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max))
-    return np.where(np.isnan(masses), np.inf, masses)
-
-
 def envelope_peak(alpha: float, rho_max: float) -> float:
     """Largest band mass of the sampler's envelope on (0, rho_max], the
     largest Poisson mean it draws; inf where the envelope overflows.
 
     The masses grow with y once rho_max > alpha / _BAND_RATIO.
     """
-    return float(np.max(_envelope(alpha, rho_max), initial=0.0))
-
-
-def envelope_mass(alpha: float, rho_max: float) -> float:
-    """Total mass of the envelope on (0, rho_max]: the mean number of points
-    proposed per realization, which bounds the mean number accepted."""
-    return float(np.sum(_envelope(alpha, rho_max)))
-
-
-def _bands_per_pass(draws: int) -> int:
-    """Bands that one pass of _accepted_points draws together when each
-    band has draws counts (n samples of m streams): about _CHUNK counts a
-    pass, the rule by which Rng.uniform_rows sizes its blocks."""
-    return max(1, _CHUNK // max(draws, 1))
-
-
-def pass_load(alpha: float, rho_max: float, draws: int) -> tuple[int, float]:
-    """The most counts one pass of the sampler on (0, rho_max] draws, for
-    draws samples over all streams, and the most proposals it expects: the
-    envelope mass of its bands times draws."""
-    masses = _envelope(alpha, rho_max)
-    per_pass = _bands_per_pass(draws)
-    group_masses = np.add.reduceat(masses, np.arange(0, masses.shape[0], per_pass))
-    return (min(per_pass, masses.shape[0]) * draws,
-            draws * float(np.max(group_masses, initial=0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = _band_masses(alpha, rho_max, *_bands(alpha, rho_max))
+    return float(np.max(np.where(np.isnan(masses), np.inf, masses), initial=0.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,55 +163,71 @@ def _accepted_points(
     n: int,
     seed: int,
     streams: np.ndarray,
+    bands: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted (sample index, s, y, u) for n realizations of each stream.
+    """Accepted (sample index, s, y, u) of one pass: n realizations of each
+    stream in the given consecutive bands.
 
     Sample index m n + i is realization i of stream id streams[m].  Band b
     of a stream draws its n counts from event 0 of the stream's child
     2b + 1.  Its c proposals read event 0 of child 2b + 2: point j takes
     element j for y, c + j for s and 2c + j for acceptance, and element j
-    of event 1 for its mark.  Consecutive bands are drawn together,
-    max(1, _CHUNK // (m n)) of them per pass: a pass makes one hashing call
-    for the counts of all its bands and streams, one Poisson draw, one
-    hashing call for all their proposals and one for their marks.  Points
-    come band by band, in sample-index order within a band.
+    of event 1 for its mark.  The pass makes one hashing call for the
+    counts of all its bands and streams, one Poisson draw, one hashing
+    call for all their proposals and one for their marks.  Points come
+    band by band, in sample-index order within a band.
     """
     a, b = _bands(alpha, rho_max)
-    masses = _band_masses(alpha, rho_max, a, b)
-    # s has density proportional to e^{b s} on (0, rho_max]
-    s_scale = np.expm1(b * rho_max)
+    lo, hi = a[bands], b[bands]
     draws = streams.shape[0] * n
-    per_pass = _bands_per_pass(draws)
-    empty = np.empty(0)
-    parts = [(np.empty(0, dtype=np.int64), empty, empty, empty)]
-    for first in range(0, a.shape[0], per_pass):
-        bands = np.arange(first, min(first + per_pass, a.shape[0]))
-        children = 2 * bands.astype(np.uint64)[:, None]
-        counts = poisson_from_keys(
-            _event_keys(seed, _spawn_ids(streams, children + 1), 0, n).ravel(),
-            np.repeat(masses[bands], draws),
-        )
-        k = int(counts.sum())
-        if k == 0:
-            continue
-        owner = np.repeat(np.arange(counts.shape[0]) % draws, counts)
-        # Proposals per (band, stream), band-major.
-        per_event = counts.reshape(-1, n).sum(axis=1)
-        j = np.arange(k) - np.repeat(np.cumsum(per_event) - per_event, per_event)
-        c = np.repeat(per_event, per_event)
-        ids = np.repeat(_spawn_ids(streams, children + 2).ravel(), per_event)
-        band = np.repeat(bands, per_event.reshape(bands.shape[0], -1).sum(axis=1))
-        idx = np.stack((j, c + j, 2 * c + j))
-        us = _event_keys(seed, ids, 0, idx, unit=True)
-        lo, hi = a[band], b[band]
-        y = lo + (hi - lo) * us[0]
-        s = np.log1p(us[1] * s_scale[band]) / hi
-        # accept with probability sigma(s, y) / (g(a) e^{b s})
-        log_ratio = _log_g(y, alpha) + y * s - _log_g(lo, alpha) - hi * s
-        keep = us[2] < np.exp(log_ratio)
-        marks = _event_keys(seed, ids[keep], 1, j[keep], unit=True)
-        parts.append((owner[keep], s[keep], y[keep], marks))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    children = 2 * bands.astype(np.uint64)[:, None]
+    counts = poisson_from_keys(
+        _event_keys(seed, _spawn_ids(streams, children + 1), 0, n).ravel(),
+        np.repeat(_band_masses(alpha, rho_max, lo, hi), draws),
+    )
+    k = int(counts.sum())
+    if k == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0)
+    owner = np.repeat(np.arange(counts.shape[0]) % draws, counts)
+    # Proposals per (band, stream), band-major.
+    per_event = counts.reshape(-1, n).sum(axis=1)
+    j = np.arange(k) - np.repeat(np.cumsum(per_event) - per_event, per_event)
+    c = np.repeat(per_event, per_event)
+    ids = np.repeat(_spawn_ids(streams, children + 2).ravel(), per_event)
+    band = np.repeat(np.arange(bands.shape[0]),
+                     per_event.reshape(bands.shape[0], -1).sum(axis=1))
+    idx = np.stack((j, c + j, 2 * c + j))
+    us = _event_keys(seed, ids, 0, idx, unit=True)
+    # s has density proportional to e^{b s} on (0, rho_max]
+    s_scale = np.expm1(hi * rho_max)[band]
+    lo, hi = lo[band], hi[band]
+    y = lo + (hi - lo) * us[0]
+    s = np.log1p(us[1] * s_scale) / hi
+    # accept with probability sigma(s, y) / (g(a) e^{b s})
+    log_ratio = _log_g(y, alpha) + y * s - _log_g(lo, alpha) - hi * s
+    keep = us[2] < np.exp(log_ratio)
+    marks = _event_keys(seed, ids[keep], 1, j[keep], unit=True)
+    return owner[keep], s[keep], y[keep], marks
+
+
+def _passes(alpha: float, rho_max: float, n: int, seed: int, streams: np.ndarray):
+    """_accepted_points of every band, pass by pass, bands in order.
+
+    A pass takes consecutive bands while their counts and expected
+    proposals, draws (1 + mass) a band for draws = n samples of each
+    stream, add up to at most _CHUNK; a heavier band is a pass of its own.
+    Every point is a pure function of its band, stream and index, so the
+    grouping changes no bits, and a pass holds at most max(_CHUNK,
+    draws (1 + envelope_peak)) counts and expected proposals.
+    """
+    loads = streams.shape[0] * n * (1.0 + _band_masses(alpha, rho_max, *_bands(alpha, rho_max)))
+    first, total = 0, 0.0
+    for band, load in enumerate(loads.tolist()):
+        if band > first and total + load > _CHUNK:
+            yield _accepted_points(alpha, rho_max, n, seed, streams, np.arange(first, band))
+            first, total = band, 0.0
+        total += load
+    yield _accepted_points(alpha, rho_max, n, seed, streams, np.arange(first, loads.shape[0]))
 
 
 def _realizations(
@@ -254,7 +238,7 @@ def _realizations(
         raise ValueError("need 0 < rho_max < alpha")
     z0_keys = _event_keys(seed, _spawn_ids(streams, 0), 0, 1).ravel()
     z0 = [-math.log(g) for g in gamma_from_keys(z0_keys, alpha).tolist()]
-    owner, s, y, u = _accepted_points(alpha, rho_max, 1, seed, streams)
+    owner, s, y, u = (np.concatenate(p) for p in zip(*_passes(alpha, rho_max, 1, seed, streams)))
     # Sorting by (owner, s) is each realization's stable sort by s.
     order = np.lexsort((s, owner))
     owner, s, y, u = owner[order], s[order], y[order], u[order]
@@ -309,17 +293,14 @@ def batch_increment_sums(
         raise ValueError("need at least one break")
     if breaks[0] <= 0.0 or np.any(np.diff(breaks) <= 0) or breaks[-1] >= alpha:
         raise ValueError("breaks must be increasing inside (0, alpha)")
-    rho_max = float(breaks[-1])
-    owner, s, y, u = _accepted_points(
-        alpha, rho_max, n, rng.master_seed, _as_u64(rng.stream_id)
-    )
-    if thinning is not None and owner.shape[0]:
-        keep = u <= thinning(y)
-        owner, s, y = owner[keep], s[keep], y[keep]
-    m = breaks.shape[0]
-    out = np.zeros((n, m))
-    interval = np.searchsorted(breaks, s, side="left")
-    np.add.at(out, (owner, interval), y)
+    out = np.zeros((n, breaks.shape[0]))
+    # Pass by pass, in pass order: every cell adds its jumps in band order.
+    for owner, s, y, u in _passes(alpha, float(breaks[-1]), n, rng.master_seed,
+                                  _as_u64(rng.stream_id)):
+        if thinning is not None:
+            keep = u <= thinning(y)
+            owner, s, y = owner[keep], s[keep], y[keep]
+        np.add.at(out, (owner, np.searchsorted(breaks, s, side="left")), y)
     comps = np.array(
         [small_jump_compensator(alpha, r, thinning=thinning) for r in breaks]
     )
@@ -338,11 +319,11 @@ def batch_jump_counts(
     if delta <= Y_MIN:
         raise ValueError("delta must exceed the small-jump cutoff")
     s1, s2 = float(s_interval[0]), float(s_interval[1])
-    owner, s, y, _ = _accepted_points(
-        alpha, s2, n, rng.master_seed, _as_u64(rng.stream_id)
-    )
-    keep = (y >= delta) & (s > s1) & (s <= s2)
-    return np.bincount(owner[keep], minlength=n)
+    counts = np.zeros(n, dtype=np.int64)
+    for owner, s, y, _ in _passes(alpha, s2, n, rng.master_seed, _as_u64(rng.stream_id)):
+        keep = (y >= delta) & (s > s1) & (s <= s2)
+        counts += np.bincount(owner[keep], minlength=n)
+    return counts
 
 
 def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:

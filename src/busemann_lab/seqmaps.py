@@ -254,7 +254,13 @@ def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
     # fixed point J = W I / (I - W) of the recursion at the Cesaro means.
     seed = float(w.values[0]) + ci - (ci + math.log1p(-math.exp(cw - ci)))
     log_j, log_it = update_raw(w.values, i.values, seed)
-    log_wt = -np.logaddexp(-i.values, -np.concatenate(([seed], log_j[:-1])))
+    # log W~ = -logaddexp(-log I, -log J_{k-1}), built in its own buffer.
+    log_wt = np.empty(log_j.shape)
+    log_wt[0] = seed
+    log_wt[1:] = log_j[:-1]
+    np.negative(log_wt, out=log_wt)
+    np.logaddexp(np.negative(i.values), log_wt, out=log_wt)
+    np.negative(log_wt, out=log_wt)
     valid_lo = w.lo + cut
     return UpdateOutput(
         i_tilde=LogSeqWindow(valid_lo, w.hi, log_it[cut:], cesaro_hint=ci),
@@ -275,18 +281,20 @@ def inverse_h(w: LogSeqWindow, i_tilde: LogSeqWindow) -> LogSeqWindow:
     """
     if (w.lo, w.hi) != (i_tilde.lo, i_tilde.hi):
         raise ValueError("windows must share one index range")
-    diff = i_tilde.values - w.values
-    if np.any(diff <= 0.0):
+    # log(I~ - W) = log I~ + log1p(-exp(log W - log I~)), in place from
+    # the difference.
+    log_gap = np.subtract(i_tilde.values, w.values)
+    if np.any(log_gap <= 0.0):
         raise NotInImage("not in image: need I~ > W at every index")
-    # log(I~ - W) = log I~ + log1p(-exp(log W - log I~))
-    log_gap = i_tilde.values + np.log1p(-np.exp(-diff))
-    vals = (
-        log_gap[1:]
-        - w.values[1:]
-        + w.values[:-1]
-        + i_tilde.values[:-1]
-        - log_gap[:-1]
-    )
+    np.negative(log_gap, out=log_gap)
+    np.exp(log_gap, out=log_gap)
+    np.negative(log_gap, out=log_gap)
+    np.log1p(log_gap, out=log_gap)
+    np.add(i_tilde.values, log_gap, out=log_gap)
+    vals = np.subtract(log_gap[1:], w.values[1:])
+    vals += w.values[:-1]
+    vals += i_tilde.values[:-1]
+    vals -= log_gap[:-1]
     return LogSeqWindow(w.lo + 1, w.hi, vals, cesaro_hint=i_tilde.cesaro_hint)
 
 
@@ -304,8 +312,7 @@ def d_iterated(inputs: SeqTuple) -> LogSeqWindow:
     _check_increasing(inputs)
     acc = inputs.windows[-1]
     for w in reversed(inputs.windows[:-1]):
-        out = update(w.restrict(acc.lo, acc.hi), acc)
-        acc = out.i_tilde
+        acc = update(w.restrict(acc.lo, acc.hi), acc).i_tilde
     return acc
 
 
@@ -331,20 +338,21 @@ def daop_reach(hints) -> int:
 
 
 def haop(inputs: SeqTuple) -> SeqTuple:
-    """Left inverse of daop: peels components with inverse_h recursively."""
-    if len(inputs) == 1:
-        return inputs
-    head = inputs.windows[0]
-    peeled = [inverse_h(head, x) for x in inputs.windows[1:]]
-    rest = haop(SeqTuple(tuple(peeled)))
-    return SeqTuple((head.restrict(rest.lo, rest.hi),) + rest.windows)
+    """Left inverse of daop: peels the components with inverse_h level by
+    level, keeping each level's head and only the level being peeled."""
+    heads, level = [], inputs.windows
+    while len(level) > 1:
+        heads.append(level[0])
+        level = [inverse_h(level[0], x) for x in level[1:]]
+    last = level[0]
+    return SeqTuple(tuple(h.restrict(last.lo, last.hi) for h in heads) + (last,))
 
 
 def parallel_step(w: LogSeqWindow, state: SeqTuple) -> SeqTuple:
     """Apply the update with one common weight window to every component."""
-    outs = [update(w.restrict(state.lo, state.hi), comp) for comp in state.windows]
-    lo = max(o.i_tilde.lo for o in outs)
-    return SeqTuple(tuple(o.i_tilde.restrict(lo, state.hi) for o in outs))
+    outs = [update(w.restrict(state.lo, state.hi), comp).i_tilde for comp in state.windows]
+    lo = max(o.lo for o in outs)
+    return SeqTuple(tuple(o.restrict(lo, state.hi) for o in outs))
 
 
 def sequential_step(w: LogSeqWindow, state: SeqTuple) -> SeqTuple:

@@ -277,6 +277,10 @@ class TestExitCodes:
             ["ppp-busemann", "--samples", "1000000000"],
             ["jump-count", "--samples", "1000000000"],
             ["zero-temp", "--samples", "1000000000"],
+            # Each passed a count of one of its grids and then crashed
+            # under the cap: the grid runs hold three or four.
+            ["she-check", "--size", "9000"],
+            ["stationary-cocycle", "--window", "99999", "--levels", "1100"],
         ],
     )
     def test_oversized_run_names_the_option(self, args):

@@ -10,11 +10,11 @@ import scipy.stats as st
 from busemann_lab.igamma_process import (
     Y_MIN,
     JumpProcessSample,
-    _accepted_points,
     _band_masses,
     _bands,
     _legendre_nodes,
     _log_g,
+    _passes,
     batch_increment_sums,
     batch_jump_counts,
     envelope_peak,
@@ -28,7 +28,9 @@ from busemann_lab.igamma_process import (
     zero_temp_couple,
     zero_temp_keep_prob,
 )
-from busemann_lab.special_functions import POISSON_MEAN_MAX, Rng, sample_gamma, sample_poisson
+from busemann_lab import igamma_process as ig
+from busemann_lab.special_functions import (_CHUNK, POISSON_MEAN_MAX, Rng, sample_gamma,
+                                            sample_poisson)
 
 
 def intensity(s, y, alpha):
@@ -172,18 +174,42 @@ class TestOracle:
     with the sampler, but not its band loop or its stream layout.
     """
 
-    # At n = 30000 a pass draws 2 bands, and (0.7, 0.3)'s 85 bands end in
-    # a pass of one.
-    @pytest.mark.parametrize("n", [1, 7, 300, 30000])
-    @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (0.7, 0.3)])
+    # Up to n = 300 one pass draws every band.  At n = 10000 (2.0, 1.2)'s
+    # 82 bands go 5 or 6 to a pass, and (0.7, 0.3)'s 85 go 6 to a pass and
+    # end in a pass of one; at n = 30000 most passes draw one or two.  At
+    # (1.0, 0.815), the envelope's limit, the heaviest bands go one to a
+    # pass.
+    @pytest.mark.parametrize("n", [1, 7, 300, 10000, 30000])
+    @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (0.7, 0.3), (1.0, 0.815)])
     def test_one_stream_points_equal_oracle(self, n, alpha, rho):
         rng = Rng(5, 2**40 + 3)
         streams = np.array([rng.stream_id], dtype=np.uint64)
-        got = _accepted_points(alpha, rho, n, 5, streams)
+        got = tuple(np.concatenate(p) for p in zip(*_passes(alpha, rho, n, 5, streams)))
         want = _oracle_points(alpha, rho, n, rng)
         assert got[0].dtype == want[0].dtype
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("alpha, rho, sizes", [
+        (0.7, 0.3, [6] * 14 + [1]),
+        # The band loads grow towards band 87; 10000 (1 + mass) exceeds
+        # _CHUNK at bands 86 and 87.
+        (1.0, 0.815, [5] * 15 + [4, 3, 2, 1, 1, 1, 1]),
+    ])
+    def test_passes_group_bands_by_load(self, monkeypatch, alpha, rho, sizes):
+        passes, draw = [], ig._accepted_points
+
+        def record(alpha, rho_max, n, seed, streams, bands):
+            passes.append(bands)
+            return draw(alpha, rho_max, n, seed, streams, bands)
+
+        monkeypatch.setattr(ig, "_accepted_points", record)
+        list(_passes(alpha, rho, 10000, 5, np.array([3], dtype=np.uint64)))
+        assert [p.shape[0] for p in passes] == sizes
+        assert np.array_equal(np.concatenate(passes), np.arange(sum(sizes)))
+        loads = 10000 * (1.0 + _band_masses(alpha, rho, *_bands(alpha, rho)))
+        for bands in passes:
+            assert bands.shape[0] == 1 or loads[bands].sum() <= _CHUNK
 
     @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (1.0, 0.5)])
     def test_sample_ppp_equals_oracle(self, alpha, rho):

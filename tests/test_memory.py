@@ -1,9 +1,12 @@
-"""Peak memory of the grid-, trial- and sample-sized checks, seen by tracemalloc.
+"""Peak memory of the runs, seen by tracemalloc.
 
-tracemalloc sees numpy's buffers.  A run may hold the arrays its checks
-read and little more: the checks stream them row by row, or block by
-block, instead of building temporaries of their size.  A run that sizes
-itself with experiments._fits holds at most what it counts there.
+tracemalloc sees numpy's buffers.  A run counts, before it draws, every
+array it holds at once, by the count of its family: window runs hold
+(4n + 8) windows, jump runs their heaviest sampler pass, grid runs their
+grids and a few rows.  experiments._fits adds one fixed allowance for the
+kernels that work in _CHUNK blocks, and the run holds at most that much.
+Each family runs at a size where the allowance dominates and at one where
+the run's own arrays do.
 """
 
 import tracemalloc
@@ -17,7 +20,9 @@ import pytest
 from busemann_lab import busemann as bu
 from busemann_lab import experiments as ex
 from busemann_lab import igamma_process as ig
-from busemann_lab.special_functions import Rng
+from busemann_lab.special_functions import _CHUNK, Rng
+
+ALLOWANCE = ex._BLOCK_ARRAYS * _CHUNK
 
 
 def _peak(run, *args) -> int:
@@ -30,52 +35,97 @@ def _peak(run, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("window", [5000, 10000])
-@pytest.mark.parametrize("run, args", [
-    (ex.run_check_intertwine, lambda w: (3, 2.0, [0.5, 1.0, 1.5], w, 0, 7)),
-    (ex.run_check_inverse, lambda w: (3, 2.0, [0.5, 1.0, 1.5], w, 7)),
-    # From n = 4 on, haop's peeled windows outnumber daop's arrays.
-    (ex.run_check_inverse, lambda w: (4, 2.0, [0.5, 1.0, 1.5, 0.25], w, 7)),
-    (ex.run_grsk_verify, lambda w: (2.0, w, 7)),
-], ids=["check-intertwine", "check-inverse", "check-inverse-n4", "grsk-verify"])
-def test_window_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, window):
+def _peak_and_count(monkeypatch, run, *args) -> tuple[int, int]:
+    """A run's peak bytes, and the elements its _fits calls count with the
+    block allowance."""
     counted = []
     monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
-    peak = _peak(run, *args(window))
-    assert peak <= 8 * max(counted)
+    peak = _peak(run, *args)
+    assert counted
+    return peak, sum(counted) + ALLOWANCE
 
 
-# At 2,000 samples one pass draws the counts of 32 bands.
-@pytest.mark.parametrize("samples", [2000, 20000, 40000])
+EIGHT_RHOS = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
+
+
 @pytest.mark.parametrize("run, args", [
-    (ex.run_jump_count, lambda n: (2.0, 1.0, 0.0, 1.0, n, 7)),
-    (ex.run_jump_count, lambda n: (1.0, 0.5, 0.0, 0.5, n, 7)),
-    (ex.run_zero_temp, lambda n: (0.5, n, 7)),
-], ids=["jump-count", "jump-count-alpha-1", "zero-temp"])
-def test_jump_runs_hold_at_most_what_fits_counts(monkeypatch, run, args, samples):
-    counted = []
-    monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
-    peak = _peak(run, *args(samples))
-    assert peak <= 8 * max(counted)
+    (ex.run_check_intertwine, (3, 2.0, [0.5, 1.0, 1.5], 5000, 0, 7)),
+    (ex.run_check_inverse, (3, 2.0, [0.5, 1.0, 1.5], 5000, 7)),
+    (ex.run_check_inverse, (4, 2.0, [0.5, 1.0, 1.5, 0.25], 5000, 7)),
+    (ex.run_grsk_verify, (2.0, 5000, 7)),
+    (ex.run_check_intertwine, (8, 2.0, EIGHT_RHOS, 1500, 0, 7)),
+    # 12 windows of 60,001 values outweigh the allowance; the run holds
+    # 11.1 of them.
+    (ex.run_check_intertwine, (1, 2.0, [1.0], 60000, 0, 7)),
+], ids=["check-intertwine-5000", "check-inverse-5000", "check-inverse-n4-5000",
+        "grsk-verify-5000", "check-intertwine-n8-1500", "check-intertwine-n1-60000"])
+def test_window_runs_hold_at_most_what_fits_counts(monkeypatch, run, args):
+    peak, counted = _peak_and_count(monkeypatch, run, *args)
+    assert peak <= 8 * counted
+
+
+JUMP_RUNS = {
+    "jump-count": (ex.run_jump_count, lambda n: (2.0, 1.0, 0.0, 1.0, n, 7)),
+    "jump-count-alpha-1": (ex.run_jump_count, lambda n: (1.0, 0.5, 0.0, 0.5, n, 7)),
+    "zero-temp": (ex.run_zero_temp, lambda n: (0.5, n, 7)),
+    # At the envelope's limit its peak is 31.5, and the heaviest bands
+    # are passes of their own.
+    "jump-count-s-hi-0.815": (ex.run_jump_count, lambda n: (1.0, 0.5, 0.0, 0.815, n, 7)),
+    # The sampler, then parallel_chain on 16 x 400 sites.
+    "ppp-busemann": (ex.run_ppp_busemann, lambda n: (2.0, 0.4, 1.2, n, 7)),
+}
+# The count of a pass is at least _PASS_ARRAYS * _CHUNK.  The heaviest
+# pass outweighs that and the allowance at s-hi 0.815 and 4,000 samples,
+# 130,000 counts and expected proposals; the other cases lie below them.
+JUMP_CASES = [(name, samples) for name in ("jump-count", "jump-count-alpha-1", "zero-temp")
+              for samples in (2000, 20000, 40000)]
+JUMP_CASES += [("jump-count-s-hi-0.815", 4000), ("ppp-busemann", 400)]
+
+
+@pytest.mark.parametrize("name, samples", JUMP_CASES, ids=[f"{n}-{s}" for n, s in JUMP_CASES])
+def test_jump_runs_hold_at_most_what_fits_counts(monkeypatch, name, samples):
+    run, args = JUMP_RUNS[name]
+    peak, counted = _peak_and_count(monkeypatch, run, *args(samples))
+    assert peak <= 8 * counted
 
 
 def test_zero_temp_counts_its_reparametrization_grid(monkeypatch):
-    # At 80 samples, reparam_bound's trigamma grid outweighs the jump sampler.
-    counted = []
-    monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
-    peak = _peak(ex.run_zero_temp, 0.5, 80, 7)
-    assert peak <= 8 * max(counted)
+    # At 80 samples, reparam_bound's trigamma grid outweighs the jump
+    # sampler; the block allowance holds it.
+    peak, counted = _peak_and_count(monkeypatch, ex.run_zero_temp, 0.5, 80, 7)
+    assert peak <= 8 * counted
 
 
 @pytest.mark.parametrize("samples", [20000, 40000])
 @pytest.mark.parametrize("alpha, rho", [(2.0, 1.2), (1.0, 0.5), (1.0, 0.8)])
 def test_increment_sums_hold_at_most_what_fits_counts(monkeypatch, alpha, rho, samples):
-    # ppp-busemann's --samples part; its parallel_chain rows are counted apart.
+    # ppp-busemann's --samples part, under the jump sampler's count alone.
     counted = []
     monkeypatch.setattr(ex, "_fits", lambda elements, option: counted.append(elements))
-    ex._jump_points_fit(alpha, rho, samples)
+    ex._jump_sampler(alpha, rho, samples, "--rho")
     peak = _peak(ig.batch_increment_sums, alpha, [rho], samples, Rng(master_seed=7))
-    assert peak <= 8 * counted[0]
+    assert peak <= 8 * (counted[0] + ALLOWANCE)
+
+
+@pytest.mark.parametrize("run, args", [
+    (ex.run_stationary_cocycle, (2.0, 1.0, 1000, 60, 7)),
+    (ex.run_stationary_cocycle, (2.0, 1.0, 2000, 300, 7)),
+    (ex.run_she_check, (2.0, 1.0, 200, 7)),
+    (ex.run_she_check, (2.0, 1.0, 600, 7)),
+    (ex.run_parallel_chain, (2.0, [1.2, 0.4], 400, 7)),
+    (ex.run_parallel_chain, (2.0, [1.2, 0.8, 0.4], 400, 7)),
+    (ex.run_cif_eta, (2.0, 1.0, 300, 7)),
+    # Two blocks of 256 rows of 604 values.
+    (ex.run_cif_eta, (2.0, 0.1, 512, 7)),
+    (ex.run_calibrate_stats, (124, 200, 7)),
+    (ex.run_calibrate_stats, (2000, 20, 7)),
+], ids=["stationary-cocycle-1000x60", "stationary-cocycle-2000x300", "she-check-200",
+        "she-check-600", "parallel-chain-400", "parallel-chain-3-rhos-400",
+        "cif-eta-300", "cif-eta-rho-0.1", "calibrate-stats-124x200",
+        "calibrate-stats-2000x20"])
+def test_grid_runs_hold_at_most_what_fits_counts(monkeypatch, run, args):
+    peak, counted = _peak_and_count(monkeypatch, run, *args)
+    assert peak <= 8 * counted
 
 
 def test_stationary_cocycle_holds_its_grids():

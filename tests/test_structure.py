@@ -4,7 +4,8 @@ Only the command-line front end imports click, and it catches no error
 that it cannot name: a bad option reaches it as experiments.ConfigError,
 and anything else is a crash.  Every check's pass is the comparison of
 its value with its threshold.  The array special functions are called
-once per array, never once per item of a loop.
+once per array, never once per item of a loop.  Every run sizes itself
+against the memory budget.
 """
 
 import ast
@@ -87,3 +88,24 @@ def test_no_array_function_called_per_item(path):
                     f"{path.name}:{node.lineno} calls {_called_name(node)} inside the "
                     f"loop of line {loop.lineno}; pass it the whole array"
                 )
+
+
+# _fits refuses a run over the memory budget; the other two call it with
+# their family's count.
+SIZING = {"_fits", "_jump_sampler", "_cif_sizes"}
+
+
+def test_every_run_sizes_itself():
+    tree = _tree(PACKAGE / "experiments.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(name: str) -> set:
+        return {_called_name(node) for node in ast.walk(functions[name])
+                if isinstance(node, ast.Call)}
+
+    for helper in SIZING - {"_fits"}:
+        assert "_fits" in called(helper), f"{helper} does not call _fits"
+    runs = [name for name in functions if name.startswith("run_")]
+    assert len(runs) == 12
+    for name in runs:
+        assert called(name) & SIZING, f"{name} calls none of {sorted(SIZING)}"
