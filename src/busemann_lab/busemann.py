@@ -3,10 +3,11 @@
 A cocycle grid holds the exponentiated horizontal and vertical increments
 I and J of a stationary cocycle on a rectangle, built by drawing the
 bottom row from the stationary law and evolving upward with the update
-map driven by the weight field.  From a grid one obtains eternal
-solutions of the discrete stochastic heat recursion; independent of
-grids, Busemann values are estimated by partition-function ratios from
-deep starting points.
+map driven by the weight field.  stationary_blocks yields the same sites
+in blocks, for a pass that need not hold the grid.  From a grid one
+obtains eternal solutions of the discrete stochastic heat recursion;
+independent of grids, Busemann values are estimated by
+partition-function ratios from deep starting points.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ from .grsk import build_triangular, triangular_reach
 __all__ = [
     "CocycleGrid",
     "EternalSolution",
+    "DiagonalBlock",
+    "RowBlock",
     "stationary_cocycle",
+    "stationary_blocks",
     "parallel_chain",
     "chain_reach",
     "busemann_ratio_estimate",
@@ -67,6 +71,92 @@ class CocycleGrid:
     @property
     def t_max(self) -> int:
         return self.i_vals.shape[0] - 1
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """Rows t0.. of a cocycle grid on rows 0..t_max, as views of its I, J
+    and W arrays from row t0 - 1: line r holds row t0 - 1 + r, site
+    (t, k) at column k.
+
+    As in a DiagonalBlock, lines 1.. hold the block's sites and line 0
+    the sites they read.  bulk(c) gives the sites with t >= 1 and k >= c
+    as the columns of lines 1.. and a mask on them that broadcasts;
+    neighbours() gives the columns of lines 1.. whose additivity
+    neighbours I(t - 1, k) and J(t, k - 1) the block holds, which cover
+    bulk(1)'s, and those neighbours aligned with them; top(c, every)
+    indexes lines 1.. at every every-th site of row t_max from k = c on.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    t0: int
+    t_max: int
+
+    def bulk(self, c: int):
+        return slice(c, None), True
+
+    def neighbours(self):
+        return slice(1, None), self.i[:-1, 1:], self.j[1:, :-1]
+
+    def top(self, c: int, every: int = 1):
+        if self.t0 + self.i.shape[0] - 2 < self.t_max:
+            return np.zeros(0, int), np.zeros(0, int)
+        return self.i.shape[0] - 2, slice(c, None, every)
+
+
+@dataclass(frozen=True)
+class DiagonalBlock:
+    """Anti-diagonals t + k = s0.. of a cocycle grid on n columns and rows
+    0..t_max, diagonal-major, with RowBlock's methods.
+
+    Line r >= 1 holds diagonal s = s0 + r - 1 and line 0 diagonal s0 - 1:
+    log I, log J and log W at its sites (t, k = s - t), column p holding
+    t = lo + p for lo = max(0, s - n + 1) up to t = min(s, t_max); the
+    columns past them hold no site.  Sites on row 0 carry the bottom row's
+    I, and NaN for J and W.  A block lies on one side of s = n, so
+    I(t - 1, k) and J(t, k - 1) of the site in line r, column p sit in
+    line r - 1 at columns p - 1 + shift and p + shift, with shift = 1 if
+    s0 >= n and 0 otherwise.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    s0: int
+    n: int
+    t_max: int
+
+    @property
+    def shift(self) -> int:
+        return int(self.s0 >= self.n)
+
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s, lo and the last row min(s, t_max) of lines 1.. of the block."""
+        s = np.arange(self.s0, self.s0 + self.i.shape[0] - 1)
+        return s, np.maximum(s - (self.n - 1), 0), np.minimum(s, self.t_max)
+
+    def bulk(self, c: int):
+        # Rows from max(lo, 1) to the diagonal's last, and k = s - lo - p
+        # >= c; away from the grid's corners every line has the same range.
+        s, lo, hi = self.diagonals()
+        first, last = np.maximum(1 - lo, 0), np.minimum(hi, s - c) - lo
+        cols = slice(int(first.min()), max(int(last.max()) + 1, 0))
+        if (first == cols.start).all() and (last == cols.stop - 1).all():
+            return cols, True
+        p = np.arange(cols.start, cols.stop)
+        return cols, (p >= first[:, None]) & (p <= last[:, None])
+
+    def neighbours(self):
+        a = 1 - self.shift
+        return slice(a, a + self.i.shape[1] - 1), self.i[:-1, :-1], self.j[:-1, 1:]
+
+    def top(self, c: int, every: int = 1):
+        # Site (t_max, s - t_max) is column t_max - lo of diagonal s.
+        s, lo, _ = self.diagonals()
+        r = np.flatnonzero((s >= self.t_max + c) & ((s - self.t_max - c) % every == 0))
+        return r, self.t_max - lo[r]
 
 
 @dataclass(frozen=True)
@@ -113,56 +203,136 @@ def _evolve(
     """Run the update recursion bottom-to-top over field rows 1..t_max.
 
     w_vals, if given, holds those rows as ``_weight_rows`` draws them;
-    otherwise they are drawn here, in blocks of rows.  A grid whose shorter
-    side has at least _WAVEFRONT_MIN sites is swept by anti-diagonals
-    (_sweep_diagonals), a smaller one row by row with update_raw; both
-    give the same bits.
+    otherwise they are drawn here, in blocks of rows, before the I and J
+    grids exist.  A grid whose shorter side has at least _WAVEFRONT_MIN
+    sites is swept by anti-diagonals (_sweep_diagonals), whose blocks are
+    written into the grids one diagonal at a time; a smaller one runs row
+    by row with update_raw.  Both give the same bits.
     """
     n = k_hi - k_lo + 1
     if w_vals is None:
         w_vals = _weight_rows(field, k_lo, k_hi, t_max)
     i_vals = np.full((t_max + 1, n), np.nan)
     j_vals = np.full((t_max + 1, n), np.nan)
-    i_vals[0] = log_i0
-    # Each row seeds the vertical increment at the left edge with the
-    # weight there; its influence decays geometrically in k.
-    if min(t_max, n) >= _WAVEFRONT_MIN:
-        _sweep_diagonals(i_vals, j_vals, w_vals)
-    else:
+    if min(t_max, n) < _WAVEFRONT_MIN:
+        i_vals[0] = log_i0
+        # Each row seeds the vertical increment at the left edge with the
+        # weight there; its influence decays geometrically in k.
         for t in range(1, t_max + 1):
-            j_vals[t], i_vals[t] = update_raw(
-                w_vals[t], i_vals[t - 1], float(w_vals[t, 0])
-            )
+            j_vals[t], i_vals[t] = update_raw(w_vals[t], i_vals[t - 1], float(w_vals[t, 0]))
+        return i_vals, j_vals, w_vals
+    for block in _sweep_diagonals(field, log_i0, k_lo, t_max, w_vals):
+        for r, (s, lo, hi) in enumerate(zip(*(v.tolist() for v in block.diagonals())), 1):
+            # Sites (t, s - t) of the flat grid, t = lo..hi, a stride n - 1 apart.
+            at = slice(s + lo * (n - 1), s + hi * (n - 1) + 1, n - 1)
+            i_vals.reshape(-1)[at] = block.i[r, :hi - lo + 1]
+            j_vals.reshape(-1)[at] = block.j[r, :hi - lo + 1]
     return i_vals, j_vals, w_vals
 
 
-def _sweep_diagonals(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray) -> None:
-    """Rows 1.. of i_vals and j_vals as _evolve's row loop fills them, in place.
+def _sweep_diagonals(field: WeightField, log_i0: np.ndarray, k_lo: int, t_max: int,
+                     w_vals: np.ndarray | None = None):
+    """The grid over log_i0 in DiagonalBlocks, computed, never held whole.
 
     Site (t, k) needs I(t - 1, k) and J(t, k - 1), which both lie on the
     anti-diagonal t + k = s - 1, so each anti-diagonal is one call of
     seqmaps' vector update step over its sites (Lamport's hyperplane
-    method), and the values are the bits of the row loop.  In the flat
-    C-order arrays diagonal s is a slice of stride n - 1, with I(t - 1, k)
-    at offset -n and J(t, k - 1) at offset -1; the site (s, 0) takes the
-    weight seed instead.  The step's two buffers are allocated once for
-    the longest diagonal, and each step works in their leading slices.
+    method), and the values are the bits of update_raw's row loop.  The
+    first site that diagonal s computes, (1, s - 1) or (s - n + 1, n - 1),
+    reads I and J from columns 0 and 1 of diagonal s - 1, and each step
+    reads two slices there; the site (s, 0) takes the weight seed
+    instead.  A block reads the weights of its sites with t >= 1 from
+    w_vals, rows as _weight_rows draws them, if given, and otherwise draws
+    them by site key, so no site off the grid is drawn.  Its last
+    diagonal moves to line 0 for the next block.  The three block buffers
+    and the step's two buffers are allocated once, filled with NaN; a
+    block's arrays are views of them, which the next block overwrites.
     """
+    n = log_i0.shape[0]
+    width = min(t_max + 1, n)
+    rows = max(1, _CHUNK // width)
+    # The weights are drawn in groups of half a block.  A draw of _CHUNK
+    # keys allocates and frees about 4 MB of gamma-sampler temporaries,
+    # which glibc's heap trimming can hand back to the system after every
+    # draw, to be faulted in again by the next.  Measured in the steps of
+    # perfbench's lattice-rows workload, in one process: the 6001 x 401
+    # sweep took 36,800 page faults and 0.49 s in whole blocks, 2,000 and
+    # 0.43 s in halves.
+    group = max(1, _CHUNK // 2 // width)
+    i_b, j_b, w_b = (np.full((rows + 1, width), np.nan) for _ in range(3))
+    if w_vals is None:
+        xy = np.empty((2, rows, width), np.int64)
+    else:
+        w_flat = w_vals.reshape(-1)
+    buf, scratch = np.empty(2 * width), np.empty(2 * width)
+    p = np.arange(width)
+    # Blocks of max(1, _CHUNK // width) diagonals, as Rng.uniform_rows
+    # sizes its blocks, none across s = n.
+    s0 = 0
+    while s0 < t_max + n:
+        s1 = min(s0 + rows, n if s0 < n else t_max + n)
+        block = DiagonalBlock(i_b[:s1 - s0 + 1], j_b[:s1 - s0 + 1], w_b[:s1 - s0 + 1],
+                              s0, n, t_max)
+        s, lo, hi = block.diagonals()
+        lens = hi - lo + 1
+        # Row 0 sites come first on diagonals s < n; the others take
+        # their weights.
+        a = 1 - block.shift
+        if a:
+            block.i[1:, 0] = log_i0[s0:s1]
+            block.j[1:, 0] = block.w[1:, 0] = np.nan
+        if w_vals is not None:
+            # Sites (t, d - t) of the flat grid, a stride n - 1 apart.
+            for r, (d, t0, t1) in enumerate(zip(s.tolist(), (lo + a).tolist(), hi.tolist()), 1):
+                block.w[r, a:a + t1 - t0 + 1] = w_flat[d + t0 * (n - 1):d + t1 * (n - 1) + 1:n - 1]
+        else:
+            x = np.subtract((k_lo + s - lo)[:, None], p, out=xy[0, :s1 - s0])
+            y = np.add(lo[:, None], p, out=xy[1, :s1 - s0])
+            for r in range(0, s1 - s0, group):
+                g, w_g = slice(r, r + group), block.w[1 + r:1 + r + group]
+                if lens[g].min() == width:
+                    w_g[:, a:] = field.log_weight_sites(x[g, a:], y[g, a:])
+                else:
+                    on = (p >= a) & (p < lens[g, None])
+                    w_g[on] = field.log_weight_sites(x[g][on], y[g][on])
+        i_f, j_f, w_f = (v.reshape(-1) for v in (block.i, block.j, block.w))
+        for r, length in enumerate(lens.tolist(), 1):
+            back, first, seeded = (r - 1) * width, r * width + a, s0 + r - 1 <= t_max
+            m = length - a
+            if m > 0:
+                np.subtract(i_f[back:back + m - seeded], j_f[back + 1:back + m + 1 - seeded],
+                            out=buf[:m - seeded])
+                if seeded:
+                    buf[m - 1] = i_f[back + m - 1] - w_f[first + m - 1]
+                _update_step(buf[:2 * m], scratch[:2 * m], w_f[first:first + m],
+                             i_f[first:first + m], j_f[first:first + m])
+        yield block
+        for v in (i_b, j_b, w_b):
+            v[0] = v[s1 - s0]
+        s0 = s1
+
+
+def _row_blocks(i_vals: np.ndarray, j_vals: np.ndarray, w_vals: np.ndarray):
+    """Full grids in RowBlocks of max(1, _CHUNK // n) rows, as views."""
     t_max, n = i_vals.shape[0] - 1, i_vals.shape[1]
-    i_flat, j_flat, w_flat = i_vals.reshape(-1), j_vals.reshape(-1), w_vals.reshape(-1)
-    step = n - 1
-    buf, scratch = np.empty(2 * min(t_max, n)), np.empty(2 * min(t_max, n))
-    for s in range(1, t_max + n):
-        t_lo, t_hi = max(1, s - step), min(t_max, s)
-        lo, hi = s + t_lo * step, s + t_hi * step + 1
-        size = t_hi - t_lo + 1
-        d = buf[:size]
-        log_i = i_flat[lo - n:hi - n:step]
-        np.subtract(log_i, j_flat[lo - 1:hi - 1:step], out=d)
-        if t_hi == s:
-            d[-1] = log_i[-1] - w_flat[s * n]
-        _update_step(buf[:2 * size], scratch[:2 * size], w_flat[lo:hi:step],
-                     i_flat[lo:hi:step], j_flat[lo:hi:step])
+    step = max(1, _CHUNK // n)
+    for t0 in range(1, t_max + 1, step):
+        rows = slice(t0 - 1, min(t0 + step, t_max + 1))
+        yield RowBlock(i_vals[rows], j_vals[rows], w_vals[rows], t0, t_max)
+
+
+def _bottom_row(field: WeightField, rho: RhoParam, rect, rng: Rng):
+    """A stationary grid's rectangle, burn-in margin and bottom row."""
+    k_lo, k_hi, t_max = (int(r) for r in rect)
+    if rho.alpha != field.alpha:
+        raise ValueError("rho and field must share one alpha")
+    margin = _margin(rho.alpha, rho.rho)
+    if k_lo + margin >= k_hi:
+        raise ValueError(
+            f"rectangle too narrow: burn-in margin {margin} exhausts [{k_lo}, {k_hi}]"
+        )
+    log_i0 = ig_window(rng, rho.alpha - rho.rho, k_lo, k_hi).values
+    return k_lo, t_max, margin, log_i0
 
 
 def stationary_cocycle(
@@ -174,16 +344,8 @@ def stationary_cocycle(
     alpha - rho from rng; each higher level applies the update map driven
     by the corresponding weight-field row.
     """
-    k_lo, k_hi, t_max = (int(r) for r in rect)
-    if rho.alpha != field.alpha:
-        raise ValueError("rho and field must share one alpha")
-    margin = _margin(rho.alpha, rho.rho)
-    if k_lo + margin >= k_hi:
-        raise ValueError(
-            f"rectangle too narrow: burn-in margin {margin} exhausts [{k_lo}, {k_hi}]"
-        )
-    log_i0 = ig_window(rng, rho.alpha - rho.rho, k_lo, k_hi).values
-    i_vals, j_vals, w_vals = _evolve(field, log_i0, k_lo, k_hi, t_max)
+    k_lo, t_max, margin, log_i0 = _bottom_row(field, rho, rect, rng)
+    i_vals, j_vals, w_vals = _evolve(field, log_i0, k_lo, k_lo + log_i0.shape[0] - 1, t_max)
     return CocycleGrid(
         i_vals=i_vals,
         j_vals=j_vals,
@@ -192,6 +354,20 @@ def stationary_cocycle(
         k_lo=k_lo,
         bulk_k_lo=k_lo + margin,
     )
+
+
+def stationary_blocks(field: WeightField, rho: RhoParam, rect, rng: Rng):
+    """stationary_cocycle's grid as an iterator of blocks, with the same
+    draws and bits, for a pass that reads each site once: the
+    DiagonalBlocks of a grid that _evolve sweeps by anti-diagonals, which
+    is never held whole, or the RowBlocks of a smaller grid that _evolve
+    builds row by row.  The bulk starts _margin(alpha, rho) columns from
+    k_lo."""
+    k_lo, t_max, _, log_i0 = _bottom_row(field, rho, rect, rng)
+    n = log_i0.shape[0]
+    if min(t_max, n) >= _WAVEFRONT_MIN:
+        return _sweep_diagonals(field, log_i0, k_lo, t_max)
+    return _row_blocks(*_evolve(field, log_i0, k_lo, k_lo + n - 1, t_max))
 
 
 def parallel_chain(
@@ -225,6 +401,7 @@ def parallel_chain(
         ig_window(rng.spawn(idx + 1), lam, pre, k_hi) for idx, lam in enumerate(lams)
     )))
     diag = [tri.x_cells[i, i] for i in range(1, n_comp + 1)]
+    del tri  # only the diagonal is used, and the rest outweighs the grids
     # build_triangular restricts every cell to one common range.
     lo = max(k_lo - margin, diag[0].lo)
     if lo >= k_hi:

@@ -116,6 +116,14 @@ def _window_at_least(minimum: int, window: int) -> None:
     _require(window >= minimum, "--window", f"{window} is not in the range x>={minimum}.")
 
 
+def _max_abs(x, where=True) -> float:
+    """The largest |x| over an array, or a list of numbers, where where
+    holds; 0 if there is none, NaN if any is NaN.  An array x is
+    overwritten by |x|."""
+    x = np.asarray(x)
+    return float(np.max(np.abs(x, out=x), initial=0.0, where=where))
+
+
 def _max_abs_rows(rows) -> float:
     """The largest |x| over an iterable of arrays, NaN if any x is NaN.
 
@@ -347,43 +355,64 @@ def _beta_cdf(a: float, b: float):
     return lambda v: reg_inc_beta(a, b, np.clip(v, 0.0, 1.0))
 
 
+def _cocycle_fold(blocks, c: int):
+    """One pass over a stationary grid's RowBlocks or DiagonalBlocks: the
+    largest recovery residual |1/I + 1/J - 1/W| over the bulk sites
+    (t >= 1, k >= c), the largest additivity residual |log J_k +
+    log I_k(t - 1) - log I_k - log J_{k-1}| over those with k >= c + 1,
+    and the top row's bulk log I and every 16th of its bulk log J, in
+    increasing k.  Each residual has the bits of the site-by-site
+    formula, and NaN wins every maximum.  The residuals go through two
+    work arrays of the largest block's size."""
+    rec, add, top_i, top_j = [], [], [], []
+    work = np.empty(0)
+    for b in blocks:
+        i, j, w = b.i[1:], b.j[1:], b.w[1:]
+        if work.size < 2 * i.size:
+            work = np.empty(2 * i.size)
+        x, y = work[:i.size].reshape(i.shape), work[i.size:2 * i.size].reshape(i.shape)
+        np.exp(np.negative(i, out=x), out=x)
+        x += np.exp(np.negative(j, out=y), out=y)
+        x -= np.exp(np.negative(w, out=y), out=y)
+        cols, where = b.bulk(c)
+        rec.append(_max_abs(x[:, cols], where=where))
+        # Column p of x holds site p's additivity residual from here on.
+        cols, i_up, j_left = b.neighbours()
+        np.add(j[:, cols], i_up, out=x[:, cols])
+        x[:, cols] -= np.add(i[:, cols], j_left, out=y[:, cols])
+        cols, where = b.bulk(c + 1)
+        add.append(_max_abs(x[:, cols], where=where))
+        top_i.append(i[b.top(c)])
+        top_j.append(j[b.top(c, 16)])
+    return _max_abs(rec), _max_abs(add), np.concatenate(top_i), np.concatenate(top_j)
+
+
 def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
     _alpha(alpha)
     _rho(alpha, rho)
+    _require(levels >= 1, "--levels", f"{levels} is not in the range x>=1.")
     with _burn_ins("--rho"):
         margin = bu._margin(alpha, rho)
     # The bulk starts at the burn-in margin; its vertical KS test reads
     # every 16th bulk site, as parallel-chain's does.
     _window_at_least(margin + KS_WINDOW_MIN, window)
-    # The grid's I, J and W arrays.
+    # The grid's I, J and W arrays.  The run streams the grid in blocks
+    # and holds far less, but without this count an oversized --window or
+    # --levels would run for hours; a bound on the time waits for ROADMAP
+    # item 16.
     _fits(_grids(3, levels + 1, window + 1), "--levels" if levels > window else "--window")
     field = lat.WeightField(alpha, seed)
     rng = Rng(master_seed=seed, stream_id=1)
-    grid = bu.stationary_cocycle(
-        field, lat.RhoParam(rho, alpha), (0, window, levels), rng
-    )
-    c = grid.bulk_k_lo - grid.k_lo
-    i, j, w = grid.i_vals, grid.j_vals, grid.w_vals
-    rows = range(1, grid.t_max + 1)
-    rec = _max_abs_rows(np.exp(-i[t, c:]) + np.exp(-j[t, c:]) - np.exp(-w[t, c:])
-                        for t in rows)
-    add = _max_abs_rows((j[t, c + 1:] + i[t - 1, c + 1:]) - (i[t, c + 1:] + j[t, c:-1])
-                        for t in rows)
-    checks = [
+    blocks = bu.stationary_blocks(field, lat.RhoParam(rho, alpha), (0, window, levels), rng)
+    rec, add, log_i, log_j = _cocycle_fold(blocks, margin)
+    return [
         _below("recovery-residual", "cocycle-recovery", rec, 1e-12),
         _below("additivity-residual", "cocycle-additivity", add, 1e-12),
+        _pvalue("top-row-marginal-ks", "stationary-horizontal-law",
+                ks_one_sample(np.exp(log_i), _invgamma_cdf(alpha - rho)).p_value),
+        _pvalue("vertical-marginal-ks", "stationary-vertical-law",
+                ks_one_sample(np.exp(log_j), _invgamma_cdf(rho)).p_value),
     ]
-    cdf_i = _invgamma_cdf(alpha - rho)
-    top = ks_one_sample(np.exp(grid.i_vals[grid.t_max, c:]), cdf_i)
-    checks.append(_pvalue(
-        "top-row-marginal-ks", "stationary-horizontal-law", top.p_value
-    ))
-    j_sp = np.exp(grid.j_vals[grid.t_max, c::16])
-    jks = ks_one_sample(j_sp, _invgamma_cdf(rho))
-    checks.append(_pvalue(
-        "vertical-marginal-ks", "stationary-vertical-law", jks.p_value
-    ))
-    return checks
 
 
 def run_parallel_chain(alpha, rhos, window, seed) -> list[dict]:

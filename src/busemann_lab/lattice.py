@@ -68,26 +68,23 @@ class WeightField:
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
 
+    def log_weight_sites(self, x, y) -> np.ndarray:
+        """Log-weights at the sites (x, y) of coordinate arrays that broadcast."""
+        keys = keys_for_sites(self.master_seed, self.stream_id, x, y)
+        return -np.log(gamma_from_keys(keys.reshape(-1), self.alpha)).reshape(keys.shape)
+
     def log_weight(self, x) -> float:
-        x1, x2 = _check_point(x)
-        keys = keys_for_sites(self.master_seed, self.stream_id, x1, x2)
-        return float(-np.log(gamma_from_keys(keys, self.alpha))[0])
+        return float(self.log_weight_sites(*_check_point(x))[0])
 
     def log_weight_block(self, origin, shape) -> np.ndarray:
         """Log-weights on the block origin + [0, shape0) x [0, shape1)."""
         x1, x2 = _check_point(origin)
-        n1, n2 = int(shape[0]), int(shape[1])
-        # keys_for_sites broadcasts the column against the row.
-        xs = x1 + np.arange(n1)[:, None]
-        ys = x2 + np.arange(n2)[None, :]
-        keys = keys_for_sites(self.master_seed, self.stream_id, xs, ys)
-        return -np.log(gamma_from_keys(keys.reshape(-1), self.alpha)).reshape(n1, n2)
+        return self.log_weight_sites(x1 + np.arange(int(shape[0]))[:, None],
+                                     x2 + np.arange(int(shape[1]))[None, :])
 
     def log_weight_row(self, k_lo: int, k_hi: int, t: int) -> np.ndarray:
         """Log-weights at sites (k, t) for k in [k_lo, k_hi]."""
-        ks = np.arange(k_lo, k_hi + 1)
-        keys = keys_for_sites(self.master_seed, self.stream_id, ks, t)
-        return -np.log(gamma_from_keys(keys, self.alpha))
+        return self.log_weight_sites(np.arange(k_lo, k_hi + 1), t)
 
 
 def log_partition(field, u, v) -> float:

@@ -4,7 +4,8 @@ The one-grid-per-replica construction of the competition-interface ratio
 samples, the oracle for their batched draw and stacked update_raw rows;
 the row-by-row cocycle evolution and site-by-site anti-diagonal
 partition-function table, the oracles for the wavefront update step and
-the strided table; the allocating splitmix64 chain, one temporary per
+the strided table; the row-wise stationary-cocycle checks on a whole
+grid, the oracle for their fold over streamed blocks; the allocating splitmix64 chain, one temporary per
 step, the oracle for the fused hashing kernel; the whole-array gamma
 sampler, every log test on every lane, the oracle for the blocked one;
 the scalar incomplete gamma and beta functions, one Python-float
@@ -72,6 +73,26 @@ def row_by_row_evolve(
         j_vals[t] = log_j
         w_vals[t] = log_w
     return i_vals, j_vals, w_vals
+
+
+def row_wise_cocycle_checks(i_vals, j_vals, w_vals, c: int):
+    """``experiments._cocycle_fold`` on whole grids, one row at a time.
+
+    The recovery and additivity residuals' maxima over the bulk columns
+    k >= c (k >= c + 1 for additivity) of rows 1.., NaN if any residual
+    is NaN, then the top row's log I from k = c and its log J at every
+    16th column from there.
+    """
+    rows = range(1, i_vals.shape[0])
+    i, j, w = i_vals, j_vals, w_vals
+
+    def max_abs(residuals):
+        return float(np.max([np.max(np.abs(r)) for r in residuals], initial=0.0))
+
+    rec = max_abs(np.exp(-i[t, c:]) + np.exp(-j[t, c:]) - np.exp(-w[t, c:]) for t in rows)
+    add = max_abs((j[t, c + 1:] + i[t - 1, c + 1:]) - (i[t, c + 1:] + j[t, c:-1])
+                  for t in rows)
+    return rec, add, i[-1, c:], j[-1, c::16]
 
 
 def site_by_site_log_partition_table(w: np.ndarray, include_initial: bool) -> np.ndarray:

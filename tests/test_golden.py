@@ -8,7 +8,7 @@ and requires the same exit code.  The cases are the configurations of
 (``check-inverse`` fails its inverse gaps, a known conditioning defect,
 and exits 1), one CSV report, the benchmark's deep grid
 ``stationary-cocycle --window 6000 --levels 400``, the largest grid
-that the anti-diagonal ``_evolve`` runs in any report, and a
+that the anti-diagonal sweep runs in any report, and a
 ``parallel-chain`` of three rhos.
 
 The cases not at the defaults run once more under the benchmark's layer

@@ -154,3 +154,26 @@ def test_she_check_holds_its_grid_and_solution(monkeypatch):
     grid, es = held
     arrays = (grid.i_vals, grid.j_vals, grid.w_vals, es.log_z)
     assert peak <= 1.25 * sum(a.nbytes for a in arrays)
+
+
+def test_stationary_cocycle_peak_does_not_grow_with_levels():
+    # The run folds its checks over blocks of anti-diagonals and keeps
+    # only the top row: twice the levels, the same peak.
+    low = _peak(ex.run_stationary_cocycle, 2.0, 1.0, 3000, 200, 7)
+    high = _peak(ex.run_stationary_cocycle, 2.0, 1.0, 3000, 400, 7)
+    assert high <= 1.1 * low
+
+
+def test_stationary_cocycle_holds_under_a_quarter_of_its_grids():
+    window, levels = 3000, 400
+    grids = 3 * 8 * (levels + 1) * (window + 1)
+    assert _peak(ex.run_stationary_cocycle, 2.0, 1.0, window, levels, 7) < grids / 4
+
+
+@pytest.mark.parametrize("rhos, rows", [([1.2, 0.4], 16), ([1.2, 0.8, 0.4], 20)])
+def test_parallel_chain_keeps_only_the_diagonal_of_its_bottom_row_draw(rhos, rows):
+    # Traced: 15.1 and 19.2 rows of its width, against 17.1 and 25.2
+    # while the whole triangular array stayed alive.
+    window = 50000
+    width = window + bu.chain_reach(2.0, rhos) + 1
+    assert _peak(ex.run_parallel_chain, 2.0, rhos, window, 7) <= rows * 8 * width
