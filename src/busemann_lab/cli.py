@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import click
 
-from . import cif, experiments
+from . import experiments
 # The benchmark's layer test checks that its tracer wraps this alias too.
 from .stats import ks_one_sample  # noqa: F401
 
@@ -83,8 +83,7 @@ ALPHA = _opt("--alpha", 2.0)
 RHO = _opt("--rho", 1.0)
 N = _opt("--n", 3, type=COUNT)
 SAMPLES = _opt("--samples", 10000, type=KS_COUNT)
-# Past this count cif's replica stream ids would alias.
-REPLICAS = _opt("--replicas", 10000, type=click.IntRange(1, cif._MAX_REPLICAS))
+REPLICAS = _opt("--replicas", 10000)
 COMMON = (
     _opt("--format", "json", "fmt", type=click.Choice(["json", "csv"])),
     _opt("--output", "-", help="Report path, '-' for stdout."),

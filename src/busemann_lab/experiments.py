@@ -26,7 +26,8 @@ from . import lattice as lat
 from . import seqmaps as sm
 from .bruteforce import brute_force_ratio_array
 from .special_functions import (_CHUNK, POISSON_MEAN_MAX, Rng, _libm, digamma,
-                                reg_inc_beta, reg_inc_gamma, sample_poisson)
+                                reg_inc_beta, reg_inc_gamma, sample_inverse_gamma,
+                                sample_poisson)
 from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
@@ -291,10 +292,11 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
     _window_at_least(minimum, window)
     _fits(_windows(3, window + 1), "--window")
     checks = []
-    rng = np.random.default_rng(seed)
+    # Spawns 1-3 are _ig_windows' inputs.
+    rng = Rng(master_seed=seed).spawn(4)
     worst = 0.0
     for n in (3, 4):
-        weights = 1.0 / rng.gamma(alpha, size=(n + 3, n))
+        weights = sample_inverse_gamma(rng, alpha, (n + 3) * n).reshape(n + 3, n)
         # Entry (m - 1, k - 1) is log Z from (1, 1) to (m, k), both weights in.
         logz = lat._log_partition_table(np.log(weights), True)
         arr = brute_force_ratio_array(weights, n)
@@ -470,14 +472,17 @@ def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
     checks = []
     r = ks_one_sample(np.exp(-inc[:, 1]), _beta_cdf(alpha - rho, rho - lam))
     checks.append(_pvalue("increment-beta-ks", "busemann-profile-increments", r.p_value))
-    mres = ig.marginal_check(alpha, rho, samples, rng.spawn(2))
+    # The two columns sum to Z(rho)'s jump part: all three checks read one draw.
+    mres = ig.marginal_check(alpha, rho, inc.sum(axis=1), rng.spawn(2))
     checks.append(_pvalue("marginal-ks", "busemann-edge-marginal", mres.p_value))
     corr = pearson(inc[:, 0], inc[:, 1])
     checks.append(_below(
         "adjacent-increment-independence", "profile-independent-increments",
         abs(corr), 3.0 / math.sqrt(samples),
     ))
-    field = lat.WeightField(alpha, seed + 1)
+    # Field stream 3 would alias the chain's stream: site (x, 0) of a field
+    # stream has the key of element 0 of event x of the Rng stream.
+    field = lat.WeightField(alpha, seed, stream_id=4)
     grids = bu.parallel_chain(
         field,
         [lat.RhoParam(rho, alpha), lat.RhoParam(lam, alpha)],
@@ -557,6 +562,9 @@ def run_zero_temp(rho, samples, seed) -> list[dict]:
 
 
 def _cif_sizes(alpha, rho, replicas) -> None:
+    # Past this count a stream id's replicas would run into the next one's.
+    _require(1 <= replicas <= cifmod._MAX_REPLICAS, "--replicas",
+             f"{replicas} is not in the range 1<=x<={cifmod._MAX_REPLICAS}.")
     _alpha(alpha)
     _rho(alpha, rho)
     with _burn_ins("--rho"):
@@ -589,7 +597,7 @@ def run_cif_xi(alpha, rho, replicas, seed) -> list[dict]:
         abs(est - (alpha - rho) / alpha), 3.0 * se_x,
     )]
     p, se_h = cifmod.eta_cdf_estimate(
-        alpha, rho, replicas, Rng(master_seed=seed + 1, stream_id=1)
+        alpha, rho, replicas, Rng(master_seed=seed, stream_id=2)
     )
     checks.append(_below(
         "interface-law-agreement", "finite-and-semi-infinite-interface-laws",

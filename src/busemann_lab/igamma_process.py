@@ -326,13 +326,16 @@ def batch_jump_counts(
     return counts
 
 
-def marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
-    """KS test of n sampled Z(rho) values against the log Ga^-1(alpha - rho) law."""
+def marginal_check(alpha: float, rho: float, sums: np.ndarray, rng: Rng) -> KsResult:
+    """KS test of Z(rho) = Z(0) + sums against the log Ga^-1(alpha - rho) law.
+
+    sums holds independent draws of Z(rho) - Z(0), the jump part with its
+    compensator, as ``batch_increment_sums`` gives them; Z(0) =
+    -log Ga(alpha) is drawn from rng.spawn(0), one per sum.
+    """
     if not (0.0 < rho < alpha):
         raise ValueError("need 0 < rho < alpha")
-    z0 = -np.log(sample_gamma(rng.spawn(0), alpha, size=n))
-    sums = batch_increment_sums(alpha, [rho], n, rng.spawn(1))[:, 0]
-    z = z0 + sums
+    z = -np.log(sample_gamma(rng.spawn(0), alpha, size=len(sums))) + sums
     return ks_one_sample(
         z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _libm(np.exp, -v))
     )

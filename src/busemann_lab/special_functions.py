@@ -536,9 +536,10 @@ def gamma_from_keys(keys: np.ndarray, shape: float) -> np.ndarray:
     Marsaglia-Tsang squeeze/rejection for shape >= 1; shapes below 1 are
     boosted through Ga(shape + 1) times U^{1/shape}.  Each rejection attempt
     consumes three dedicated lanes of the per-key counter space, so the
-    result is a pure function of the keys.  Keys are drawn _CHUNK at a
-    time; every element gets the same ufunc calls on contiguous arrays
-    whatever the block, so blocks do not change the bits.
+    result is a pure function of the keys.  Keys are drawn _CHUNK // 4 at
+    a time, so that an attempt's three lanes are one hashing pass; every
+    element gets the same ufunc calls on contiguous arrays whatever the
+    block, so blocks do not change the bits.
     """
     shape = _check_positive("shape", shape)
     boosted = shape < 1.0
@@ -546,43 +547,67 @@ def gamma_from_keys(keys: np.ndarray, shape: float) -> np.ndarray:
         shape = shape + 1.0
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(keys.shape[0], dtype=np.float64)
-    for lo in range(0, keys.shape[0], _CHUNK):
-        block, dest = keys[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
-        _marsaglia_tsang(block, d, c, int(boosted), dest)
+    n = keys.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    step = max(1, _CHUNK // 4)
+    # Every attempt of every block hashes and computes in these two rows.
+    work = np.empty((2, 3 * min(step, n)), dtype=_U64)
+    for lo in range(0, n, step):
+        block, dest = keys[lo:lo + step], out[lo:lo + step]
+        _marsaglia_tsang(block, d, c, int(boosted), dest, work)
         if boosted:
             dest *= _lane_uniforms(block, 0) ** (1.0 / (shape - 1.0))
     return out
 
 
 def _marsaglia_tsang(keys: np.ndarray, d: float, c: float, lane0: int,
-                     out: np.ndarray) -> None:
+                     out: np.ndarray, work: np.ndarray) -> None:
     """Ga(d + 1/3) draws of keys into out, attempt 0 from lane lane0 on.
 
     A lane takes d v at the first attempt with v > 0 that passes the
     squeeze u < 1 - 0.0331 x^4 or, failing it, the log test; only lanes
-    that reach the log test compute its two logs.
+    that reach the log test compute its two logs.  An attempt over m keys
+    hashes its lanes u1, u2, u into the first 3m words of work[0] and
+    computes x, v and the squeeze in place there and in work[1].
     """
-    k, pending = keys, None
+    pending = None
     for attempt in range(256):
+        k = keys if pending is None else keys[pending]
+        z, t = (row[:3 * k.size].reshape(3, k.size) for row in work)
         base = lane0 + 3 * attempt
         lanes = np.arange(base, base + 3, dtype=_U64)[:, None]
-        u1, u2, u = _hash((3, k.size), k, [(lanes, _SALT_LANE)], unit=True)
-        x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        v = (1.0 + c * x) ** 3
-        x2 = x * x
+        _fold(z, t, k, [(lanes, _SALT_LANE)], False, True, 0, k.size)
+        x, v, u = z.view(np.float64)
+        x2, squeeze = t.view(np.float64)[:2]
+        # x = sqrt(-2 log u1) cos(2 pi u2) over u1, v = (1 + c x)^3 over u2.
+        np.log(x, out=x)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        v *= 2.0 * math.pi
+        np.cos(v, out=v)
+        x *= v
+        np.multiply(x, c, out=v)
+        v += 1.0
+        np.power(v, 3, out=v)
+        np.multiply(x, x, out=x2)
         ok = v > 0.0
-        accept = u < 1.0 - 0.0331 * x2 * x2
+        np.multiply(x2, 0.0331, out=squeeze)
+        squeeze *= x2
+        np.subtract(1.0, squeeze, out=squeeze)
+        accept = u < squeeze
         accept &= ok
         test = np.flatnonzero(ok & ~accept)
         vt, x2t = v[test], x2[test]
         accept[test] = np.log(u[test]) < 0.5 * x2t + d - d * vt + d * np.log(vt)
-        rows = accept if pending is None else pending[accept]
-        out[rows] = d * v[accept]
-        pending = np.flatnonzero(~accept) if pending is None else pending[~accept]
+        if pending is None:
+            # Rejected lanes are overwritten by the attempt that accepts them.
+            np.multiply(v, d, out=out)
+            pending = np.flatnonzero(~accept)
+        else:
+            out[pending[accept]] = d * v[accept]
+            pending = pending[~accept]
         if pending.size == 0:
             return
-        k = keys[pending]
     raise RuntimeError(  # pragma: no cover - acceptance rate makes this unreachable
         "gamma rejection sampler failed to terminate")
 

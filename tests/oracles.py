@@ -11,8 +11,10 @@ sampler, every log test on every lane, the oracle for the blocked one;
 the scalar incomplete gamma and beta functions, one Python-float
 loop per point, the oracles for their lane kernels; and the two-sample
 KS test by two searches of the pooled sample, the oracle for the
-label-tagged sort of stacked rows; and the Poisson draw one key and one
-lane at a time, the oracle for the lane loop of poisson_from_keys.
+label-tagged sort of stacked rows; the Poisson draw one key and one
+lane at a time, the oracle for the lane loop of poisson_from_keys; and
+the jump-process marginal check that draws its own increment sums, the
+oracle for the one that reads them from its caller's draw.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import numpy as np
 
 from busemann_lab.busemann import _margin, stationary_cocycle
 from busemann_lab.cif import _STREAM_BITS
+from busemann_lab.igamma_process import batch_increment_sums
 from busemann_lab.lattice import RhoParam, WeightField
 from busemann_lab.seqmaps import update_raw
 from busemann_lab.special_functions import (_GOLDEN, _MIX1, _MIX2, _SALT_LANE, _U64, Rng,
-                                            _as_u64, _check_positive, _hash,
-                                            _lane_uniforms)
-from busemann_lab.stats import KsResult, _ks_pvalue
+                                            _as_u64, _check_positive, _hash, _lane_uniforms,
+                                            _libm, reg_inc_gamma, sample_gamma)
+from busemann_lab.stats import KsResult, _ks_pvalue, ks_one_sample
 
 
 def per_replica_ratio_samples(
@@ -290,3 +293,15 @@ def searched_ks_two_sample(a, b) -> KsResult:
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = na * nb / (na + nb)
     return KsResult(statistic=d, p_value=_ks_pvalue(d, n_eff), n=na + nb)
+
+
+def drawing_marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResult:
+    """KS test of n values Z(0) + (Z(rho) - Z(0)) against the log
+    Ga^-1(alpha - rho) law, Z(0) from rng.spawn(0) and the increment sums
+    from their own draw on rng.spawn(1)."""
+    z0 = -np.log(sample_gamma(rng.spawn(0), alpha, size=n))
+    sums = batch_increment_sums(alpha, [rho], n, rng.spawn(1))[:, 0]
+    z = z0 + sums
+    return ks_one_sample(
+        z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _libm(np.exp, -v))
+    )

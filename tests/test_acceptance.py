@@ -209,7 +209,9 @@ def test_jump_process_edge_laws():
     rng = Rng(master_seed=107)
     inc = batch_increment_sums(alpha, [lam, rho], n, rng.spawn(1))
     p_beta = st.kstest(np.exp(-inc[:, 1]), st.beta(0.8, 0.8).cdf).pvalue
-    p_marg = marginal_check(alpha, rho, n, rng.spawn(2)).p_value
+    m_rng = rng.spawn(2)
+    sums = batch_increment_sums(alpha, [rho], n, m_rng.spawn(1))[:, 0]
+    p_marg = marginal_check(alpha, rho, sums, m_rng).p_value
     corr = pearson(inc[:, 0], inc[:, 1])
     bound = 3.0 / math.sqrt(n)
     m = 20_000

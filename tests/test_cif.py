@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from busemann_lab import experiments as ex
 from busemann_lab.cif import (
     _BLOCK,
+    _MAX_REPLICAS,
     _ratio_samples,
     eta_cdf_estimate,
     xi_star_cdf_check,
@@ -51,3 +55,20 @@ class TestBatchedReplicas:
         got = _ratio_samples(3.0, 0.4, 300, rng, indicator)
         want = per_replica_ratio_samples(3.0, 0.4, 300, rng, indicator)
         assert np.array_equal(got, want)
+
+
+class TestReplicaRange:
+    """The runs refuse a replica count outside 1.._MAX_REPLICAS themselves,
+    so an in-process caller gets the CLI's refusal."""
+
+    @pytest.mark.parametrize("run", [ex.run_cif_eta, ex.run_cif_xi])
+    @pytest.mark.parametrize("replicas", [0, -3, _MAX_REPLICAS + 1])
+    def test_refused_in_process(self, run, replicas):
+        message = f"--replicas: {replicas} is not in the range 1<=x<={_MAX_REPLICAS}."
+        with pytest.raises(ex.ConfigError, match=re.escape(message)):
+            run(2.0, 1.0, replicas, 7)
+
+    def test_refused_before_the_other_options(self):
+        # As click refused it while parsing, before the run saw --rho.
+        with pytest.raises(ex.ConfigError, match="--replicas"):
+            ex.run_cif_eta(2.0, 5.0, 0, 7)

@@ -334,6 +334,10 @@ class TestExitCodes:
             (["check-intertwine", "--window", "10"], "x>=601"),
             # Without it: the sequential step's 104 + 41 + 17 and daop's 66.
             (["check-intertwine", "--window", "228", "--burn-in", "0"], "x>=229"),
+            # The cif runs refuse the replica counts click's IntRange did,
+            # with its message.
+            (["cif-eta", "--replicas", "0"], "1<=x<=1398101."),
+            (["cif-xi", "--replicas", "1398102"], "1<=x<=1398101."),
         ],
     )
     def test_experiment_minimum_is_named(self, runner, args, minimum):

@@ -28,9 +28,12 @@ from busemann_lab.igamma_process import (
     zero_temp_couple,
     zero_temp_keep_prob,
 )
+from busemann_lab import experiments as ex
 from busemann_lab import igamma_process as ig
 from busemann_lab.special_functions import (_CHUNK, POISSON_MEAN_MAX, Rng, sample_gamma,
                                             sample_poisson)
+
+from oracles import drawing_marginal_check
 
 
 def intensity(s, y, alpha):
@@ -275,8 +278,33 @@ class TestReplicaPpp:
 
 class TestBatchStatistics:
     def test_marginal_law(self):
-        res = marginal_check(2.0, 1.2, 20000, Rng(master_seed=9))
+        rng = Rng(master_seed=9)
+        sums = batch_increment_sums(2.0, [1.2], 20000, rng.spawn(1))[:, 0]
+        res = marginal_check(2.0, 1.2, sums, rng)
         assert res.p_value > 1e-3
+
+    @pytest.mark.parametrize("alpha, rho, n, seed", [(2.0, 1.2, 3000, 9), (1.0, 0.3, 500, 4)])
+    def test_marginal_check_reads_the_sums_it_is_given(self, alpha, rho, n, seed):
+        # Fed the sums the old check drew for itself on rng.spawn(1), it
+        # returns the old check's p-value, bit for bit.
+        rng = Rng(master_seed=seed, stream_id=2)
+        sums = batch_increment_sums(alpha, [rho], n, rng.spawn(1))[:, 0]
+        got = marginal_check(alpha, rho, sums, rng).p_value
+        assert got == drawing_marginal_check(alpha, rho, n, rng).p_value
+
+    def test_ppp_busemann_draws_the_jump_process_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return batch_increment_sums(*args, **kwargs)
+
+        monkeypatch.setattr(ig, "batch_increment_sums", counted)
+        checks = ex.run_ppp_busemann(2.0, 0.4, 1.2, 400, 7)
+        assert calls == [(2.0, [0.4, 1.2], 400)]
+        assert [c["name"] for c in checks] == [
+            "increment-beta-ks", "marginal-ks", "adjacent-increment-independence",
+            "cross-sampler-ks"]
 
     def test_increment_beta_law(self):
         # e^{-(Z(rho) - Z(lam))} ~ Beta(alpha - rho, rho - lam).

@@ -9,14 +9,18 @@ Each family runs at a size where the allowance dominates and at one where
 the run's own arrays do.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
-# Imported here: grsk-verify's and the quadratures' first uses would import
-# them inside a traced run.
+# Imported here: the quadratures' first use would import it inside a
+# traced run.
 import numpy.polynomial  # noqa: F401
-import numpy.random  # noqa: F401
 import pytest
 
+import busemann_lab
 from busemann_lab import busemann as bu
 from busemann_lab import experiments as ex
 from busemann_lab import igamma_process as ig
@@ -177,3 +181,23 @@ def test_parallel_chain_keeps_only_the_diagonal_of_its_bottom_row_draw(rhos, row
     window = 50000
     width = window + bu.chain_reach(2.0, rhos) + 1
     assert _peak(ex.run_parallel_chain, 2.0, rhos, window, 7) <= rows * 8 * width
+
+
+def test_no_experiment_loads_numpy_random():
+    # numpy.random's modules add about 6 MB of resident memory to the
+    # process that imports them, and every draw comes from the keys.
+    script = (
+        "import pathlib, sys, tempfile\n"
+        "from test_golden import CASES, _run\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    for name, argv, code in CASES:\n"
+        "        if '-defaults' not in name:\n"
+        "            assert _run(argv, pathlib.Path(d) / name) == code, name\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = Path(busemann_lab.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -384,8 +384,9 @@ _GAMMA_SHAPES = [MIN_SHAPE, 0.7, 1.0, 2.0, 50.0]
 
 
 class TestBlockedGamma:
-    """gamma_from_keys draws _CHUNK keys at a time and runs the log test only
-    where the squeeze fails; its bits are those of the whole-array sampler."""
+    """gamma_from_keys draws _CHUNK // 4 keys at a time and runs the log
+    test only where the squeeze fails; its bits are those of the
+    whole-array sampler."""
 
     @pytest.mark.parametrize("shape", _GAMMA_SHAPES)
     @pytest.mark.parametrize("size", _GAMMA_SIZES)

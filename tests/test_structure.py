@@ -5,7 +5,9 @@ that it cannot name: a bad option reaches it as experiments.ConfigError,
 and anything else is a crash.  Every check's pass is the comparison of
 its value with its threshold.  The array special functions are called
 once per array, never once per item of a loop.  Every run sizes itself
-against the memory budget.
+against the memory budget.  Every draw comes from the counter-based keys
+of one (master seed, stream id, counter) triple: numpy.random is not
+used, and no seed is shifted to reach another stream.
 """
 
 import ast
@@ -109,3 +111,54 @@ def test_every_run_sizes_itself():
     assert len(runs) == 12
     for name in runs:
         assert called(name) & SIZING, f"{name} calls none of {sorted(SIZING)}"
+
+
+# A seed is a key's root, not a number: seed + 1 is another run's seed.
+SEED_NAMES = {"seed", "master_seed"}
+
+
+def _is_seed(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id in SEED_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in SEED_NAMES)
+
+
+def _randomness_faults(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            modules = []
+        if any(m == "numpy.random" or m.startswith("numpy.random.") for m in modules):
+            yield node.lineno, "imports numpy.random"
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and ast.unparse(node.value) in ("np", "numpy")):
+            yield node.lineno, "uses numpy.random"
+        operands = (
+            [node.left, node.right] if isinstance(node, ast.BinOp)
+            else [node.target] if isinstance(node, ast.AugAssign)
+            else [node.operand] if isinstance(node, ast.UnaryOp) else [])
+        if any(map(_is_seed, operands)):
+            yield node.lineno, f"computes with a seed: {ast.unparse(node)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_source_of_randomness(path):
+    faults = [f"{path.name}:{line} {what}" for line, what in _randomness_faults(_tree(path))]
+    assert not faults, faults
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy.random",
+    "from numpy import random",
+    "from numpy.random import default_rng",
+    "rng = np.random.default_rng(seed)",
+    "field = WeightField(alpha, seed + 1)",
+    "rng = Rng(master_seed=seed - 1, stream_id=1)",
+    "base = 2 * rng.master_seed",
+    "seed += 1",
+    "x = -seed",
+])
+def test_randomness_rule_rejects(source):
+    assert list(_randomness_faults(ast.parse(source)))
