@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .busemann import _margin
-from .seqmaps import update_raw
+from .seqmaps import last_i_tilde
 from .special_functions import (
     Rng,
     _as_u64,
@@ -77,7 +77,8 @@ def _ratio_samples(
     and its uniform from base + 3r + 2, with base = stream_id << 22
     (mod 2^64); this is exactly ``stationary_cocycle`` on that stream.
     The keys and gamma draws of a block of replicas are made in one
-    array call each, and its rows go through one stacked update_raw call.
+    array call each, and one last_i_tilde call gives its rows' log I~ at
+    the right end.
     """
     if not (0.0 < rho < alpha):
         raise ValueError("need 0 < rho < alpha")
@@ -98,8 +99,8 @@ def _ratio_samples(
         log_w = -np.log(gamma_from_keys(w_keys, alpha)).reshape(shape)
         i_keys = _event_keys(seed, sids + np.uint64(1), 0, width + 1).ravel()
         log_i0 = np.log(1.0 / gamma_from_keys(i_keys, alpha - rho)).reshape(shape)
-        _, log_it = update_raw(log_w, log_i0, log_w[:, 0])
-        ratios = _libm(np.exp, log_w[:, width] - log_it[:, width])
+        log_it = last_i_tilde(log_w, log_i0, log_w[:, 0])
+        ratios = _libm(np.exp, log_w[:, width] - log_it)
         if indicator:
             u = _event_keys(seed, sids + np.uint64(2), 0, 1, unit=True).ravel()
             ratios = np.where(u <= ratios, 1.0, 0.0)

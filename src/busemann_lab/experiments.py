@@ -32,7 +32,8 @@ from .stats import ks_one_sample, ks_two_sample, pearson, poisson_dispersion
 
 P_THRESHOLD = 0.001
 # A KS test needs 20 samples; a vertical one reads every 16th bulk site.
-KS_WINDOW_MIN = 16 * (20 - 1)
+KS_SAMPLES_MIN = 20
+KS_WINDOW_MIN = 16 * (KS_SAMPLES_MIN - 1)
 # Hashed uniforms are at least 2^-54, so the boost U^(1/shape) of a gamma
 # draw of shape below 1 is at least 2^(-54/shape).  From this shape on it
 # stays above 2^-512, half of double's exponent range; the other half
@@ -525,6 +526,8 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
 
 def run_zero_temp(rho, samples, seed) -> list[dict]:
     _require(0.0 < rho < 1.0, "--rho", f"{rho} is not in the range 0<x<1.")
+    _require(samples >= KS_SAMPLES_MIN, "--samples",
+             f"{samples} is not in the range x>={KS_SAMPLES_MIN}.")
     _jump_sampler(1.0, rho, samples, "--rho")
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(
@@ -538,12 +541,14 @@ def run_zero_temp(rho, samples, seed) -> list[dict]:
     )]
     alphas = (0.5, 0.2, 0.1)
     n_rep = min(samples, 400)
-    sums = {a: 0.0 for a in alphas}
-    for samp in ig.sample_ppp_replicas(1.0, rho, n_rep, rng.spawn(3)):
-        for a in alphas:
-            _, za, zz = ig.zero_temp_couple(samp, a)
-            sums[a] += float(np.max(za - zz))
-    means = [sums[a] / n_rep for a in alphas]
+    gaps = ig.coupling_gaps(ig.sample_ppp_replicas(1.0, rho, n_rep, rng.spawn(3)), alphas)
+    # Each alpha's gaps summed as Python floats, in replica order.
+    means = []
+    for row in gaps.tolist():
+        total = 0.0
+        for gap in row:
+            total += gap
+        means.append(total / n_rep)
     # Both profiles start at 0, so every mean is at least 0; the gap
     # shrinks with alpha when the smallest step between means is positive.
     checks.append(_check(
@@ -569,11 +574,14 @@ def _cif_sizes(alpha, rho, replicas) -> None:
     _rho(alpha, rho)
     with _burn_ins("--rho"):
         width = bu._margin(alpha, rho) + 2
-    # A block of replicas holds 12 arrays of (block, width + 1) values:
-    # the keys, draws and logs of its weights and bottom rows, update_raw's
-    # two outputs and their temporaries.  The replicas' results and their
-    # standard deviation's temporary are two arrays more.
-    _fits(_grids(12, min(cifmod._BLOCK, replicas), width + 1) + 2 * replicas, "--rho")
+    # A block of replicas holds at most 7 arrays of (block, width + 1)
+    # values: the keys and logs of the previous block's weights and bottom
+    # rows (4) while the next block draws its keys and one gamma draw with
+    # its two temporaries (3).  Its stream ids, last-column recursion and
+    # ratios are at most 8 vectors of block values; the replicas' results
+    # and their standard deviation's temporary are two arrays more.
+    block = min(cifmod._BLOCK, replicas)
+    _fits(_grids(7, block, width + 1) + 8 * block + 2 * replicas, "--rho")
 
 
 def run_cif_eta(alpha, rho, replicas, seed) -> list[dict]:

@@ -50,6 +50,7 @@ __all__ = [
     "pos_temp_keep_prob",
     "zero_temp_keep_prob",
     "zero_temp_couple",
+    "coupling_gaps",
     "reparam_bound",
     "small_jump_compensator",
     "Y_MIN",
@@ -376,12 +377,67 @@ def zero_temp_keep_prob(y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _coupling_rates(alpha: float) -> tuple[float, float]:
-    """Small-jump compensator rates of the alpha- and zero-temperature profiles."""
-    return (
-        small_jump_compensator(1.0, 1.0, thinning=lambda y: pos_temp_keep_prob(y, alpha)),
-        small_jump_compensator(1.0, 1.0, thinning=zero_temp_keep_prob),
-    )
+def _coupling_rate(alpha: float) -> float:
+    """Small-jump compensator rate of the scaled alpha-profile, and of the
+    zero-temperature profile, its alpha -> 0 limit, at alpha = 0."""
+    if alpha == 0.0:
+        return small_jump_compensator(1.0, 1.0, thinning=zero_temp_keep_prob)
+    return small_jump_compensator(1.0, 1.0, thinning=lambda y: pos_temp_keep_prob(y, alpha))
+
+
+# Points of the coupled profiles' rho-grid, and directions on
+# reparam_bound's xi-grid.
+_COUPLING_POINTS = 1001
+REPARAM_POINTS = 10_000
+# Samples whose coupled profiles are built together: no block array is
+# larger than reparam_bound's grid.
+_COUPLING_BLOCK = max(1, REPARAM_POINTS // _COUPLING_POINTS)
+
+
+def _coupled_profiles(
+    samples: list[JumpProcessSample], alphas
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The rho-grid, the zero-temperature profiles and, for each alpha in
+    alphas, the scaled alpha-profiles of a block of reference samples, one
+    row per sample (see zero_temp_couple).
+
+    Each sample's points fill one row of a zero-padded array from column
+    1, their y where kept and +0.0 where not; a cumsum along the rows then
+    gives every sample's sums of kept jumps with the bits of a cumsum over
+    its kept y alone.  A profile at grid point rho reads its row at the
+    number of the sample's points with s <= rho, kept or not: one integer
+    search over keys owner (G + 1) + (grid points below s) finds them all,
+    for every profile of the block.
+    """
+    for sample in samples:
+        if sample.alpha != 1.0:
+            raise ValueError("the reference sample must be drawn at parameter 1")
+        if sample.rho_max != samples[0].rho_max:
+            raise ValueError("the samples must share one rho_max")
+    if not all(0.0 < a <= 1.0 for a in alphas):
+        raise ValueError("need 0 < alpha <= 1")
+    points = _COUPLING_POINTS
+    rho_grid = np.linspace(0.0, samples[0].rho_max, points)
+    counts = np.array([sample.s.shape[0] for sample in samples])
+    starts = np.cumsum(counts) - counts
+    s, y, u = (np.concatenate([getattr(sample, name) for sample in samples])
+               for name in ("s", "y", "u"))
+    owner = np.repeat(np.arange(len(samples)), counts)
+    col = np.arange(1, s.shape[0] + 1) - np.repeat(starts, counts)
+    keys = owner * (points + 1) + np.searchsorted(rho_grid, s, side="left")
+    queries = (np.arange(len(samples)) * (points + 1))[:, None] + np.arange(points)
+    padded = np.zeros((len(samples), int(counts.max(initial=0)) + 1))
+    # Flat positions in padded: each row's start, less its points before.
+    pos = np.searchsorted(keys, queries, side="right")
+    pos += (np.arange(len(samples)) * padded.shape[1] - starts)[:, None]
+
+    def profile(keep: np.ndarray, comp_rate: float) -> np.ndarray:
+        padded[owner, col] = np.where(keep, y, 0.0)
+        return np.take(np.cumsum(padded, axis=1), pos) + comp_rate * rho_grid
+
+    zero = profile(u <= zero_temp_keep_prob(y), _coupling_rate(0.0))
+    return rho_grid, zero, [profile(u <= pos_temp_keep_prob(y, a), _coupling_rate(a))
+                            for a in alphas]
 
 
 def zero_temp_couple(
@@ -398,31 +454,31 @@ def zero_temp_couple(
     equally spaced points of [0, rho_max], both profiles starting from 0
     at rho = 0.
     """
-    if sample.alpha != 1.0:
-        raise ValueError("the reference sample must be drawn at parameter 1")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("need 0 < alpha <= 1")
-    rho_grid = np.linspace(0.0, sample.rho_max, 1001)
-    keep_a = sample.u <= pos_temp_keep_prob(sample.y, alpha)
-    keep_0 = sample.u <= zero_temp_keep_prob(sample.y)
-    comp_a, comp_0 = _coupling_rates(alpha)
+    rho_grid, zero, (prof,) = _coupled_profiles([sample], (alpha,))
+    return rho_grid, prof[0], zero[0]
 
-    def profile(keep: np.ndarray, comp_rate: float) -> np.ndarray:
-        cum = np.concatenate(([0.0], np.cumsum(sample.y[keep])))
-        pos = np.searchsorted(sample.s[keep], rho_grid, side="right")
-        return cum[pos] + comp_rate * rho_grid
 
-    return rho_grid, profile(keep_a, comp_a), profile(keep_0, comp_0)
+def coupling_gaps(samples: list[JumpProcessSample], alphas) -> np.ndarray:
+    """The largest gap of each sample's alpha-profile over its
+    zero-temperature profile on the rho-grid, as zero_temp_couple gives
+    them: a (len(alphas), len(samples)) array.
+
+    _COUPLING_BLOCK samples at a time share their arrays; each gap has the
+    bits of np.max(za - zz) over that sample's own coupling.
+    """
+    gaps = np.empty((len(alphas), len(samples)))
+    for lo in range(0, len(samples), _COUPLING_BLOCK):
+        block = samples[lo:lo + _COUPLING_BLOCK]
+        _, zero, profiles = _coupled_profiles(block, alphas)
+        for row, prof in zip(gaps, profiles):
+            np.max(np.subtract(prof, zero, out=prof), axis=1, out=row[lo:lo + len(block)])
+    return gaps
 
 
 def _zero_temp_rho(xi1: np.ndarray) -> np.ndarray:
     r1 = np.sqrt(1.0 - xi1)
     r2 = np.sqrt(xi1)
     return r1 / (r1 + r2)
-
-
-# Directions on reparam_bound's xi-grid.
-REPARAM_POINTS = 10_000
 
 
 def reparam_bound(alpha: float) -> float:

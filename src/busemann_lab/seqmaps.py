@@ -7,9 +7,11 @@ window W and an input window I.  Truncation is handled by a burn-in: the
 seed of the S recursion is forgotten geometrically at rate given by the gap
 of Cesaro means, so outputs are only reported past a left margin.
 
-update_raw, the one home of the update step, also serves busemann's
-anti-diagonal sweep and grsk's row insertion; burn_in, the one home of
-the burn-in rule, needs only Cesaro means.  Also provided: the inverse
+update_raw, the one home of the update step for one row, also serves
+busemann's row evolution and grsk's row insertion; _update_step advances
+busemann's anti-diagonal sweep, and last_i_tilde gives cif the last
+column of a stack of independent rows.  burn_in, the one home of the
+burn-in rule, needs only Cesaro means.  Also provided: the inverse
 H of the update, the iterated map and the intertwining tuple map with its
 inverse, and the parallel and sequential one-step transformations.
 """
@@ -35,6 +37,7 @@ __all__ = [
     "ig_window",
     "update",
     "update_raw",
+    "last_i_tilde",
     "inverse_h",
     "d_iterated",
     "daop",
@@ -177,35 +180,24 @@ def _update_step(both: np.ndarray, scratch: np.ndarray, log_w, log_it, log_j) ->
 
 
 def update_raw(
-    log_w: np.ndarray, log_i: np.ndarray, log_j_seed
+    log_w: np.ndarray, log_i: np.ndarray, log_j_seed: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-pass update recursion without windowing or burn-in handling.
+    """One-pass update recursion along one row, without windowing or burn-in.
 
     Given log W_k and log I_k for k = 0..n-1 and the seed log J_{-1},
     returns log J_k for k = 0..n-1 together with log I~_k, which uses
     J_{k-1} and therefore also covers k = 0..n-1 (k = 0 uses the seed).
-    The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.  A (rows, n) stack
-    of independent rows takes one seed per row and advances all rows one
-    column per vector step; a single row runs its J recursion as a
-    Python-float loop, which is faster for one long row, and then its I~
-    in vector steps.  Both give the same bits.
+    The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.  The J recursion
+    runs as a Python-float loop, which is faster for one long row than
+    vector steps, and then I~ in vector steps.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     log_i = np.asarray(log_i, dtype=np.float64)
-    if log_w.ndim not in (1, 2) or log_i.shape != log_w.shape:
-        raise ValueError("weight and input shapes must match, (n,) or (rows, n)")
-    log_j = np.empty(log_w.shape)
-    log_it = np.empty(log_w.shape)
-    if log_w.ndim == 2:
-        rows, n = log_w.shape
-        both, scratch = np.empty(2 * rows), np.empty(2 * rows)
-        prev = np.asarray(log_j_seed, dtype=np.float64)
-        for k in range(n):
-            np.subtract(log_i[:, k], prev, out=both[:rows])
-            _update_step(both, scratch, log_w[:, k], log_it[:, k], log_j[:, k])
-            prev = log_j[:, k]
-        return log_j, log_it
+    if log_w.ndim != 1 or log_i.shape != log_w.shape:
+        raise ValueError("weight and input shapes must match and be (n,)")
     n = log_w.shape[0]
+    log_j = np.empty(n)
+    log_it = np.empty(n)
     # The J recursion runs on Python floats and local names: the same libm
     # calls without numpy scalar boxing, in chunks so the float lists stay
     # small; "700.0 if d > 700.0 else d" is min(d, 700.0), NaN kept.  Each
@@ -228,6 +220,34 @@ def update_raw(
         _log1p_exp(d, scratch[:hi - lo])
         np.add(log_w[lo:hi], d, out=log_it[lo:hi])
     return log_j, log_it
+
+
+def last_i_tilde(log_w: np.ndarray, log_i: np.ndarray, log_j_seed: np.ndarray) -> np.ndarray:
+    """log I~ at the last column of each row of a (rows, n) stack, n >= 1.
+
+    Row r is an independent update recursion with seed log_j_seed[r];
+    the result has the bits of update_raw(log_w[r], log_i[r],
+    log_j_seed[r])[1][-1].  Only the J recursion runs over columns
+    0..n-2, one vector step over the rows per column, on min(J_{k-1} -
+    I_k, 700): the exact negation of I~'s argument, and exp gives the
+    same bits at -0 and +0.  One I~ step at column n - 1 follows.
+    """
+    log_w = np.asarray(log_w, dtype=np.float64)
+    log_i = np.asarray(log_i, dtype=np.float64)
+    if log_w.ndim != 2 or log_i.shape != log_w.shape or log_w.shape[1] < 1:
+        raise ValueError("weight and input shapes must match and be (rows, n), n >= 1")
+    rows, n = log_w.shape
+    d, scratch = np.empty(rows), np.empty(rows)
+    prev = np.full(rows, log_j_seed, dtype=np.float64)
+    for k in range(n - 1):
+        np.subtract(prev, log_i[:, k], out=d)
+        np.minimum(d, 700.0, out=d)
+        _log1p_exp(d, scratch)
+        np.add(log_w[:, k], d, out=prev)
+    np.subtract(log_i[:, n - 1], prev, out=d)
+    np.minimum(d, 700.0, out=d)
+    _log1p_exp(d, scratch)
+    return np.add(log_w[:, n - 1], d, out=d)
 
 
 def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:

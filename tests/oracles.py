@@ -1,7 +1,7 @@
 """Slow reference forms of the package's fast kernels, for the tests.
 
 The one-grid-per-replica construction of the competition-interface ratio
-samples, the oracle for their batched draw and stacked update_raw rows;
+samples, the oracle for their batched draw and last-column recursion;
 the row-by-row cocycle evolution and site-by-site anti-diagonal
 partition-function table, the oracles for the wavefront update step and
 the strided table; the row-wise stationary-cocycle checks on a whole
@@ -9,12 +9,14 @@ grid, the oracle for their fold over streamed blocks; the allocating splitmix64 
 step, the oracle for the fused hashing kernel; the whole-array gamma
 sampler, every log test on every lane, the oracle for the blocked one;
 the scalar incomplete gamma and beta functions, one Python-float
-loop per point, the oracles for their lane kernels; and the two-sample
+loop per point, the oracles for their lane kernels; the two-sample
 KS test by two searches of the pooled sample, the oracle for the
 label-tagged sort of stacked rows; the Poisson draw one key and one
-lane at a time, the oracle for the lane loop of poisson_from_keys; and
-the jump-process marginal check that draws its own increment sums, the
-oracle for the one that reads them from its caller's draw.
+lane at a time, the oracle for the lane loop of poisson_from_keys; the
+jump-process marginal check that draws its own increment sums, the
+oracle for the one that reads them from its caller's draw; and the
+zero-temperature coupling of one sample by searches of its kept points,
+the oracle for the stacked profiles of a block of samples.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from busemann_lab.busemann import _margin, stationary_cocycle
 from busemann_lab.cif import _STREAM_BITS
-from busemann_lab.igamma_process import batch_increment_sums
+from busemann_lab.igamma_process import (batch_increment_sums, pos_temp_keep_prob,
+                                         small_jump_compensator, zero_temp_keep_prob)
 from busemann_lab.lattice import RhoParam, WeightField
 from busemann_lab.seqmaps import update_raw
 from busemann_lab.special_functions import (_GOLDEN, _MIX1, _MIX2, _SALT_LANE, _U64, Rng,
@@ -305,3 +308,20 @@ def drawing_marginal_check(alpha: float, rho: float, n: int, rng: Rng) -> KsResu
     return ks_one_sample(
         z, lambda v: 1.0 - reg_inc_gamma(alpha - rho, _libm(np.exp, -v))
     )
+
+
+def per_sample_coupling(sample, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``igamma_process.zero_temp_couple`` of one sample on its own arrays:
+    each profile is a cumsum of its kept y, read at a search of its kept s
+    for every grid point."""
+    rho_grid = np.linspace(0.0, sample.rho_max, 1001)
+
+    def profile(keep: np.ndarray, thinning) -> np.ndarray:
+        cum = np.concatenate(([0.0], np.cumsum(sample.y[keep])))
+        pos = np.searchsorted(sample.s[keep], rho_grid, side="right")
+        return cum[pos] + small_jump_compensator(1.0, 1.0, thinning=thinning) * rho_grid
+
+    keep_a = sample.u <= pos_temp_keep_prob(sample.y, alpha)
+    keep_0 = sample.u <= zero_temp_keep_prob(sample.y)
+    return (rho_grid, profile(keep_a, lambda y: pos_temp_keep_prob(y, alpha)),
+            profile(keep_0, zero_temp_keep_prob))

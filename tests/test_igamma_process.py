@@ -17,6 +17,7 @@ from busemann_lab.igamma_process import (
     _passes,
     batch_increment_sums,
     batch_jump_counts,
+    coupling_gaps,
     envelope_peak,
     expected_jump_count,
     marginal_check,
@@ -33,7 +34,7 @@ from busemann_lab import igamma_process as ig
 from busemann_lab.special_functions import (_CHUNK, POISSON_MEAN_MAX, Rng, sample_gamma,
                                             sample_poisson)
 
-from oracles import drawing_marginal_check
+from oracles import drawing_marginal_check, per_sample_coupling
 
 
 def intensity(s, y, alpha):
@@ -370,6 +371,54 @@ class TestZeroTemperature:
         other = sample_ppp(2.0, 0.9, rng=Rng(master_seed=15))
         with pytest.raises(ValueError):
             zero_temp_couple(other, 0.5)
+
+    @staticmethod
+    def _check_stacked_equals_per_sample(samples):
+        alphas = (0.5, 0.2, 0.1)
+        gaps = coupling_gaps(samples, alphas)
+        assert gaps.shape == (len(alphas), len(samples))
+        for lo in range(0, len(samples), ig._COUPLING_BLOCK):
+            block = samples[lo:lo + ig._COUPLING_BLOCK]
+            grid, zero, profiles = ig._coupled_profiles(block, alphas)
+            for r, smp in enumerate(block):
+                for a, prof in zip(alphas, profiles):
+                    want_grid, want_a, want_0 = per_sample_coupling(smp, a)
+                    assert grid.tobytes() == want_grid.tobytes()
+                    assert prof[r].tobytes() == want_a.tobytes()
+                    assert zero[r].tobytes() == want_0.tobytes()
+                    _, one_a, one_0 = zero_temp_couple(smp, a)
+                    assert one_a.tobytes() == want_a.tobytes()
+                    assert one_0.tobytes() == want_0.tobytes()
+        for row, a in zip(gaps.tolist(), alphas):
+            for gap, smp in zip(row, samples):
+                _, want_a, want_0 = per_sample_coupling(smp, a)
+                assert gap == float(np.max(want_a - want_0))
+
+    @pytest.mark.parametrize("rho, replicas", [(0.5, 80), (0.3, 400), (0.8, 50)])
+    def test_stacked_profiles_equal_per_sample_coupling(self, rho, replicas):
+        samples = sample_ppp_replicas(1.0, rho, replicas, Rng(7, 3))
+        self._check_stacked_equals_per_sample(samples)
+
+    def test_stacked_profiles_of_samples_without_points(self):
+        samples = sample_ppp_replicas(1.0, 0.01, 60, Rng(7, 9))
+        sizes = {smp.s.shape[0] for smp in samples}
+        assert 0 in sizes and len(sizes) > 1
+        self._check_stacked_equals_per_sample(samples)
+        empty = [smp for smp in samples if smp.s.shape[0] == 0][:ig._COUPLING_BLOCK]
+        self._check_stacked_equals_per_sample(empty)
+
+    def test_coupling_gaps_validation(self):
+        a = sample_ppp(1.0, 0.8, rng=Rng(master_seed=15))
+        b = sample_ppp(1.0, 0.5, rng=Rng(master_seed=15))
+        with pytest.raises(ValueError, match="one rho_max"):
+            coupling_gaps([a, b], (0.5,))
+        with pytest.raises(ValueError):
+            coupling_gaps([a], (0.0,))
+        assert coupling_gaps([], (0.5, 0.2)).shape == (2, 0)
+
+    def test_zero_temp_refuses_few_samples_in_process(self):
+        with pytest.raises(ex.ConfigError, match=r"--samples: 5 is not in the range x>=20\."):
+            ex.run_zero_temp(0.5, 5, 7)
 
     def test_zero_profile_marginal(self):
         # Z0(rho) - Z0(0) has jump sums whose total with an Exp(1) initial

@@ -84,6 +84,9 @@ JUMP_RUNS = {
 JUMP_CASES = [(name, samples) for name in ("jump-count", "jump-count-alpha-1", "zero-temp")
               for samples in (2000, 20000, 40000)]
 JUMP_CASES += [("jump-count-s-hi-0.815", 4000), ("ppp-busemann", 400)]
+# zero-temp couples min(samples, 400) replicas: at 400 samples the most,
+# against the smallest sampler count.
+JUMP_CASES += [("zero-temp", 400)]
 
 
 @pytest.mark.parametrize("name, samples", JUMP_CASES, ids=[f"{n}-{s}" for n, s in JUMP_CASES])

@@ -14,6 +14,7 @@ from busemann_lab.seqmaps import (
     daop,
     haop,
     inverse_h,
+    last_i_tilde,
     parallel_step,
     sequential_step,
     update,
@@ -94,26 +95,7 @@ class TestUpdateRaw:
         with pytest.raises(ValueError):
             update_raw(np.zeros(3), np.zeros(4), 0.0)
         with pytest.raises(ValueError):
-            update_raw(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2))
-
-    @pytest.mark.parametrize("rows", [1, 3, 257])
-    def test_stacked_rows_equal_one_row_calls(self, rows):
-        # One seed per row, gaps past the 700 clamp, and a NaN in row 1.
-        n = 40
-        rng = np.random.default_rng(rows)
-        log_w = 400.0 * rng.normal(size=(rows, n))
-        log_i = 400.0 * rng.normal(size=(rows, n))
-        seeds = rng.normal(size=rows)
-        seeds[0] = -np.inf
-        if rows > 1:
-            log_i[1, n // 2] = np.nan
-        log_j, log_it = update_raw(log_w, log_i, seeds)
-        assert log_j.shape == log_it.shape == (rows, n)
-        assert np.nanmax(np.abs(log_i[:, 1:] - log_j[:, :-1])) > 700.0
-        for r in range(rows):
-            want_j, want_it = update_raw(log_w[r], log_i[r], seeds[r])
-            assert np.array_equal(log_j[r], want_j, equal_nan=True)
-            assert np.array_equal(log_it[r], want_it, equal_nan=True)
+            update_raw(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2))
 
     @staticmethod
     def _check_elementwise(log_w, log_i, seed):
@@ -146,6 +128,47 @@ class TestUpdateRaw:
     def test_rows_of_no_one_and_two_sites(self, n, seed):
         rng = np.random.default_rng(n)
         self._check_elementwise(400.0 * rng.normal(size=n), 400.0 * rng.normal(size=n), seed)
+
+
+class TestLastITilde:
+    @pytest.mark.parametrize("rows", [1, 3, 257])
+    def test_equals_last_column_of_one_row_calls(self, rows):
+        # One seed per row, gaps past the 700 clamp, a NaN in row 1 and
+        # infinite inputs and weights in row 2, one at the last column.
+        n = 40
+        rng = np.random.default_rng(rows)
+        log_w = 400.0 * rng.normal(size=(rows, n))
+        log_i = 400.0 * rng.normal(size=(rows, n))
+        seeds = rng.normal(size=rows)
+        seeds[0] = -np.inf
+        if rows > 2:
+            log_i[1, n // 2] = np.nan
+            log_i[2, 5], log_i[2, 7] = np.inf, -np.inf
+            log_w[2, 10], log_w[2, n - 1] = np.inf, -np.inf
+        got = last_i_tilde(log_w, log_i, seeds)
+        assert got.shape == (rows,)
+        for r in range(rows):
+            want_j, want_it = update_raw(log_w[r], log_i[r], seeds[r])
+            assert np.array_equal(got[r:r + 1], want_it[-1:], equal_nan=True)
+            if r == 0:
+                assert np.max(np.abs(log_i[r, 1:] - want_j[:-1])) > 700.0
+        if rows > 2:
+            assert math.isnan(got[1]) and got[2] == -np.inf
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_of_one_and_two_sites(self, n):
+        rng = np.random.default_rng(n)
+        log_w, log_i = 400.0 * rng.normal(size=(2, 5, n))
+        seeds = np.array([0.3, -np.inf, 800.0, -800.0, 0.0])
+        got = last_i_tilde(log_w, log_i, seeds)
+        want = [update_raw(w, i, seed)[1][-1] for w, i, seed in zip(log_w, log_i, seeds)]
+        assert got.tolist() == want
+
+    def test_shapes(self):
+        for log_w, log_i in [(np.zeros((2, 3)), np.zeros((2, 4))), (np.zeros(3), np.zeros(3)),
+                             (np.zeros((2, 0)), np.zeros((2, 0)))]:
+            with pytest.raises(ValueError):
+                last_i_tilde(log_w, log_i, np.zeros(2))
 
 
 class TestUpdate:

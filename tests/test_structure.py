@@ -67,9 +67,11 @@ def test_every_check_compares_value_and_threshold():
 
 
 # Each takes an array, or a stack of rows, and runs its own loop over it;
-# a loop over field rows draws them as blocks with log_weight_block.
+# a loop over field rows draws them as blocks with log_weight_block, and a
+# loop over jump-process samples couples them with coupling_gaps.
 ARRAY_FUNCTIONS = {"reg_inc_gamma", "reg_inc_beta", "trigamma", "poisson_dispersion",
-                   "ks_one_sample", "ks_two_sample", "pearson", "log_weight_row"}
+                   "ks_one_sample", "ks_two_sample", "pearson", "log_weight_row",
+                   "zero_temp_couple"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
