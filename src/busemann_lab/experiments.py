@@ -93,8 +93,21 @@ def _rho(alpha: float, rho: float) -> None:
              f"need 0 < rho <= alpha - {MIN_SHAPE:.6g}, got {rho}")
 
 
+def _at_least(option: str, value: int, minimum: int) -> None:
+    """A count of at least minimum, refused with click's range message."""
+    _require(value >= minimum, option, f"{value} is not in the range x>={minimum}.")
+
+
+def _seed(seed: int) -> None:
+    """The keys' root is a 64-bit word: a seed outside [0, 2^64) would
+    draw the numbers of the seed it equals modulo 2^64."""
+    _require(0 <= seed < 2 ** 64, "--seed", f"{seed} is not in the range 0<=x<={2 ** 64 - 1}.")
+
+
 def _input_shapes(alpha: float, rhos, n: int | None = None) -> list[float]:
     """The inputs' inverse-gamma shapes alpha - rho, largest first."""
+    if n is not None:
+        _at_least("--n", n, 1)
     _require(n is None or len(rhos) == n, "--rho", f"need {n} rhos, got {len(rhos)}")
     _alpha(alpha)
     for r in rhos:
@@ -111,11 +124,6 @@ def _burn_ins(option: str):
         yield
     except sm.CesaroOrderViolated as exc:
         raise ConfigError(option, f"no finite burn-in: {exc}") from None
-
-
-def _window_at_least(minimum: int, window: int) -> None:
-    """A --window that the burn-ins exhaust."""
-    _require(window >= minimum, "--window", f"{window} is not in the range x>={minimum}.")
 
 
 def _max_abs(x, where=True) -> float:
@@ -213,6 +221,7 @@ def _weight(alpha, window, seed) -> sm.LogSeqWindow:
 
 
 def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
+    _seed(seed)
     lams = _input_shapes(alpha, rhos, n)
     hints = _hints(lams)
     with _burn_ins("--rho"):
@@ -221,7 +230,7 @@ def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
         # spends less.
         seq_reach = sum(sm.burn_in(-digamma(alpha), h) for h in hints)
         minimum = max(seq_reach + sm.daop_reach(hints), margin) + 1
-    _window_at_least(minimum, window)
+    _at_least("--window", window, minimum)
     _fits(_windows(n, window + 1), "--n" if n > window else "--window")
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
@@ -240,6 +249,7 @@ def run_check_intertwine(n, alpha, rhos, window, margin, seed) -> list[dict]:
 
 
 def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
+    _seed(seed)
     lams = _input_shapes(alpha, rhos, n)
     hints = _hints(lams)
     with _burn_ins("--rho"):
@@ -247,7 +257,7 @@ def run_check_inverse(n, alpha, rhos, window, seed) -> list[dict]:
         # level.
         minimum = max(sm.burn_in(-digamma(alpha), hints[0]) + 1,
                       sm.daop_reach(hints) + max(n - 1, 1))
-    _window_at_least(minimum, window)
+    _at_least("--window", window, minimum)
     _fits(_windows(n, window + 1), "--n" if n > window else "--window")
     tup = _ig_windows(lams, window, seed)
     weight = _weight(alpha, window, seed)
@@ -283,6 +293,7 @@ def _inverse_gap(invert, originals: sm.SeqTuple) -> float:
 
 
 def run_grsk_verify(alpha, window, seed) -> list[dict]:
+    _seed(seed)
     # The triangular array draws shapes alpha + 1, alpha and alpha - 1:
     # unit shape gaps keep the iterated maps well conditioned.
     _alpha(alpha, 1.0 + MIN_SHAPE)
@@ -290,7 +301,7 @@ def run_grsk_verify(alpha, window, seed) -> list[dict]:
     with _burn_ins("--alpha"):
         # daop's reach is at most the array's: its burn-ins are a row's.
         minimum = grsk.triangular_reach(_hints(lams)) + 1
-    _window_at_least(minimum, window)
+    _at_least("--window", window, minimum)
     _fits(_windows(3, window + 1), "--window")
     checks = []
     # Spawns 1-3 are _ig_windows' inputs.
@@ -391,14 +402,15 @@ def _cocycle_fold(blocks, c: int):
 
 
 def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
+    _seed(seed)
     _alpha(alpha)
     _rho(alpha, rho)
-    _require(levels >= 1, "--levels", f"{levels} is not in the range x>=1.")
+    _at_least("--levels", levels, 1)
     with _burn_ins("--rho"):
         margin = bu._margin(alpha, rho)
     # The bulk starts at the burn-in margin; its vertical KS test reads
     # every 16th bulk site, as parallel-chain's does.
-    _window_at_least(margin + KS_WINDOW_MIN, window)
+    _at_least("--window", window, margin + KS_WINDOW_MIN)
     # The grid's I, J and W arrays.  The run streams the grid in blocks
     # and holds far less, but without this count an oversized --window or
     # --levels would run for hours; a bound on the time waits for ROADMAP
@@ -419,10 +431,12 @@ def run_stationary_cocycle(alpha, rho, window, levels, seed) -> list[dict]:
 
 
 def run_parallel_chain(alpha, rhos, window, seed) -> list[dict]:
+    _seed(seed)
     _require(len(rhos) >= 2, "--rho", "need at least two rhos")
     _require(all(b < a for a, b in zip(rhos, rhos[1:])), "--rho",
              "rhos must be strictly decreasing")
     _input_shapes(alpha, rhos)
+    _at_least("--window", window, KS_WINDOW_MIN)
     with _burn_ins("--rho"):
         reach = bu.chain_reach(alpha, rhos)
     _fits(_chain(len(rhos), window + reach + 1), "--rho" if reach > window else "--window")
@@ -459,9 +473,11 @@ def run_parallel_chain(alpha, rhos, window, seed) -> list[dict]:
 
 
 def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
+    _seed(seed)
     _alpha(alpha)
     _rho(alpha, rho)
     _require(0.0 < lam < rho, "--lam", f"need 0 < lambda < rho, got {lam}")
+    _at_least("--samples", samples, KS_SAMPLES_MIN)
     _jump_sampler(alpha, rho, samples, "--rho")
     m = min(20000, samples)
     with _burn_ins("--lam"):
@@ -500,12 +516,15 @@ def run_ppp_busemann(alpha, lam, rho, samples, seed) -> list[dict]:
 
 
 def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
+    _seed(seed)
     _require(0.0 < alpha < math.inf, "--alpha", f"{alpha} is not in the range 0<x<inf.")
     _require(ig.Y_MIN < delta < math.inf, "--delta",
              f"{delta} is not in the range {ig.Y_MIN:g}<x<inf: "
              "smaller jumps are not sampled")
     _require(0.0 <= s_lo < alpha, "--s-lo", f"{s_lo} is not in the range 0<=x<{alpha}.")
     _require(s_lo < s_hi < alpha, "--s-hi", f"{s_hi} is not in the range {s_lo}<x<{alpha}.")
+    # The dispersion test needs two counts.
+    _at_least("--samples", samples, 2)
     _jump_sampler(alpha, s_hi, samples, "--s-hi")
     # The count falls with delta, so if it is 0 at the smallest, alpha is to blame.
     _require(ig.expected_jump_count(alpha, ig.Y_MIN, (s_lo, s_hi)) > 0.0, "--alpha",
@@ -525,9 +544,9 @@ def run_jump_count(alpha, delta, s_lo, s_hi, samples, seed) -> list[dict]:
 
 
 def run_zero_temp(rho, samples, seed) -> list[dict]:
+    _seed(seed)
     _require(0.0 < rho < 1.0, "--rho", f"{rho} is not in the range 0<x<1.")
-    _require(samples >= KS_SAMPLES_MIN, "--samples",
-             f"{samples} is not in the range x>={KS_SAMPLES_MIN}.")
+    _at_least("--samples", samples, KS_SAMPLES_MIN)
     _jump_sampler(1.0, rho, samples, "--rho")
     rng = Rng(master_seed=seed)
     inc = ig.batch_increment_sums(
@@ -585,6 +604,7 @@ def _cif_sizes(alpha, rho, replicas) -> None:
 
 
 def run_cif_eta(alpha, rho, replicas, seed) -> list[dict]:
+    _seed(seed)
     _cif_sizes(alpha, rho, replicas)
     p, se = cifmod.eta_cdf_estimate(
         alpha, rho, replicas, Rng(master_seed=seed, stream_id=1)
@@ -596,6 +616,7 @@ def run_cif_eta(alpha, rho, replicas, seed) -> list[dict]:
 
 
 def run_cif_xi(alpha, rho, replicas, seed) -> list[dict]:
+    _seed(seed)
     _cif_sizes(alpha, rho, replicas)
     est, se_x = cifmod.xi_star_cdf_check(
         alpha, rho, replicas, Rng(master_seed=seed, stream_id=1)
@@ -615,8 +636,11 @@ def run_cif_xi(alpha, rho, replicas, seed) -> list[dict]:
 
 
 def run_she_check(alpha, rho, size, seed) -> list[dict]:
+    _seed(seed)
     _alpha(alpha)
     _rho(alpha, rho)
+    # The eternal solution's base sits at size // 2 >= 1.
+    _at_least("--size", size, 2)
     with _burn_ins("--rho"):
         margin = bu._margin(alpha, rho)
     # The grid's I, J and W arrays and the eternal solution's log Z.
@@ -664,6 +688,8 @@ def _per_block(stat, *blocks) -> np.ndarray:
 
 
 def run_calibrate_stats(trials, samples, seed) -> list[dict]:
+    _seed(seed)
+    _at_least("--samples", samples, KS_SAMPLES_MIN)
     # The dispersion test draws every trial's counts in one event, and the
     # Poisson draw and the statistic hold about 12 arrays of them.  The
     # uniforms come block by block, about _CHUNK at a time; a row longer

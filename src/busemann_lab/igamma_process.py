@@ -30,7 +30,6 @@ from .special_functions import (
     _event_keys,
     _libm,
     _spawn_ids,
-    gamma_from_keys,
     poisson_from_keys,
     reg_inc_gamma,
     sample_gamma,
@@ -67,28 +66,35 @@ _PANEL_ORDER = 16
 
 @dataclass(frozen=True)
 class JumpProcessSample:
-    """One realization of the marked jump process on (0, rho_max].
+    """n realizations of the marked jump process on (0, rho_max].
 
-    s, y, u are equal-length arrays sorted by s; u are independent
-    uniform marks.  Jumps with y < Y_MIN are not listed.
+    s, y, u hold the points of every realization, sorted by (realization,
+    s): realization i's are those from ends[i] to ends[i + 1], and ends
+    holds n + 1 offsets from 0.  u are independent uniform marks.  Jumps
+    with y < Y_MIN are not listed.  samples[i] and samples[lo:hi] select
+    realizations as views.
     """
 
     alpha: float
-    z0: float
+    rho_max: float
     s: np.ndarray
     y: np.ndarray
     u: np.ndarray
-    rho_max: float
+    ends: np.ndarray
 
-    def __post_init__(self):
-        for name in ("s", "y", "u"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=np.float64)
-            )
-        if not (self.s.shape == self.y.shape == self.u.shape):
-            raise ValueError("point arrays must have equal length")
-        if np.any(np.diff(self.s) < 0):
-            raise ValueError("points must be sorted by s")
+    def __len__(self) -> int:
+        return self.ends.shape[0] - 1
+
+    def __getitem__(self, key) -> JumpProcessSample:
+        r = range(len(self))[key]
+        if isinstance(r, int):
+            r = range(r, r + 1)
+        if r.step != 1:
+            raise ValueError("realizations are selected by a contiguous slice")
+        ends = self.ends[r.start:max(r.start, r.stop) + 1]
+        a, b = ends[0], ends[-1]
+        return JumpProcessSample(self.alpha, self.rho_max, self.s[a:b], self.y[a:b],
+                                 self.u[a:b], ends - a)
 
 
 def _bands(alpha: float, rho_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -233,29 +239,20 @@ def _passes(alpha: float, rho_max: float, n: int, seed: int, streams: np.ndarray
 
 def _realizations(
     alpha: float, rho_max: float, seed: int, streams: np.ndarray
-) -> list[JumpProcessSample]:
+) -> JumpProcessSample:
     """One realization of the jump process from each stream id in streams."""
     if not (0.0 < rho_max < alpha):
         raise ValueError("need 0 < rho_max < alpha")
-    z0_keys = _event_keys(seed, _spawn_ids(streams, 0), 0, 1).ravel()
-    z0 = [-math.log(g) for g in gamma_from_keys(z0_keys, alpha).tolist()]
     owner, s, y, u = (np.concatenate(p) for p in zip(*_passes(alpha, rho_max, 1, seed, streams)))
     # Sorting by (owner, s) is each realization's stable sort by s.
     order = np.lexsort((s, owner))
-    owner, s, y, u = owner[order], s[order], y[order], u[order]
-    ends = np.searchsorted(owner, np.arange(streams.shape[0] + 1))
-    return [
-        JumpProcessSample(
-            alpha=alpha, z0=z0[r], s=s[lo:hi], y=y[lo:hi], u=u[lo:hi],
-            rho_max=rho_max,
-        )
-        for r, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist()))
-    ]
+    ends = np.searchsorted(owner[order], np.arange(streams.shape[0] + 1))
+    return JumpProcessSample(alpha, rho_max, s[order], y[order], u[order], ends)
 
 
 def sample_ppp(alpha: float, rho_max: float, rng: Rng) -> JumpProcessSample:
     """Draw one marked realization of the jump process on (0, rho_max]."""
-    return _realizations(alpha, rho_max, rng.master_seed, _as_u64(rng.stream_id))[0]
+    return _realizations(alpha, rho_max, rng.master_seed, _as_u64(rng.stream_id))
 
 
 def sample_ppp_replicas(
@@ -263,13 +260,13 @@ def sample_ppp_replicas(
     rho_max: float,
     n: int,
     rng: Rng,
-) -> list[JumpProcessSample]:
+) -> JumpProcessSample:
     """n independent realizations of the jump process, drawn together.
 
-    Replica i is bit for bit ``sample_ppp(alpha, rho_max, rng.spawn(i))``:
-    every draw is a pure hash of (seed, stream id, counter), so the
-    replicas are the realizations of the n child stream ids, and each band
-    makes one draw over all of them.
+    Replica i, samples[i], is bit for bit ``sample_ppp(alpha, rho_max,
+    rng.spawn(i))``: every draw is a pure hash of (seed, stream id,
+    counter), so the replicas are the realizations of the n child stream
+    ids, and each band makes one draw over all of them.
     """
     ids = _spawn_ids(rng.stream_id, np.arange(n, dtype=np.uint64))
     return _realizations(alpha, rho_max, rng.master_seed, ids)
@@ -395,41 +392,36 @@ _COUPLING_BLOCK = max(1, REPARAM_POINTS // _COUPLING_POINTS)
 
 
 def _coupled_profiles(
-    samples: list[JumpProcessSample], alphas
+    samples: JumpProcessSample, alphas
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The rho-grid, the zero-temperature profiles and, for each alpha in
-    alphas, the scaled alpha-profiles of a block of reference samples, one
-    row per sample (see zero_temp_couple).
+    alphas, the scaled alpha-profiles of a block of reference realizations,
+    one row per realization (see zero_temp_couple).
 
-    Each sample's points fill one row of a zero-padded array from column
-    1, their y where kept and +0.0 where not; a cumsum along the rows then
-    gives every sample's sums of kept jumps with the bits of a cumsum over
-    its kept y alone.  A profile at grid point rho reads its row at the
-    number of the sample's points with s <= rho, kept or not: one integer
-    search over keys owner (G + 1) + (grid points below s) finds them all,
-    for every profile of the block.
+    Each realization's points fill one row of a zero-padded array from
+    column 1, their y where kept and +0.0 where not; a cumsum along the
+    rows then gives every realization's sums of kept jumps with the bits
+    of a cumsum over its kept y alone.  A profile at grid point rho reads
+    its row at the number of the realization's points with s <= rho, kept
+    or not: one integer search over keys owner (G + 1) + (grid points
+    below s) finds them all, for every profile of the block.
     """
-    for sample in samples:
-        if sample.alpha != 1.0:
-            raise ValueError("the reference sample must be drawn at parameter 1")
-        if sample.rho_max != samples[0].rho_max:
-            raise ValueError("the samples must share one rho_max")
+    if samples.alpha != 1.0:
+        raise ValueError("the reference sample must be drawn at parameter 1")
     if not all(0.0 < a <= 1.0 for a in alphas):
         raise ValueError("need 0 < alpha <= 1")
-    points = _COUPLING_POINTS
-    rho_grid = np.linspace(0.0, samples[0].rho_max, points)
-    counts = np.array([sample.s.shape[0] for sample in samples])
-    starts = np.cumsum(counts) - counts
-    s, y, u = (np.concatenate([getattr(sample, name) for sample in samples])
-               for name in ("s", "y", "u"))
-    owner = np.repeat(np.arange(len(samples)), counts)
-    col = np.arange(1, s.shape[0] + 1) - np.repeat(starts, counts)
+    points, n = _COUPLING_POINTS, len(samples)
+    s, y, u, ends = samples.s, samples.y, samples.u, samples.ends
+    rho_grid = np.linspace(0.0, samples.rho_max, points)
+    counts = np.diff(ends)
+    owner = np.repeat(np.arange(n), counts)
+    col = np.arange(1, s.shape[0] + 1) - ends[owner]
     keys = owner * (points + 1) + np.searchsorted(rho_grid, s, side="left")
-    queries = (np.arange(len(samples)) * (points + 1))[:, None] + np.arange(points)
-    padded = np.zeros((len(samples), int(counts.max(initial=0)) + 1))
+    queries = (np.arange(n) * (points + 1))[:, None] + np.arange(points)
+    padded = np.zeros((n, int(counts.max(initial=0)) + 1))
     # Flat positions in padded: each row's start, less its points before.
     pos = np.searchsorted(keys, queries, side="right")
-    pos += (np.arange(len(samples)) * padded.shape[1] - starts)[:, None]
+    pos += (np.arange(n) * padded.shape[1] - ends[:-1])[:, None]
 
     def profile(keep: np.ndarray, comp_rate: float) -> np.ndarray:
         padded[owner, col] = np.where(keep, y, 0.0)
@@ -443,28 +435,30 @@ def _coupled_profiles(
 def zero_temp_couple(
     sample: JumpProcessSample, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin a reference realization into coupled profiles.
+    """Thin one reference realization into coupled profiles.
 
-    The sample must be drawn at reference parameter 1.  A point is kept
-    for the scaled alpha-profile iff its mark u <= (1 - e^{-y}) / (1 -
-    e^{-y/alpha}) and for the zero-temperature profile iff
+    The sample must hold one realization drawn at reference parameter 1.
+    A point is kept for the scaled alpha-profile iff its mark u <= (1 -
+    e^{-y}) / (1 - e^{-y/alpha}) and for the zero-temperature profile iff
     u <= 1 - e^{-y}; since the first threshold dominates for alpha <= 1,
     the zero-temperature jumps are a subset.  Returns (rho_grid,
     alpha-profile increments, zero-temperature increments) on 1,001
     equally spaced points of [0, rho_max], both profiles starting from 0
     at rho = 0.
     """
-    rho_grid, zero, (prof,) = _coupled_profiles([sample], (alpha,))
+    if len(sample) != 1:
+        raise ValueError("need one realization")
+    rho_grid, zero, (prof,) = _coupled_profiles(sample, (alpha,))
     return rho_grid, prof[0], zero[0]
 
 
-def coupling_gaps(samples: list[JumpProcessSample], alphas) -> np.ndarray:
-    """The largest gap of each sample's alpha-profile over its
+def coupling_gaps(samples: JumpProcessSample, alphas) -> np.ndarray:
+    """The largest gap of each realization's alpha-profile over its
     zero-temperature profile on the rho-grid, as zero_temp_couple gives
     them: a (len(alphas), len(samples)) array.
 
-    _COUPLING_BLOCK samples at a time share their arrays; each gap has the
-    bits of np.max(za - zz) over that sample's own coupling.
+    _COUPLING_BLOCK realizations at a time share their arrays; each gap
+    has the bits of np.max(za - zz) over that realization's own coupling.
     """
     gaps = np.empty((len(alphas), len(samples)))
     for lo in range(0, len(samples), _COUPLING_BLOCK):

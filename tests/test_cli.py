@@ -180,6 +180,46 @@ NAMED_ERRORS = [
     ["cif-eta", "--alpha", "2e15", "--rho", "2e15"],
 ]
 
+# The counts each run refuses itself, and every empty rho list.
+COUNT_ERRORS = [
+    ["check-intertwine", "--n", "0"],
+    ["check-inverse", "--n", "0"],
+    ["stationary-cocycle", "--levels", "0"],
+    # 20 KS samples from every 16th of window + 1 sites.
+    ["parallel-chain", "--window", "10"],
+    ["ppp-busemann", "--samples", "10"],
+    # jump-count's dispersion test needs two counts.
+    ["jump-count", "--samples", "0"],
+    ["jump-count", "--samples", "1"],
+    ["zero-temp", "--samples", "5"],
+    ["cif-eta", "--replicas", "0"],
+    ["she-check", "--size", "0"],
+    ["she-check", "--size", "1"],
+    ["calibrate-stats", "--trials", "0"],
+    ["calibrate-stats", "--samples", "5"],
+    ["check-intertwine", "--rho", ""],
+    ["parallel-chain", "--rho", ","],
+]
+
+# A seed is the root of 64-bit keys: 2**64 would alias seed 0, -1 seed 2**64 - 1.
+SEED_ERRORS = [[name, "--seed", seed] for name in EXPERIMENTS for seed in ("-1", str(2 ** 64))]
+
+# The refusal table: values that a run refuses before it draws, with a
+# ConfigError in-process and exit 2 through the CLI.  Each argv names
+# first the option that its error must name.
+REFUSALS = [
+    *COUNT_ERRORS,
+    *SEED_ERRORS,
+    ["stationary-cocycle", "--rho", "5.0"],
+    ["check-intertwine", "--rho", "0.5"],
+    ["parallel-chain", "--rho", "0.4,1.2"],
+    ["ppp-busemann", "--lam", "1.5", "--rho", "0.4"],
+    ["zero-temp", "--rho", "1.5"],
+    ["jump-count", "--delta", "-1"],
+    ["check-intertwine", "--window", "100", "--burn-in", "600"],
+    *NAMED_ERRORS,
+]
+
 # A cap on the address space of the subprocesses below.
 _AS_CAP = 2 * 2 ** 30
 
@@ -193,61 +233,24 @@ class TestExitCodes:
             cli.main.main(args, prog_name="busemann-lab", standalone_mode=False)
         return [(result.exit_code, result.output), (exc.value.code, capsys.readouterr().err)]
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["stationary-cocycle", "--rho", "5.0"],
-            ["check-intertwine", "--rho", "0.5"],
-            ["check-intertwine", "--rho", "oops"],
-            ["parallel-chain", "--rho", "0.4,1.2"],
-            ["ppp-busemann", "--lam", "1.5", "--rho", "0.4"],
-            ["zero-temp", "--rho", "1.5"],
-            ["jump-count", "--delta", "-1"],
-            ["check-intertwine", "--window", "100", "--burn-in", "600"],
-            ["cif-eta", "--replicas", "0"],
-            ["jump-count", "--samples", "0"],
-            ["calibrate-stats", "--trials", "0"],
-            # Past 2**22 // 3 replicas the stream ids would alias.
-            ["cif-eta", "--replicas", "1398102"],
-            ["stationary-cocycle", "--levels", "0"],
-            ["she-check", "--size", "0"],
-            ["check-intertwine", "--n", "0"],
-            ["check-inverse", "--n", "0"],
-            ["zero-temp", "--samples", "5"],
-            ["calibrate-stats", "--samples", "5"],
-            ["ppp-busemann", "--samples", "10"],
-            ["jump-count", "--samples", "1"],
-            ["she-check", "--size", "1"],
-            # Cesaro gaps below 1e-8: burn-ins of terabytes, refused by
-            # the burn-in rule's order guard.
-            ["cif-eta", "--rho", "1e-12"],
-            ["parallel-chain", "--rho", "1.2000000001,1.2"],
-            *NAMED_ERRORS,
-        ],
-    )
+    # click's type checks, and the refusal table.
+    @pytest.mark.parametrize("args", [["check-intertwine", "--rho", "oops"],
+                                      ["cif-eta", "--seed", "x"], *REFUSALS])
     def test_config_errors_exit_2(self, runner, capsys, args):
         for code, output in self._both_modes(runner, capsys, args):
             assert code == 2, output
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["stationary-cocycle", "--levels", "0"],
-            ["she-check", "--size", "0"],
-            ["check-intertwine", "--n", "0"],
-            ["zero-temp", "--samples", "5"],
-            ["calibrate-stats", "--samples", "5"],
-            ["ppp-busemann", "--samples", "10"],
-            ["jump-count", "--samples", "1"],
-            ["she-check", "--size", "1"],
-            ["parallel-chain", "--window", "10"],
-            *NAMED_ERRORS,
-        ],
-    )
-    def test_bad_count_names_the_option(self, runner, capsys, args):
-        for code, output in self._both_modes(runner, capsys, args):
-            assert code == 2
             assert f"Invalid value for '{args[1]}'" in output
+
+    @pytest.mark.parametrize("args", REFUSALS)
+    def test_bad_count_names_the_option(self, args):
+        # In-process, without the CLI: click only parses the argv, and the
+        # run itself refuses the value.
+        exp = next(e for e in cli.EXPERIMENTS if e.name == args[0])
+        params = cli.main.commands[args[0]].make_context(args[0], args[1:]).params
+        del params["output"], params["fmt"]
+        with pytest.raises(experiments.ConfigError) as exc:
+            getattr(experiments, exp.run)(**params)
+        assert exc.value.option == args[1]
 
     @pytest.mark.parametrize(
         "args",

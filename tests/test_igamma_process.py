@@ -31,8 +31,7 @@ from busemann_lab.igamma_process import (
 )
 from busemann_lab import experiments as ex
 from busemann_lab import igamma_process as ig
-from busemann_lab.special_functions import (_CHUNK, POISSON_MEAN_MAX, Rng, sample_gamma,
-                                            sample_poisson)
+from busemann_lab.special_functions import _CHUNK, POISSON_MEAN_MAX, Rng, sample_poisson
 
 from oracles import drawing_marginal_check, per_sample_coupling
 
@@ -113,7 +112,6 @@ class TestSampler:
     def test_deterministic(self):
         a = sample_ppp(2.0, 1.2, rng=Rng(master_seed=5))
         b = sample_ppp(2.0, 1.2, rng=Rng(master_seed=5))
-        assert a.z0 == b.z0
         assert np.array_equal(a.s, b.s) and np.array_equal(a.y, b.y)
 
     def test_points_sorted_and_in_range(self):
@@ -158,12 +156,10 @@ def _oracle_points(alpha, rho_max, n, rng):
 
 def _oracle_sample(alpha, rho, rng):
     """sample_ppp(alpha, rho, rng=rng), from _oracle_points."""
-    z0 = -math.log(sample_gamma(rng.spawn(0), alpha, size=1)[0])
     _, s, y, u = _oracle_points(alpha, rho, 1, rng)
     order = np.argsort(s, kind="stable")
-    return JumpProcessSample(
-        alpha=alpha, z0=z0, s=s[order], y=y[order], u=u[order], rho_max=rho,
-    )
+    return JumpProcessSample(alpha=alpha, rho_max=rho, s=s[order], y=y[order], u=u[order],
+                             ends=np.array([0, s.shape[0]]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +215,7 @@ class TestOracle:
     def test_sample_ppp_equals_oracle(self, alpha, rho):
         got = sample_ppp(alpha, rho, rng=Rng(13, 4))
         want = _oracle_sample(alpha, rho, Rng(13, 4))
-        assert got.z0 == want.z0
+        assert len(got) == 1
         for name in ("s", "y", "u"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -238,10 +234,10 @@ class TestReplicaPpp:
     def assert_equal_to_reference(got, alpha, rho, seed, stream_id, indices):
         for i in indices:
             want = _replica_reference(alpha, rho, seed, stream_id, i)
-            assert got[i].z0 == want.z0
-            assert (got[i].alpha, got[i].rho_max) == (alpha, rho)
-            for name in ("s", "y", "u"):
-                assert np.array_equal(getattr(got[i], name), getattr(want, name))
+            one = got[i]
+            assert (one.alpha, one.rho_max, len(one)) == (alpha, rho, 1)
+            for name in ("s", "y", "u", "ends"):
+                assert np.array_equal(getattr(one, name), getattr(want, name))
 
     # 1,000 replicas draw 65 bands a pass, then the last 17 to 20 bands.
     @pytest.mark.parametrize("seed", [7, 11])
@@ -255,11 +251,33 @@ class TestReplicaPpp:
 
     def test_replicas_do_not_depend_on_the_batch_size(self):
         small = sample_ppp_replicas(2.0, 1.2, 257, Rng(11, 3))
-        large = sample_ppp_replicas(2.0, 1.2, 400, Rng(11, 3))
-        for a, b in zip(small, large):
-            assert a.z0 == b.z0
-            assert np.array_equal(a.s, b.s) and np.array_equal(a.y, b.y)
-            assert np.array_equal(a.u, b.u)
+        large = sample_ppp_replicas(2.0, 1.2, 400, Rng(11, 3))[:257]
+        for name in ("s", "y", "u", "ends"):
+            assert np.array_equal(getattr(small, name), getattr(large, name))
+
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    def test_replicas_are_one_flat_sample(self, n):
+        got = sample_ppp_replicas(1.0, 0.5, n, Rng(7, 3))
+        assert isinstance(got, JumpProcessSample) and len(got) == n
+        assert got.ends[0] == 0 and got.ends[-1] == got.s.size
+        assert got.s.shape == got.y.shape == got.u.shape
+        # Sorted by (realization, s): s falls only where a realization ends.
+        owner = np.repeat(np.arange(n), np.diff(got.ends))
+        assert np.all((np.diff(owner) > 0) | (np.diff(got.s) >= 0))
+
+    def test_selection_is_a_view_rebased_to_zero(self):
+        got = sample_ppp_replicas(1.0, 0.5, 20, Rng(7, 3))
+        part = got[5:12]
+        lo, hi = got.ends[5], got.ends[12]
+        assert len(part) == 7 and np.shares_memory(part.s, got.s)
+        assert np.array_equal(part.ends, got.ends[5:13] - lo)
+        assert np.array_equal(part.y, got.y[lo:hi])
+        assert np.array_equal(got[-1].s, got[19].s)
+        assert len(got[15:3]) == 0 and len(got[30:40]) == 0
+        with pytest.raises(IndexError):
+            got[20]
+        with pytest.raises(ValueError, match="contiguous"):
+            got[::2]
 
     def test_64_bit_stream_id(self):
         sid = 2**62 + 5
@@ -268,13 +286,13 @@ class TestReplicaPpp:
 
     def test_mostly_empty_replicas(self):
         got = sample_ppp_replicas(1.0, 0.01, 60, Rng(7, 9))
-        assert sum(r.s.size == 0 for r in got) > 30
+        assert np.sum(np.diff(got.ends) == 0) > 30
         self.assert_equal_to_reference(got, 1.0, 0.01, 7, 9, range(60))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_ppp_replicas(2.0, 2.5, 3, Rng(master_seed=0))
-        assert sample_ppp_replicas(2.0, 1.0, 0, Rng(master_seed=0)) == []
+        assert len(sample_ppp_replicas(2.0, 1.0, 0, Rng(master_seed=0))) == 0
 
 
 class TestBatchStatistics:
@@ -371,6 +389,9 @@ class TestZeroTemperature:
         other = sample_ppp(2.0, 0.9, rng=Rng(master_seed=15))
         with pytest.raises(ValueError):
             zero_temp_couple(other, 0.5)
+        two = sample_ppp_replicas(1.0, 0.8, 2, Rng(master_seed=15))
+        with pytest.raises(ValueError, match="one realization"):
+            zero_temp_couple(two, 0.5)
 
     @staticmethod
     def _check_stacked_equals_per_sample(samples):
@@ -380,7 +401,8 @@ class TestZeroTemperature:
         for lo in range(0, len(samples), ig._COUPLING_BLOCK):
             block = samples[lo:lo + ig._COUPLING_BLOCK]
             grid, zero, profiles = ig._coupled_profiles(block, alphas)
-            for r, smp in enumerate(block):
+            for r in range(len(block)):
+                smp = block[r]
                 for a, prof in zip(alphas, profiles):
                     want_grid, want_a, want_0 = per_sample_coupling(smp, a)
                     assert grid.tobytes() == want_grid.tobytes()
@@ -390,8 +412,8 @@ class TestZeroTemperature:
                     assert one_a.tobytes() == want_a.tobytes()
                     assert one_0.tobytes() == want_0.tobytes()
         for row, a in zip(gaps.tolist(), alphas):
-            for gap, smp in zip(row, samples):
-                _, want_a, want_0 = per_sample_coupling(smp, a)
+            for i, gap in enumerate(row):
+                _, want_a, want_0 = per_sample_coupling(samples[i], a)
                 assert gap == float(np.max(want_a - want_0))
 
     @pytest.mark.parametrize("rho, replicas", [(0.5, 80), (0.3, 400), (0.8, 50)])
@@ -401,20 +423,20 @@ class TestZeroTemperature:
 
     def test_stacked_profiles_of_samples_without_points(self):
         samples = sample_ppp_replicas(1.0, 0.01, 60, Rng(7, 9))
-        sizes = {smp.s.shape[0] for smp in samples}
+        sizes = set(np.diff(samples.ends).tolist())
         assert 0 in sizes and len(sizes) > 1
         self._check_stacked_equals_per_sample(samples)
-        empty = [smp for smp in samples if smp.s.shape[0] == 0][:ig._COUPLING_BLOCK]
+        # A whole block of realizations without points.
+        none = np.empty(0)
+        empty = JumpProcessSample(1.0, 0.01, none, none, none,
+                                  np.zeros(ig._COUPLING_BLOCK + 1, dtype=np.int64))
         self._check_stacked_equals_per_sample(empty)
 
     def test_coupling_gaps_validation(self):
         a = sample_ppp(1.0, 0.8, rng=Rng(master_seed=15))
-        b = sample_ppp(1.0, 0.5, rng=Rng(master_seed=15))
-        with pytest.raises(ValueError, match="one rho_max"):
-            coupling_gaps([a, b], (0.5,))
         with pytest.raises(ValueError):
-            coupling_gaps([a], (0.0,))
-        assert coupling_gaps([], (0.5, 0.2)).shape == (2, 0)
+            coupling_gaps(a, (0.0,))
+        assert coupling_gaps(a[0:0], (0.5, 0.2)).shape == (2, 0)
 
     def test_zero_temp_refuses_few_samples_in_process(self):
         with pytest.raises(ex.ConfigError, match=r"--samples: 5 is not in the range x>=20\."):

@@ -1,13 +1,15 @@
 """Rules of the source layout, read from the package's syntax trees.
 
-Only the command-line front end imports click, and it catches no error
-that it cannot name: a bad option reaches it as experiments.ConfigError,
-and anything else is a crash.  Every check's pass is the comparison of
-its value with its threshold.  The array special functions are called
-once per array, never once per item of a loop.  Every run sizes itself
-against the memory budget.  Every draw comes from the counter-based keys
-of one (master seed, stream id, counter) triple: numpy.random is not
-used, and no seed is shifted to reach another stream.
+Only the command-line front end imports click; it only parses, with no
+click range type, and it catches no error that it cannot name: a bad
+option reaches it as experiments.ConfigError, and anything else is a
+crash.  Every check's pass is the comparison of its value with its
+threshold.  The array special functions are called once per array, never
+once per item of a loop.  Every run sizes itself against the memory
+budget and refuses a seed that its keys would alias.  Every draw comes
+from the counter-based keys of one (master seed, stream id, counter)
+triple: numpy.random is not used, and no seed is shifted to reach
+another stream.
 """
 
 import ast
@@ -51,6 +53,30 @@ def test_cli_catches_no_value_error():
             assert ast.unparse(exc) not in ("ValueError", "Exception", "BaseException"), (
                 f"cli.py:{node.lineno} catches {ast.unparse(exc)}"
             )
+
+
+# The runs own every range, so that they refuse bad input in-process too.
+RANGE_TYPES = {"IntRange", "FloatRange"}
+
+
+def _range_types(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in RANGE_TYPES
+            or isinstance(node, ast.Attribute) and node.attr in RANGE_TYPES
+            or isinstance(node, ast.alias) and node.name in RANGE_TYPES]
+
+
+def test_cli_holds_no_range_type():
+    assert not _range_types(_tree(PACKAGE / "cli.py"))
+
+
+@pytest.mark.parametrize("source", [
+    "COUNT = click.IntRange(min=1)",
+    "from click import FloatRange",
+    "opt = Option(['--x'], type=IntRange(0, 5))",
+])
+def test_range_type_rule_rejects(source):
+    assert _range_types(ast.parse(source))
 
 
 def test_every_check_compares_value_and_threshold():
@@ -113,6 +139,18 @@ def test_every_run_sizes_itself():
     assert len(runs) == 12
     for name in runs:
         assert called(name) & SIZING, f"{name} calls none of {sorted(SIZING)}"
+
+
+def test_every_run_refuses_an_aliased_seed():
+    # _seed refuses a seed outside [0, 2^64), which the keys would fold
+    # onto one inside.
+    tree = _tree(PACKAGE / "experiments.py")
+    runs = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")]
+    assert len(runs) == 12
+    for run in runs:
+        called = {_called_name(node) for node in ast.walk(run) if isinstance(node, ast.Call)}
+        assert "_seed" in called, f"{run.name} does not call _seed"
 
 
 # A seed is a key's root, not a number: seed + 1 is another run's seed.
