@@ -10,7 +10,13 @@ of Cesaro means, so outputs are only reported past a left margin.
 update_raw, the one home of the update step for one row, also serves
 busemann's row evolution and grsk's row insertion; _update_step advances
 busemann's anti-diagonal sweep, and last_i_tilde gives cif the last
-column of a stack of independent rows.  burn_in, the one home of the
+column of a stack of independent rows.  The same forgetting lets
+update_raw sweep a long row's blocks together as lanes, each started
+from a guess two burn-ins before its block: once a lane's value has the
+bits of its predecessor's, it keeps them, and a lane whose seam does not
+match is rerun by the Python-float loop, so every row gets the loop's
+bits.  _log_step is the one vector step of the J and I~ recursions, and
+_serial_j the one Python-float J step.  burn_in, the one home of the
 burn-in rule, needs only Cesaro means.  Also provided: the inverse
 H of the update, the iterated map and the intertwining tuple map with its
 inverse, and the parallel and sequential one-step transformations.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import Rng, _log1p_exp, digamma, sample_inverse_gamma
+from .special_functions import _LIBM_VECTOR, Rng, _log1p_exp, digamma, sample_inverse_gamma
 
 __all__ = [
     "LogSeqWindow",
@@ -53,6 +59,19 @@ _BURN_IN_RATE = 40.0
 # Sites per chunk of a single-row update_raw: one list of Python floats
 # for the J loop and one vector step for I~.
 _CHUNK = 1024
+# Sites per chunk of a seam repair: the loop stops at the first chunk end
+# where it reproduces the lane's bits.
+_REPAIR_CHUNK = 32
+# The lane sweep's cost model, in lane-sites (one lane's share of a
+# column step, about 30 ns): a column step's fixed cost, its numpy calls,
+# and one site of the Python-float loop.  Fitted to 8,000- to 64,000-site
+# rows on a 2-core x86-64 host with numpy 2.4.
+_COLUMN_COST = 128
+_SERIAL_COST = 8
+# Rows shorter than this run the Python-float loop: on stationary
+# alpha = 2, rho = 1 rows (overlap 80) the two cross between 4,000 and
+# 5,000 sites.
+_LANE_MIN = 5000
 
 
 @dataclass(frozen=True)
@@ -179,6 +198,130 @@ def _update_step(both: np.ndarray, scratch: np.ndarray, log_w, log_it, log_j) ->
     np.add(both[size:], log_w, out=log_j)
 
 
+def _log_step(a, b, log_w, out, d: np.ndarray, scratch: np.ndarray) -> None:
+    """out = log_w + log1p(exp(min(a - b, 700))), elementwise over a column.
+
+    The vector form of both steps of the row recursion: J_k from a =
+    log J_{k-1}, b = log I_k, and I~_k from a = log I_k, b = log J_{k-1}.
+    d and scratch are contiguous float64 arrays of the column's size; out
+    may be d.  libm's exp and log1p in place (_log1p_exp) give every
+    element the bits of the Python-float loop, _serial_j.
+    """
+    np.subtract(a, b, out=d)
+    np.minimum(d, 700.0, out=d)
+    _log1p_exp(d, scratch)
+    np.add(log_w, d, out=out)
+
+
+def _serial_j(log_w: np.ndarray, log_i: np.ndarray, prev: float, log_j: np.ndarray,
+              chunk: int = _CHUNK, repair: bool = False) -> None:
+    """The J recursion from log J_{-1} = prev into log_j, as Python floats.
+
+    The one Python-float J step, on local names without numpy scalar
+    boxing, a chunk of sites per list; "700.0 if d > 700.0 else d" is
+    min(d, 700.0), NaN kept.  With repair, log_j already holds a lane's
+    values, and the loop stops at the first chunk end where it reproduces
+    their bits: the step is a function of (J_{k-1}, W_k, I_k), so from
+    there on they agree.
+    """
+    exp, log1p = math.exp, math.log1p
+    bits = log_j.view(np.uint64)
+    for lo in range(0, log_w.shape[0], chunk):
+        hi = min(lo + chunk, log_w.shape[0])
+        end, js = bits[hi - 1], []
+        for wk, ik in zip(log_w[lo:hi].tolist(), log_i[lo:hi].tolist()):
+            d = prev - ik
+            prev = wk + log1p(exp(700.0 if d > 700.0 else d))
+            js.append(prev)
+        log_j[lo:hi] = js
+        if repair and bits[hi - 1] == end:
+            return
+
+
+def _fixed_point(log_w, c_w: float, c_i: float):
+    """log of J = W I / (I - W) at W = exp(log_w) and I at its Cesaro mean,
+    the fixed point of the J recursion; log_w may be an array."""
+    return log_w + c_i - (c_i + math.log1p(-math.exp(c_w - c_i)))
+
+
+def _lane_plan(log_w: np.ndarray, log_i: np.ndarray):
+    """(block, overlap, c_w, c_i) of the lane sweep of a row, or None.
+
+    None leaves the row to the Python-float loop: rows below _LANE_MIN,
+    rows with a non-finite mean or without a positive Cesaro gap, hosts
+    without vector libm calls, and rows where the cost model puts the
+    lanes behind the loop.  Each lane starts overlap = 2 * burn_in sites
+    before its block; the block is at least that long and otherwise
+    minimises the modelled cost, (overlap + block) * (_COLUMN_COST + lanes).
+    """
+    n = log_w.shape[0]
+    if n < _LANE_MIN or not _LIBM_VECTOR:
+        return None
+    c_w, c_i = float(np.mean(log_w)), float(np.mean(log_i))
+    if not (math.isfinite(c_w) and math.isfinite(c_i) and c_i - c_w > _GAP_TOL):
+        return None
+    overlap = 2 * burn_in(c_w, c_i)
+    block = max(overlap, math.isqrt(overlap * n // _COLUMN_COST))
+    lanes = -(-n // block)
+    if lanes < 2 or (overlap + block) * (_COLUMN_COST + lanes) >= _SERIAL_COST * n:
+        return None
+    return block, overlap, c_w, c_i
+
+
+def _lane_j(log_w: np.ndarray, log_i: np.ndarray, seed: float, log_j: np.ndarray,
+            plan) -> int:
+    """The J recursion of a row into log_j in lanes; returns the seams repaired.
+
+    plan is _lane_plan's (block, overlap, c_w, c_i).  Lane b holds block b
+    of the row, sites [b * block, (b + 1) * block).  Lane 0 starts from
+    the seed; lane b > 0 from the fixed-point guess at the Cesaro means,
+    overlap (<= block) sites before its block.  All lanes advance
+    together, one _log_step per column over strided views, so the sweep
+    adds only O(lanes) scratch.  At the last overlap site each lane's
+    value is compared with its predecessor's on uint64 views; where they
+    differ, _serial_j reruns the block from the predecessor's exact value
+    until it reproduces the lane's bits, so log_j has the bits of the
+    loop.  A repair that changes its block's last value makes the next
+    lane's seam compare again.
+    """
+    n = log_w.shape[0]
+    block, overlap, c_w, c_i = plan
+    lanes = -(-n // block)
+    state = np.empty(lanes)
+    state[0] = seed
+    start, rest = block - overlap, lanes - 1
+    state[1:] = _fixed_point(log_w[start::block][:rest], c_w, c_i)
+    d, scratch = np.empty(lanes), np.empty(lanes)
+    guess = state[1:]
+    for c in range(start, block):
+        col = slice(c, c + rest * block, block)
+        _log_step(guess, log_i[col], log_w[col], guess, d[1:], scratch[1:])
+    prev = state
+    for c in range(block):
+        if c == n - rest * block:  # the last lane's block has ended
+            prev, d, scratch = prev[:rest], d[:rest], scratch[:rest]
+        col = slice(c, None, block)
+        out = log_j[col]
+        _log_step(prev, log_i[col], log_w[col], out, d, scratch)
+        prev = out
+    seam = state[1:].view(np.uint64)
+    bits = log_j.view(np.uint64)
+    repairs, done = 0, 0
+    for b in (np.flatnonzero(seam != bits[block - 1::block][:lanes - 1]) + 1).tolist():
+        while b > done:
+            lo, hi = b * block, min((b + 1) * block, n)
+            end = bits[hi - 1]
+            _serial_j(log_w[lo:hi], log_i[lo:hi], float(log_j[lo - 1]), log_j[lo:hi],
+                      _REPAIR_CHUNK, repair=True)
+            repairs, done = repairs + 1, b
+            if bits[hi - 1] == end or b + 1 == lanes:
+                break
+            b += 1
+            if seam[b - 1] == bits[hi - 1]:
+                done = b
+    return repairs
+
+
 def update_raw(
     log_w: np.ndarray, log_i: np.ndarray, log_j_seed: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +331,9 @@ def update_raw(
     returns log J_k for k = 0..n-1 together with log I~_k, which uses
     J_{k-1} and therefore also covers k = 0..n-1 (k = 0 uses the seed).
     The identity 1/I~_k + 1/J_k = 1/W_k holds exactly.  The J recursion
-    runs as a Python-float loop, which is faster for one long row than
-    vector steps, and then I~ in vector steps.
+    runs in lanes over blocks of a long row (_lane_j), and as a
+    Python-float loop (_serial_j) on the rows _lane_plan leaves to it;
+    both give the loop's bits.  I~ then follows in vector steps.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     log_i = np.asarray(log_i, dtype=np.float64)
@@ -198,27 +342,18 @@ def update_raw(
     n = log_w.shape[0]
     log_j = np.empty(n)
     log_it = np.empty(n)
-    # The J recursion runs on Python floats and local names: the same libm
-    # calls without numpy scalar boxing, in chunks so the float lists stay
-    # small; "700.0 if d > 700.0 else d" is min(d, 700.0), NaN kept.  Each
-    # chunk's I~ then needs only J, so it is one vector step.
-    exp, log1p = math.exp, math.log1p
-    prev = float(log_j_seed)
-    scratch = np.empty(min(n, _CHUNK))
-    for lo in range(0, n, _CHUNK):
+    seed = float(log_j_seed)
+    plan = _lane_plan(log_w, log_i)
+    if plan:
+        _lane_j(log_w, log_i, seed, log_j, plan)
+    else:
+        _serial_j(log_w, log_i, seed, log_j)
+    d, scratch = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
+    _log_step(log_i[:1], seed, log_w[:1], log_it[:1], d[:1], scratch[:1])
+    for lo in range(1, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        first, js = prev, []
-        for wk, ik in zip(log_w[lo:hi].tolist(), log_i[lo:hi].tolist()):
-            d = prev - ik
-            prev = wk + log1p(exp(700.0 if d > 700.0 else d))
-            js.append(prev)
-        log_j[lo:hi] = js
-        d = np.empty(hi - lo)
-        d[0] = log_i[lo] - first
-        np.subtract(log_i[lo + 1:hi], log_j[lo:hi - 1], out=d[1:])
-        np.minimum(d, 700.0, out=d)
-        _log1p_exp(d, scratch[:hi - lo])
-        np.add(log_w[lo:hi], d, out=log_it[lo:hi])
+        _log_step(log_i[lo:hi], log_j[lo - 1:hi - 1], log_w[lo:hi], log_it[lo:hi],
+                  d[:hi - lo], scratch[:hi - lo])
     return log_j, log_it
 
 
@@ -228,9 +363,8 @@ def last_i_tilde(log_w: np.ndarray, log_i: np.ndarray, log_j_seed: np.ndarray) -
     Row r is an independent update recursion with seed log_j_seed[r];
     the result has the bits of update_raw(log_w[r], log_i[r],
     log_j_seed[r])[1][-1].  Only the J recursion runs over columns
-    0..n-2, one vector step over the rows per column, on min(J_{k-1} -
-    I_k, 700): the exact negation of I~'s argument, and exp gives the
-    same bits at -0 and +0.  One I~ step at column n - 1 follows.
+    0..n-2, one _log_step over the rows per column, and one I~ step at
+    column n - 1 follows.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     log_i = np.asarray(log_i, dtype=np.float64)
@@ -240,14 +374,9 @@ def last_i_tilde(log_w: np.ndarray, log_i: np.ndarray, log_j_seed: np.ndarray) -
     d, scratch = np.empty(rows), np.empty(rows)
     prev = np.full(rows, log_j_seed, dtype=np.float64)
     for k in range(n - 1):
-        np.subtract(prev, log_i[:, k], out=d)
-        np.minimum(d, 700.0, out=d)
-        _log1p_exp(d, scratch)
-        np.add(log_w[:, k], d, out=prev)
-    np.subtract(log_i[:, n - 1], prev, out=d)
-    np.minimum(d, 700.0, out=d)
-    _log1p_exp(d, scratch)
-    return np.add(log_w[:, n - 1], d, out=d)
+        _log_step(prev, log_i[:, k], log_w[:, k], prev, d, scratch)
+    _log_step(log_i[:, n - 1], prev, log_w[:, n - 1], d, d, scratch)
+    return d
 
 
 def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
@@ -272,7 +401,7 @@ def update(w: LogSeqWindow, i: LogSeqWindow) -> UpdateOutput:
     # The seed plays the role of J at index lo - 1, so outputs at index lo
     # already use it; J at lo is the first recursion output.  It is the
     # fixed point J = W I / (I - W) of the recursion at the Cesaro means.
-    seed = float(w.values[0]) + ci - (ci + math.log1p(-math.exp(cw - ci)))
+    seed = _fixed_point(float(w.values[0]), cw, ci)
     log_j, log_it = update_raw(w.values, i.values, seed)
     # log W~ = -logaddexp(-log I, -log J_{k-1}), built in its own buffer.
     log_wt = np.empty(log_j.shape)

@@ -111,7 +111,14 @@ def _hash(shape, start: np.ndarray, absorbs, spread: bool = False, unit: bool = 
 
 @functools.lru_cache(maxsize=64)
 def _seed_key(master_seed: int) -> np.ndarray:
-    """mix64(master_seed), the root of the seed's keys; shared, so read-only."""
+    """mix64(master_seed), the root of the seed's keys; shared, so read-only.
+
+    A seed outside [0, 2^64) raises ValueError: its 64-bit word would draw
+    the numbers of the seed it equals modulo 2^64.  Stream ids keep their
+    arithmetic modulo 2^64.
+    """
+    if not 0 <= master_seed < 2 ** 64:
+        raise ValueError(f"master seed {master_seed} is outside [0, 2^64)")
     key = _hash((1,), np.zeros(1, _U64), [(master_seed, 0)])
     key.flags.writeable = False
     return key
@@ -200,7 +207,8 @@ def keys_for_sites(master_seed: int, stream_id, x, y) -> np.ndarray:
     A site's key depends only on (master_seed, stream_id, x, y), so any
     window over the lattice sees the same values: extension-consistency for
     weight fields comes from here.  stream_id may be an integer array that
-    broadcasts against the coordinates.
+    broadcasts against the coordinates.  A master seed outside [0, 2^64)
+    raises ValueError (_seed_key).
     """
     # Viewing int64 as uint64 is the two's-complement cast, without a copy.
     xs, ys = (np.atleast_1d(np.asarray(v, dtype=np.int64)).view(_U64) for v in (x, y))
@@ -272,21 +280,28 @@ def trigamma(s):
 
     s may be an array, and the result has its shape; a scalar s returns a
     float.  Each element shifts by the recurrence to s >= 12 and then sums
-    the asymptotic series.
+    the asymptotic series.  The shift loop runs on the lanes still below
+    12 only, and writes each lane back as it passes 12.
     """
-    arr = np.asarray(s, dtype=np.float64)
+    arr = np.array(s, dtype=np.float64)
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if np.any(bad):
         _check_positive("s", arr[bad][0])
     acc = np.zeros_like(arr)
-    shift = arr < 12.0
-    # Lanes already past 12 are computed and discarded; their squares may
-    # overflow.
+    flat, acc_flat = arr.reshape(-1), acc.reshape(-1)
+    live = np.flatnonzero(flat < 12.0)
+    x, a, t = flat[live], acc_flat[live], np.empty(live.size)
+    # 1/s^2 overflows to inf below about 1e-154, as psi_1 does.
     with np.errstate(over="ignore"):
-        while shift.any():
-            acc = np.where(shift, acc + 1.0 / (arr * arr), acc)
-            arr = np.where(shift, arr + 1.0, arr)
-            shift = arr < 12.0
+        while live.size:
+            t = np.multiply(x, x, out=t[:live.size])
+            a += np.divide(1.0, t, out=t)
+            x += 1.0
+            out = x >= 12.0
+            if out.any():
+                flat[live[out]], acc_flat[live[out]] = x[out], a[out]
+                keep = ~out
+                live, x, a = live[keep], x[keep], a[keep]
     inv = 1.0 / arr
     inv2 = inv * inv
     # 1/s + 1/(2 s^2) + sum_n B_{2n} / s^{2n+1}
@@ -314,6 +329,11 @@ def _reversed_softplus(x: np.ndarray, scratch: np.ndarray) -> None:
     np.log1p(scratch[::-1], out=x)
 
 
+def _math_softplus(values: list) -> list:
+    """math.log1p(math.exp(v)) for each float v of a list."""
+    return list(map(math.log1p, map(math.exp, values)))
+
+
 def _reversed_loop_is_libm() -> bool:
     """Whether _reversed_loop and _reversed_softplus give math's bits on a
     few hundred probes."""
@@ -321,7 +341,7 @@ def _reversed_loop_is_libm() -> bool:
     d = np.linspace(-40.0, 40.0, 256)
     soft = d.copy()
     _reversed_softplus(soft, np.empty_like(d))
-    want = np.array([math.log1p(math.exp(v)) for v in d.tolist()])
+    want = np.array(_math_softplus(d.tolist()))
     return soft.tobytes() == want.tobytes() and all(
         _reversed_loop(f, p).tobytes() == np.array(list(map(m, p.tolist()))).tobytes()
         for f, m in _MATH.items() for p in [x + 1.0 if f is np.log else x]
@@ -343,8 +363,7 @@ def _log1p_exp(x: np.ndarray, scratch: np.ndarray) -> None:
     if _LIBM_VECTOR:
         _reversed_softplus(x, scratch)
     else:
-        exp, log1p = math.exp, math.log1p
-        x[:] = [log1p(exp(v)) for v in x.tolist()]
+        x[:] = _math_softplus(x.tolist())
 
 
 def _libm(f, x) -> np.ndarray:

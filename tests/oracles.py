@@ -16,7 +16,10 @@ lane at a time, the oracle for the lane loop of poisson_from_keys; the
 jump-process marginal check that draws its own increment sums, the
 oracle for the one that reads them from its caller's draw; and the
 zero-temperature coupling of one sample by searches of its kept points,
-the oracle for the stacked profiles of a block of samples.
+the oracle for the stacked profiles of a block of samples; the trigamma
+shift loop over every lane, masked, the oracle for the loop over the
+live lanes; and the J recursion of one row as one Python-float loop,
+the oracle for the lane sweep of update_raw.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from busemann_lab.lattice import RhoParam, WeightField
 from busemann_lab.seqmaps import update_raw
 from busemann_lab.special_functions import (_GOLDEN, _MIX1, _MIX2, _SALT_LANE, _U64, Rng,
                                             _as_u64, _check_positive, _hash, _lane_uniforms,
-                                            _libm, reg_inc_gamma, sample_gamma)
+                                            _libm, _log1p_exp, _trigamma_series, reg_inc_gamma,
+                                            sample_gamma)
 from busemann_lab.stats import KsResult, _ks_pvalue, ks_one_sample
 
 
@@ -325,3 +329,49 @@ def per_sample_coupling(sample, alpha: float) -> tuple[np.ndarray, np.ndarray, n
     keep_0 = sample.u <= zero_temp_keep_prob(sample.y)
     return (rho_grid, profile(keep_a, lambda y: pos_temp_keep_prob(y, alpha)),
             profile(keep_0, zero_temp_keep_prob))
+
+
+def where_loop_trigamma(s) -> np.ndarray:
+    """``special_functions.trigamma`` with its shift loop over every lane,
+    masked by np.where, the oracle for the loop over the live lanes."""
+    arr = np.asarray(s, dtype=np.float64)
+    acc = np.zeros_like(arr)
+    shift = arr < 12.0
+    # Lanes already past 12 are computed and discarded; their squares may
+    # overflow.
+    with np.errstate(over="ignore"):
+        while shift.any():
+            acc = np.where(shift, acc + 1.0 / (arr * arr), acc)
+            arr = np.where(shift, arr + 1.0, arr)
+            shift = arr < 12.0
+    inv = 1.0 / arr
+    inv2 = inv * inv
+    return acc + inv + 0.5 * inv2 + _trigamma_series(inv, inv2)
+
+
+def serial_update_raw(log_w: np.ndarray, log_i: np.ndarray,
+                      log_j_seed: float) -> tuple[np.ndarray, np.ndarray]:
+    """``seqmaps.update_raw`` with its J recursion as one Python-float loop
+    over the whole row, chunk by chunk, the oracle for the lane sweep."""
+    log_w = np.asarray(log_w, dtype=np.float64)
+    log_i = np.asarray(log_i, dtype=np.float64)
+    n = log_w.shape[0]
+    log_j = np.empty(n)
+    log_it = np.empty(n)
+    exp, log1p = math.exp, math.log1p
+    prev = float(log_j_seed)
+    for lo in range(0, n, 1024):
+        hi = min(lo + 1024, n)
+        first, js = prev, []
+        for wk, ik in zip(log_w[lo:hi].tolist(), log_i[lo:hi].tolist()):
+            d = prev - ik
+            prev = wk + log1p(exp(700.0 if d > 700.0 else d))
+            js.append(prev)
+        log_j[lo:hi] = js
+        d = np.empty(hi - lo)
+        d[0] = log_i[lo] - first
+        np.subtract(log_i[lo + 1:hi], log_j[lo:hi - 1], out=d[1:])
+        np.minimum(d, 700.0, out=d)
+        _log1p_exp(d, np.empty(hi - lo))
+        np.add(log_w[lo:hi], d, out=log_it[lo:hi])
+    return log_j, log_it

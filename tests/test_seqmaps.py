@@ -22,6 +22,8 @@ from busemann_lab.seqmaps import (
 )
 from busemann_lab.special_functions import Rng, digamma, sample_inverse_gamma
 
+from oracles import serial_update_raw
+
 
 def ig_window(shape, lo, hi, seed, stream=0):
     rng = Rng(master_seed=seed, stream_id=stream)
@@ -128,6 +130,106 @@ class TestUpdateRaw:
     def test_rows_of_no_one_and_two_sites(self, n, seed):
         rng = np.random.default_rng(n)
         self._check_elementwise(400.0 * rng.normal(size=n), 400.0 * rng.normal(size=n), seed)
+
+
+def stationary_row(alpha, rho, n, seed):
+    """log W of shape alpha and log I of shape alpha - rho, n sites each."""
+    log_w = np.log(sample_inverse_gamma(Rng(seed, 1), alpha, n))
+    log_i = np.log(sample_inverse_gamma(Rng(seed, 2), alpha - rho, n))
+    return log_w, log_i
+
+
+def assert_loop_bits(log_w, log_i, seed):
+    """update_raw's J and I~ have the bits of the one Python-float loop."""
+    got_j, got_it = update_raw(log_w, log_i, seed)
+    want_j, want_it = serial_update_raw(log_w, log_i, seed)
+    assert got_j.tobytes() == want_j.tobytes()
+    assert got_it.tobytes() == want_it.tobytes()
+
+
+class TestLaneSweep:
+    @pytest.mark.parametrize("n", [20_000, 64_000])
+    def test_stationary_rows(self, n):
+        log_w, log_i = stationary_row(2.0, 1.0, n, 7)
+        assert seqmaps._lane_plan(log_w, log_i) is not None
+        assert_loop_bits(log_w, log_i, 0.3)
+
+    def test_small_gap_row_repairs_a_seam(self):
+        # The gap of ppp-busemann's rho = 0.4 row, about 0.3: some lanes
+        # have not met the true values after their overlap (this seed's row
+        # has such seams), and their repairs keep the loop's bits.
+        log_w, log_i = stationary_row(2.0, 0.4, 64_000, 3)
+        plan = seqmaps._lane_plan(log_w, log_i)
+        assert plan is not None and 0.28 < plan[3] - plan[2] < 0.32
+        assert plan[1] == 2 * burn_in(plan[2], plan[3])
+        log_j = np.empty(log_w.shape)
+        assert seqmaps._lane_j(log_w, log_i, 0.3, log_j, plan) >= 1
+        assert log_j.tobytes() == serial_update_raw(log_w, log_i, 0.3)[0].tobytes()
+        assert_loop_bits(log_w, log_i, 0.3)
+
+    @pytest.mark.parametrize("overlap", [1, 5])
+    def test_every_seam_repaired(self, overlap):
+        # Lanes that start a few sites before their block miss at almost
+        # every seam, and a repair that reaches its block's end makes the
+        # next seam compare again.
+        log_w, log_i = stationary_row(2.0, 1.0, 20_000, 4)
+        block, _, c_w, c_i = seqmaps._lane_plan(log_w, log_i)
+        log_j = np.empty(log_w.shape)
+        repairs = seqmaps._lane_j(log_w, log_i, 0.3, log_j, (block, overlap, c_w, c_i))
+        assert repairs > 0.9 * (20_000 // block)
+        assert log_j.tobytes() == serial_update_raw(log_w, log_i, 0.3)[0].tobytes()
+
+    def test_length_not_a_multiple_of_the_block(self):
+        log_w, log_i = stationary_row(2.0, 1.0, 30_007, 5)
+        block = seqmaps._lane_plan(log_w, log_i)[0]
+        assert 30_007 % block != 0
+        assert_loop_bits(log_w, log_i, 0.3)
+
+    def test_mid_row_nan(self):
+        # A non-finite mean leaves the row to the loop; lanes given the
+        # clean row's plan propagate the NaN with the loop's bits too.
+        log_w, log_i = stationary_row(2.0, 1.0, 20_000, 6)
+        plan = seqmaps._lane_plan(log_w, log_i)
+        log_i[7_777] = np.nan
+        assert seqmaps._lane_plan(log_w, log_i) is None
+        assert_loop_bits(log_w, log_i, 0.3)
+        log_j = np.empty(log_w.shape)
+        seqmaps._lane_j(log_w, log_i, 0.3, log_j, plan)
+        want = serial_update_raw(log_w, log_i, 0.3)[0]
+        assert np.isnan(want[7_777:]).all() and log_j.tobytes() == want.tobytes()
+
+    def test_minus_infinity_seed(self):
+        log_w, log_i = stationary_row(2.0, 1.0, 20_000, 8)
+        assert seqmaps._lane_plan(log_w, log_i) is not None
+        assert_loop_bits(log_w, log_i, -np.inf)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_rows_at_the_crossover(self, delta):
+        n = seqmaps._LANE_MIN + delta
+        log_w, log_i = stationary_row(2.0, 1.0, n, 9)
+        assert (seqmaps._lane_plan(log_w, log_i) is not None) == (delta >= 0)
+        assert_loop_bits(log_w, log_i, 0.3)
+
+    def test_rows_left_to_the_loop(self):
+        log_w, log_i = stationary_row(2.0, 1.0, 20_000, 10)
+        # No positive gap: the inputs' mean is below the weights'.
+        assert seqmaps._lane_plan(log_i, log_w) is None
+        assert_loop_bits(log_i, log_w, 0.3)
+        # A gap so small that the lanes' overlaps would cost more than the loop.
+        log_i = log_w[::-1] + 0.005
+        assert seqmaps._lane_plan(log_w, log_i) is None
+        assert_loop_bits(log_w, log_i, 0.3)
+        # An infinite weight.
+        log_w[100] = np.inf
+        assert seqmaps._lane_plan(log_w, log_i) is None
+        assert_loop_bits(log_w, log_i, 0.3)
+
+    def test_hosts_without_vector_libm_calls_use_the_loop(self, monkeypatch):
+        log_w, log_i = stationary_row(2.0, 1.0, 20_000, 11)
+        assert seqmaps._lane_plan(log_w, log_i) is not None
+        monkeypatch.setattr(seqmaps, "_LIBM_VECTOR", False)
+        assert seqmaps._lane_plan(log_w, log_i) is None
+        assert_loop_bits(log_w, log_i, 0.3)
 
 
 class TestLastITilde:

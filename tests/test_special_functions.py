@@ -13,6 +13,7 @@ import scipy.stats as st
 import busemann_lab
 from busemann_lab import special_functions
 from busemann_lab.experiments import MIN_SHAPE
+from busemann_lab.igamma_process import REPARAM_POINTS, _zero_temp_rho
 from busemann_lab.special_functions import (
     _SALT_EVENT,
     _SALT_INDEX,
@@ -39,7 +40,7 @@ from busemann_lab.special_functions import (
 )
 
 from oracles import (_i_beta, _p_gamma, per_key_poisson, unfused_absorb, unfused_mix64,
-                     unfused_to_unit, whole_array_gamma)
+                     unfused_to_unit, where_loop_trigamma, whole_array_gamma)
 
 
 _LIBM_FUNCS = [(np.exp, math.exp), (np.log1p, math.log1p), (np.expm1, math.expm1),
@@ -210,6 +211,36 @@ class TestRngDeterminism:
     def test_uniforms_in_open_interval(self):
         u = Rng(master_seed=1).uniforms(10000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**64 + 7])
+    def test_aliased_seed_refused(self, seed):
+        # Its 64-bit word would draw the numbers of seed mod 2^64.
+        with pytest.raises(ValueError, match="outside"):
+            Rng(master_seed=seed).uniforms(4)
+        with pytest.raises(ValueError, match="outside"):
+            keys_for_sites(seed, 0, [1], [2])
+        with pytest.raises(ValueError, match="outside"):
+            Rng(master_seed=seed).spawn(1).uniforms(1)
+
+    # Uniforms 0..2 of Rng(seed, 5) and the keys of sites (1, 5) and (-2, 6)
+    # on stream 3, as drawn before seeds were range-checked.
+    EDGE_SEEDS = {
+        0: ([0x3FECDD3BA7C2994A, 0x3FEB9B857EA54E22, 0x3FEA6B8DC5CF4B56],
+            [0x7C2579A84E9B8DF1, 0x27D747322ABE2DBB]),
+        2**64 - 1: ([0x3FA4C3F95A3434D8, 0x3FEEF011FCE36786, 0x3FDDB7BBB26C9EED],
+                    [0x23F685F1ECF146DF, 0x3521FC45BECE0832]),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EDGE_SEEDS))
+    def test_edge_seeds_keep_their_bits(self, seed):
+        uniforms, keys = self.EDGE_SEEDS[seed]
+        assert Rng(seed, 5).uniforms(3).view(np.uint64).tolist() == uniforms
+        assert keys_for_sites(seed, 3, [1, -2], [5, 6]).tolist() == keys
+
+    def test_stream_ids_keep_their_arithmetic_mod_2_64(self):
+        assert np.array_equal(Rng(7, -1).uniforms(4), Rng(7, 2**64 - 1).uniforms(4))
+        assert np.array_equal(keys_for_sites(7, 2**64 + 3, [1], [2]),
+                              keys_for_sites(7, 3, [1], [2]))
 
 
 class TestUniformRows:
@@ -464,6 +495,29 @@ class TestArrayTrigamma:
         got = trigamma(0.7)
         assert type(got) is float
         assert got == _scalar_trigamma(0.7)
+
+    @pytest.mark.parametrize("grid", [
+        [np.nextafter(12.0, 0.0), 12.0, np.nextafter(12.0, 13.0), 11.0, 11.5],
+        [1e3, 1e150, 1e300, np.finfo(np.float64).max],
+        [1e-300, 1e-160, 1e-100, _TINY, 1e-8],
+        [0.25, 3.0, 12.0, 1e-7, 2e5, 7.5, 11.999],
+    ], ids=["near-12", "large", "tiny", "mixed"])
+    def test_live_lane_loop_equals_where_loop(self, grid):
+        # Tiny s overflows 1/s^2 to inf in both forms.
+        with np.errstate(divide="ignore"):
+            assert trigamma(np.array(grid)).tobytes() == where_loop_trigamma(grid).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_live_lane_loop_on_the_reparam_grid(self, alpha):
+        xi1 = np.linspace(0.0, 1.0, REPARAM_POINTS + 2)[1:-1]
+        rho = alpha * _zero_temp_rho(xi1)
+        for s in (rho, alpha - rho, rho.reshape(100, -1)):
+            assert trigamma(s).tobytes() == where_loop_trigamma(s).tobytes()
+
+    def test_input_is_not_written(self):
+        s = np.array([0.5, 3.0, 20.0])
+        trigamma(s)
+        assert s.tolist() == [0.5, 3.0, 20.0]
 
     def test_shape_and_domain(self):
         assert trigamma(np.full((2, 3), 1.5)).shape == (2, 3)

@@ -9,7 +9,8 @@ once per item of a loop.  Every run sizes itself against the memory
 budget and refuses a seed that its keys would alias.  Every draw comes
 from the counter-based keys of one (master seed, stream id, counter)
 triple: numpy.random is not used, and no seed is shifted to reach
-another stream.
+another stream.  Each recursion has one kernel: the Python-float J step
+lives in one function, and the vector J column step in one helper.
 """
 
 import ast
@@ -202,3 +203,73 @@ def test_one_source_of_randomness(path):
 ])
 def test_randomness_rule_rejects(source):
     assert list(_randomness_faults(ast.parse(source)))
+
+
+# The Python-float J step is a scalar log1p(exp(.)), under any module
+# prefix; whole lists map math's functions instead.
+def _python_j_steps(tree: ast.AST) -> set[str]:
+    """Names of the functions that hold a nested call log1p(exp(...))."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and _called_name(node) == "log1p" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and _called_name(node.args[0]) == "exp"):
+                found.add(func.name)
+    return found
+
+
+def test_one_python_float_j_step():
+    owners = set().union(*(_python_j_steps(_tree(path)) for path in SOURCES))
+    assert owners == {"_serial_j"}, owners
+
+
+# _log_step is the vector J (and I~) column step; _update_step is the
+# anti-diagonal sweep's step, both outputs in one call.
+VECTOR_STEPS = {"_log_step", "_update_step"}
+VECTOR_STEP_CALLERS = {"last_i_tilde", "_lane_j"}
+
+
+def _vector_step_faults(tree: ast.AST):
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        called = {_called_name(node) for node in ast.walk(func) if isinstance(node, ast.Call)}
+        if "_log1p_exp" in called and func.name not in VECTOR_STEPS:
+            yield f"{func.name} calls _log1p_exp itself"
+        if func.name in VECTOR_STEP_CALLERS and "_log_step" not in called:
+            yield f"{func.name} does not call _log_step"
+
+
+def test_one_vector_j_step():
+    tree = _tree(PACKAGE / "seqmaps.py")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert VECTOR_STEP_CALLERS | VECTOR_STEPS <= defined
+    faults = [fault for path in SOURCES for fault in _vector_step_faults(_tree(path))]
+    assert not faults, faults
+
+
+@pytest.mark.parametrize("source", [
+    # A second Python-float J loop, as a repair might copy it.
+    "def _serial_j(w, i, prev):\n"
+    "    for wk, ik in zip(w, i):\n"
+    "        prev = wk + log1p(exp(min(prev - ik, 700.0)))\n"
+    "def _repair(w, i, prev):\n"
+    "    for wk, ik in zip(w, i):\n"
+    "        prev = wk + math.log1p(math.exp(min(prev - ik, 700.0)))\n",
+])
+def test_python_j_step_rule_rejects(source):
+    assert len(_python_j_steps(ast.parse(source))) > 1
+
+
+@pytest.mark.parametrize("source", [
+    "def last_i_tilde(log_w, log_i, prev):\n"
+    "    np.subtract(prev, log_i[:, 0], out=d)\n"
+    "    _log1p_exp(d, scratch)\n",
+    "def _lane_j(log_w, log_i, seed, log_j, plan):\n"
+    "    _update_step(both, scratch, log_w, log_it, log_j)\n",
+])
+def test_vector_step_rule_rejects(source):
+    assert list(_vector_step_faults(ast.parse(source)))
